@@ -91,8 +91,33 @@ def _criterion(name: str, value: float, threshold: float, passed: bool | None = 
     return {"name": name, "value": value, "threshold": threshold, "passed": bool(passed)}
 
 
-def _parse_k(text: str) -> RationalIndex:
-    return RationalIndex.from_string(text)
+def _parse_k(text) -> RationalIndex:
+    return RationalIndex.from_string(str(text))  # a config file may give k=2 as an int
+
+
+# Options that must be positive, and lowest values of the rest: below them a
+# run is undefined or would pass having checked nothing.
+_POSITIVE = ("q1", "t_end", "periods", "integrator_tol")
+_MINIMUM = {"tol": 0.0, "n_states": 1, "n_points": 1, "n_samples": 1, "max_periods": 1,
+            "N_max": 0, "n_max": 0, "m_max": 0, "n": 0, "m": 0, "grid_r": 1, "grid_phi": 1}
+
+
+def _validate(args) -> None:
+    """Reject a configuration no command can run on; raises DomainError."""
+    flag = lambda name: "--" + name.replace("_", "-")
+    for name, value in sorted(vars(args).items()):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"{flag(name)} must be finite, got {value}")
+    for name in _POSITIVE:
+        value = getattr(args, name, None)
+        if value is not None and not value > 0:
+            raise DomainError(f"{flag(name)} must be positive, got {value}")
+    for name, low in _MINIMUM.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise DomainError(f"{flag(name)} must be at least {low}, got {value}")
+    if hasattr(args, "k"):
+        _parse_k(args.k)
 
 
 def _coerce(value: str):
@@ -179,8 +204,8 @@ def cmd_conserve(args, config: ExperimentConfig) -> list[dict]:
     initial = _initial_point(args, params)
     period = math.pi / (2.0 * math.sqrt(params.omega2))
     traj = dynamics.integrate(params, initial, args.periods * period, tol=args.integrator_tol)
-    invariants.write_conservation_csv(traj, os.path.join(config.out_dir, "conserve.csv"))
     rows = invariants.conservation_rows(traj)
+    atomic_write_text(os.path.join(config.out_dir, "conserve.csv"), invariants.conservation_csv(rows))
     drifts = np.array([row[5:] for row in rows])
     worst = drifts.max(axis=0)
     names = ("drift_H", "drift_L1", "drift_L2sin", "drift_L2cos")
@@ -488,7 +513,8 @@ def main(argv=None) -> int:
                 if key in explicit:
                     continue  # explicit flag wins over the file
                 setattr(args, key, _coerce(value))
-    except (OSError, DomainError, ValueError) as exc:
+        _validate(args)
+    except (OSError, DomainError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -500,7 +526,7 @@ def main(argv=None) -> int:
     try:
         criteria = COMMANDS[args.command](args, config)
     except (DomainError, AccuracyError, BranchError, DegenerateOrbitError,
-            IntegrationError) as exc:
+            IntegrationError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

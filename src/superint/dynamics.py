@@ -18,10 +18,10 @@ from .errors import BranchError, DegenerateOrbitError, DomainError, IntegrationE
 from .systems import (
     DCParams,
     PhasePoint,
+    _gradient,
     angular_invariant,
     discriminants,
     hamiltonian,
-    hamiltonian_gradient,
     radial_turning_points,
     validate_bounded,
 )
@@ -59,9 +59,6 @@ class Trajectory:
         q1, q2, p1, p2 = self.dense(t)
         return PhasePoint(float(q1), float(q2), float(p1), float(p2), self.chart)
 
-    def energy_series(self) -> np.ndarray:
-        return np.array([hamiltonian(self.point(i), self.params) for i in range(self.n_samples)])
-
 
 @dataclass(frozen=True)
 class OrbitConstants:
@@ -85,12 +82,11 @@ class ClosureReport:
     period_total: float
 
 
-def _rhs(params, chart):
+def _rhs(params):
     def rhs(t, y):
-        pt = PhasePoint(y[0], y[1], y[2], y[3], chart)
         try:
-            g = hamiltonian_gradient(pt, params)
-        except (DomainError, FloatingPointError):
+            g = _gradient(params, *y.tolist())
+        except (DomainError, ArithmeticError):
             return np.full(4, np.nan)
         return np.array([g[2], g[3], -g[0], -g[1]])
 
@@ -105,7 +101,7 @@ def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10,
     hamiltonian(initial, params)  # validates chart and interiorness
     chart = initial.chart
     rtol = max(tol, 3e-14)  # DOP853 floor
-    sol = solve_ivp(_rhs(params, chart), (0.0, t_end), initial.as_array(),
+    sol = solve_ivp(_rhs(params), (0.0, t_end), initial.as_array(),
                     method="DOP853", rtol=rtol, atol=tol, dense_output=True,
                     max_step=max_step)
     if not sol.success or sol.t[-1] < t_end:

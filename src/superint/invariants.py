@@ -22,7 +22,7 @@ from .systems import (
     DCParams,
     PhasePoint,
     TTWParams,
-    angular_invariant,
+    _barrier,
     hamiltonian,
 )
 
@@ -59,7 +59,7 @@ class BracketEstimate:
 
 def l1_ttw(p: TTWParams, theta: float, p_theta: float) -> float:
     """Angular integral p_theta^2 + alpha k^2 sec^2(k theta) + beta k^2 csc^2(k theta)."""
-    return angular_invariant(PhasePoint(1.0, theta, 0.0, p_theta, TTW_CHART), p)
+    return p_theta ** 2 + _barrier(p, theta)[0]
 
 
 def ab_quantities(p: TTWParams, state: PhasePoint) -> ABQuad:
@@ -239,11 +239,14 @@ def conservation_rows(traj, n_samples: int = 400):
     return rows
 
 
-def write_conservation_csv(traj, path, n_samples: int = 400) -> None:
+def conservation_csv(rows) -> str:
     """Conservation report: t, H, L1, L2sin, L2cos, and per-quantity drifts."""
-    header = "t,H,L1,L2sin,L2cos,drift_H,drift_L1,drift_L2sin,drift_L2cos"
-    lines = [header]
-    for row in conservation_rows(traj, n_samples):
-        lines.append(",".join(repr(v) for v in row))
+    lines = ["t,H,L1,L2sin,L2cos,drift_H,drift_L1,drift_L2sin,drift_L2cos"]
+    lines += [",".join(repr(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def write_conservation_csv(traj, path, n_samples: int = 400) -> None:
+    """Write the conservation report of traj sampled at n_samples times."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(conservation_csv(conservation_rows(traj, n_samples)))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import specfun
 from .errors import AccuracyError, DomainError
-from .systems import DCParams, RationalIndex, TTWParams, potential_dc
+from .systems import DCParams, RationalIndex, TTWParams, _barrier, _radial
 
 
 def exponents_from_couplings(alpha: float, beta: float) -> tuple[float, float]:
@@ -202,10 +202,12 @@ def dc_operator_residual(params: DCParams, E: float, psi, grid: GridSpec) -> flo
     d2r = (psi_grid[2:, 1:-1] - 2.0 * interior + psi_grid[:-2, 1:-1]) / hr ** 2
     d1r = (psi_grid[2:, 1:-1] - psi_grid[:-2, 1:-1]) / (2.0 * hr)
     d2f = (psi_grid[1:-1, 2:] - 2.0 * interior + psi_grid[1:-1, :-2]) / hf ** 2
-    Ri = R[1:-1, 1:-1]
-    Fi = F[1:-1, 1:-1]
-    V = potential_dc(params, Ri, Fi)
-    residual = -(d2r + d1r / Ri + d2f / Ri ** 2) + (V - E) * interior
+    # V = V_r(r) + B(phi)/r^2, each kernel evaluated once per axis node
+    ri = rr[1:-1, None]
+    V_r = np.array([_radial(params, r)[0] for r in rr[1:-1]])[:, None]
+    B = np.array([_barrier(params, f)[0] for f in ff[1:-1]])
+    V = V_r + B / ri ** 2
+    residual = -(d2r + d1r / ri + d2f / ri ** 2) + (V - E) * interior
     scale = abs(E) * float(np.max(np.abs(psi_grid)))
     if scale == 0.0:
         raise DomainError("wavefunction vanishes identically on the grid")

@@ -4,6 +4,12 @@ Both systems use the convention H = p^2 + V (no 1/2 on the kinetic term),
 so Hamilton's equations carry a factor 2: qdot = 2p etc.  All dynamics are
 phrased in polar charts; the angular barrier walls are hard domain
 boundaries and are never crossed.
+
+The families share one angular barrier, B = K (alpha sec^2 u + beta csc^2 u),
+and differ only in the radial term V_r (-Q/r or omega^2 rho^2), so
+H = p1^2 + (p2^2 + B)/q1^2 + V_r.  The kernels _barrier and _radial are the
+only code that knows either term, the walls or the DC/TTW difference; the
+potential, Hamiltonian, angular invariant and gradient are built from them.
 """
 
 from __future__ import annotations
@@ -94,144 +100,81 @@ class PhasePoint:
         return np.array([self.q1, self.q2, self.p1, self.p2], dtype=float)
 
 
-def _require_chart(point: PhasePoint, params) -> str:
+def _require_chart(point: PhasePoint, params) -> None:
     family = DC_CHART if isinstance(params, DCParams) else TTW_CHART
     if point.chart != family:
         raise UsageError(f"phase point chart {point.chart!r} does not match {type(params).__name__}")
-    return family
 
 
-def potential_dc(p: DCParams, r, phi):
-    """-Q/r plus the two 1/r^2 barrier terms, valid strictly inside the wedge."""
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if np.any(r <= 0.0):
+def _barrier(params, q2) -> tuple[float, float]:
+    """Angular barrier B = K (alpha sec^2 u + beta csc^2 u) and dB/dq2.
+
+    u = k phi / 2 with K = k^2 / 4 in the DC chart, u = k theta with K = k^2
+    in the TTW chart; the barrier is the same function of u in both.  A zero
+    coupling drops its term and with it its wall.
+    """
+    s = 0.5 * params.k.value if isinstance(params, DCParams) else params.k.value
+    K = s * s
+    cu, su = math.cos(s * q2), math.sin(s * q2)
+    B = dB = 0.0
+    if params.alpha != 0.0:
+        c2 = cu * cu
+        if c2 < WALL_EPS:
+            raise SingularityError("evaluation on a wall of the wedge cell")
+        B += params.alpha * K / c2
+        dB += 2.0 * s * params.alpha * K * su / (c2 * cu)
+    if params.beta != 0.0:
+        s2 = su * su
+        if s2 < WALL_EPS:
+            raise SingularityError("evaluation on a wall of the wedge cell")
+        B += params.beta * K / s2
+        dB -= 2.0 * s * params.beta * K * cu / (s2 * su)
+    return B, dB
+
+
+def _radial(params, q1) -> tuple[float, float]:
+    """Radial term V_r and dV_r/dq1: -Q/r for DC, omega^2 rho^2 for TTW."""
+    if q1 <= 0.0:
         raise SingularityError("radial coordinate must be positive")
-    k = p.k.value
-    c2 = np.cos(0.5 * k * phi) ** 2
-    s2 = np.sin(0.5 * k * phi) ** 2
-    if p.alpha != 0.0 and np.any(c2 < WALL_EPS):
-        raise SingularityError("evaluation on the cos wall of the wedge")
-    if p.beta != 0.0 and np.any(s2 < WALL_EPS):
-        raise SingularityError("evaluation on the sin wall of the wedge")
-    out = -p.Q / r
-    if p.alpha != 0.0:
-        out = out + p.alpha * k * k / (4.0 * r * r * c2)
-    if p.beta != 0.0:
-        out = out + p.beta * k * k / (4.0 * r * r * s2)
-    return out if np.ndim(out) else float(out)
+    if isinstance(params, DCParams):
+        return -params.Q / q1, params.Q / (q1 * q1)
+    return params.omega2 * q1 * q1, 2.0 * params.omega2 * q1
 
 
-def potential_ttw(p: TTWParams, rho, theta):
-    """omega^2 rho^2 plus the sec^2/csc^2 barrier pair, inside one wedge cell."""
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(rho <= 0.0):
-        raise SingularityError("radial coordinate must be positive")
-    k = p.k.value
-    c2 = np.cos(k * theta) ** 2
-    s2 = np.sin(k * theta) ** 2
-    if p.alpha != 0.0 and np.any(c2 < WALL_EPS):
-        raise SingularityError("evaluation on the sec wall of the wedge cell")
-    if p.beta != 0.0 and np.any(s2 < WALL_EPS):
-        raise SingularityError("evaluation on the csc wall of the wedge cell")
-    out = p.omega2 * rho * rho
-    if p.alpha != 0.0:
-        out = out + p.alpha * k * k / (rho * rho * c2)
-    if p.beta != 0.0:
-        out = out + p.beta * k * k / (rho * rho * s2)
-    return out if np.ndim(out) else float(out)
+def potential(params, q1, q2) -> float:
+    """V = V_r(q1) + B(q2)/q1^2, valid strictly inside the wedge cell."""
+    V_r, _ = _radial(params, q1)
+    B, _ = _barrier(params, q2)
+    return V_r + B / (q1 * q1)
 
 
 def hamiltonian(point: PhasePoint, params) -> float:
-    """H = p1^2 + p2^2/q1^2 + V(q1, q2) in the matching chart."""
-    family = _require_chart(point, params)
-    kinetic = point.p1 ** 2 + (point.p2 / point.q1) ** 2
-    if family == DC_CHART:
-        return kinetic + potential_dc(params, point.q1, point.q2)
-    return kinetic + potential_ttw(params, point.q1, point.q2)
+    """H = p1^2 + (p2^2 + B)/q1^2 + V_r in the matching chart."""
+    _require_chart(point, params)
+    V_r, _ = _radial(params, point.q1)
+    B, _ = _barrier(params, point.q2)
+    return point.p1 ** 2 + (point.p2 ** 2 + B) / (point.q1 * point.q1) + V_r
 
 
 def angular_invariant(point: PhasePoint, params) -> float:
-    """Separation constant of the angular motion: A for DC, L1 for TTW."""
-    family = _require_chart(point, params)
-    k = params.k.value
-    if family == DC_CHART:
-        u = 0.5 * k * point.q2
-        scale = k * k / 4.0
-    else:
-        u = k * point.q2
-        scale = k * k
-    c2 = math.cos(u) ** 2
-    s2 = math.sin(u) ** 2
-    if params.alpha != 0.0 and c2 < WALL_EPS:
-        raise SingularityError("angular invariant evaluated on a wall")
-    if params.beta != 0.0 and s2 < WALL_EPS:
-        raise SingularityError("angular invariant evaluated on a wall")
-    out = point.p2 ** 2
-    if params.alpha != 0.0:
-        out += params.alpha * scale / c2
-    if params.beta != 0.0:
-        out += params.beta * scale / s2
-    return out
+    """Separation constant p2^2 + B of the angular motion: A for DC, L1 for TTW."""
+    _require_chart(point, params)
+    return point.p2 ** 2 + _barrier(params, point.q2)[0]
 
 
-def _gradient_dc(p: DCParams, r, phi, pr, pphi):
-    k = p.k.value
-    u = 0.5 * k * phi
-    cu, su = math.cos(u), math.sin(u)
-    ac = p.alpha * k * k / 4.0
-    bc = p.beta * k * k / 4.0
-    if (p.alpha != 0.0 and cu * cu < WALL_EPS) or (p.beta != 0.0 and su * su < WALL_EPS):
-        raise SingularityError("gradient requested on a wedge wall")
-    if r <= 0.0:
-        raise SingularityError("gradient requested at r <= 0")
-    barrier = 0.0
-    dv_dphi = 0.0
-    if p.alpha != 0.0:
-        sec2 = 1.0 / (cu * cu)
-        barrier += ac * sec2
-        dv_dphi += ac * k * sec2 * (su / cu)
-    if p.beta != 0.0:
-        csc2 = 1.0 / (su * su)
-        barrier += bc * csc2
-        dv_dphi -= bc * k * csc2 * (cu / su)
-    dH_dr = -2.0 * pphi * pphi / r ** 3 + p.Q / r ** 2 - 2.0 * barrier / r ** 3
-    dH_dphi = dv_dphi / r ** 2
-    return np.array([dH_dr, dH_dphi, 2.0 * pr, 2.0 * pphi / r ** 2])
-
-
-def _gradient_ttw(p: TTWParams, rho, theta, prho, ptheta):
-    k = p.k.value
-    u = k * theta
-    cu, su = math.cos(u), math.sin(u)
-    at = p.alpha * k * k
-    bt = p.beta * k * k
-    if (p.alpha != 0.0 and cu * cu < WALL_EPS) or (p.beta != 0.0 and su * su < WALL_EPS):
-        raise SingularityError("gradient requested on a wedge wall")
-    if rho <= 0.0:
-        raise SingularityError("gradient requested at rho <= 0")
-    barrier = 0.0
-    dv_dtheta = 0.0
-    if p.alpha != 0.0:
-        sec2 = 1.0 / (cu * cu)
-        barrier += at * sec2
-        dv_dtheta += at * 2.0 * k * sec2 * (su / cu)
-    if p.beta != 0.0:
-        csc2 = 1.0 / (su * su)
-        barrier += bt * csc2
-        dv_dtheta -= bt * 2.0 * k * csc2 * (cu / su)
-    dH_drho = -2.0 * ptheta * ptheta / rho ** 3 + 2.0 * p.omega2 * rho - 2.0 * barrier / rho ** 3
-    dH_dtheta = dv_dtheta / rho ** 2
-    return np.array([dH_drho, dH_dtheta, 2.0 * prho, 2.0 * ptheta / rho ** 2])
+def _gradient(params, q1, q2, p1, p2) -> tuple[float, float, float, float]:
+    """(dH/dq1, dH/dq2, dH/dp1, dH/dp2) from the radial and barrier kernels."""
+    V_r, dV_r = _radial(params, q1)
+    B, dB = _barrier(params, q2)
+    inv_q1_2 = 1.0 / (q1 * q1)
+    return (-2.0 * (p2 * p2 + B) * inv_q1_2 / q1 + dV_r, dB * inv_q1_2,
+            2.0 * p1, 2.0 * p2 * inv_q1_2)
 
 
 def hamiltonian_gradient(point: PhasePoint, params) -> np.ndarray:
     """Analytic (dH/dq1, dH/dq2, dH/dp1, dH/dp2) at an interior point."""
-    family = _require_chart(point, params)
-    if family == DC_CHART:
-        return _gradient_dc(params, point.q1, point.q2, point.p1, point.p2)
-    return _gradient_ttw(params, point.q1, point.q2, point.p1, point.p2)
+    _require_chart(point, params)
+    return np.array(_gradient(params, point.q1, point.q2, point.p1, point.p2))
 
 
 @dataclass(frozen=True)
@@ -329,7 +272,7 @@ def bounded_dc_state(p: DCParams, E: float, A: float, r_frac: float = 0.5,
     u = report.u1 + u_frac * (report.u2 - report.u1)
     k = p.k.value
     phi = 2.0 * math.acos(math.sqrt(u)) / k
-    pphi2 = A - angular_invariant(PhasePoint(r, phi, 0.0, 0.0, DC_CHART), p)
+    pphi2 = A - _barrier(p, phi)[0]
     pr2 = (E * r * r + p.Q * r - A) / (r * r)
     if pphi2 < -1e-12 or pr2 < -1e-12:
         raise DomainError("shell construction produced a negative momentum square")

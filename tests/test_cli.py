@@ -157,3 +157,43 @@ class TestContract:
         code = main(["degeneracy", "--k", "2", "--N-max", "5"])
         assert code == EXIT_PASS
         assert (target / "degeneracy_summary.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--k", "0"],
+    ["bracket", "--n-states", "1", "--tol", "nan"],
+    ["bracket", "--n-states", "1", "--tol=-1e-6"],
+    ["trajectory", "--family", "ttw", "--q1", "0", "--q2", "0.3", "--p1", "0.1", "--p2", "0.2"],
+    ["trajectory", "--q1", "1", "--q2", "1", "--p1", "0", "--p2", "0.7", "--t-end", "inf"],
+    ["bracket", "--n-states", "0"],
+    ["stackel-verify", "--n-points", "0"],
+    ["degeneracy", "--N-max", "-3"],
+    ["orbit-residual", "--periods", "0"],
+    ["conserve", "--periods", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_configuration_exits_usage(tmp_path, capsys, argv):
+    code, out = run(tmp_path, *argv)
+    assert code == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+    assert not any(out.iterdir())  # rejected before the command ran
+
+
+def test_config_file_integer_index(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("k=2\nN_max=0\n")  # N_max = 0 is one level, still a check
+    code, out = run(tmp_path, "degeneracy", "--config", str(cfg))
+    assert code == EXIT_PASS
+    assert read_summary(out, "degeneracy")["criteria"][0]["passed"]
+
+
+def test_conserve_summary_reads_the_csv_rows(tmp_path):
+    code, out = run(tmp_path, "conserve", "--k", "3/2", "--omega2", "1", "--alpha", "0.3",
+                    "--beta", "0.45", "--q1", "1.1", "--q2", "0.3", "--p1", "0.4",
+                    "--p2", "0.7", "--periods", "2")
+    assert code == EXIT_PASS
+    rows = (out / "conserve.csv").read_text().strip().splitlines()
+    header = rows[0].split(",")
+    worst = {name: max(float(line.split(",")[header.index(name)]) for line in rows[1:])
+             for name in ("drift_H", "drift_L1", "drift_L2sin", "drift_L2cos")}
+    summary = read_summary(out, "conserve")
+    assert {c["name"]: c["value"] for c in summary["criteria"]} == worst

@@ -252,7 +252,7 @@ class TestOscillatorBoundState:
         # covered elsewhere; here verify the separated radial equation
         ttw = TTWParams(omega2=0.25, alpha=0.2, beta=0.3, k=RationalIndex(3, 2))
         psi, E = ttw_bound_state(ttw, 1, 1)
-        from superint.systems import potential_ttw
+        from superint.systems import potential
         h = 1e-4
         worst = 0.0
         for rho, theta in [(1.0, 0.5), (1.6, 0.7), (2.2, 0.4)]:
@@ -260,7 +260,7 @@ class TestOscillatorBoundState:
                    + (psi(rho + h, theta) - psi(rho - h, theta)) / (2 * h * rho)
                    + (psi(rho, theta + h) - 2 * psi(rho, theta) + psi(rho, theta - h))
                    / (h ** 2 * rho ** 2))
-            residual = -lap + (potential_ttw(ttw, rho, theta) - E) * psi(rho, theta)
+            residual = -lap + (potential(ttw, rho, theta) - E) * psi(rho, theta)
             worst = max(worst, abs(residual) / (abs(E) * abs(psi(rho, theta))))
         assert worst < 1e-5
 

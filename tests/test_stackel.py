@@ -34,7 +34,7 @@ from superint.systems import (
     RationalIndex,
     TTWParams,
     hamiltonian,
-    potential_dc,
+    potential,
     random_ttw_state,
 )
 
@@ -66,7 +66,7 @@ class TestTransformHamiltonian:
         dc = DCParams(Q=E / 2, alpha=alpha, beta=beta, k=k)
         for r, phi in [(0.7, 0.5), (1.4, 1.1), (2.2, 1.9)]:
             assert image.potential(r, phi) == pytest.approx(
-                potential_dc(dc, r, phi), rel=1e-13)
+                potential(dc, r, phi), rel=1e-13)
 
     def test_pointwise_exchange_identity(self, rng):
         # (H~ - E~) = rho^-2 (H - E) for generic component functions

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,15 +13,17 @@ from superint.systems import (
     PhasePoint,
     RationalIndex,
     TTWParams,
+    angular_invariant,
     angular_turning_points,
     bounded_dc_state,
     hamiltonian,
     hamiltonian_gradient,
     params_from_text,
     params_to_text,
-    potential_dc,
-    potential_ttw,
+    potential,
     radial_turning_points,
+    random_dc_state,
+    random_ttw_state,
     validate_bounded,
 )
 
@@ -48,12 +51,12 @@ class TestPotentials:
     def test_pure_coulomb(self):
         p = DCParams(Q=1.0, alpha=0.0, beta=0.0, k=RationalIndex(1))
         for phi in (0.3, 1.0, 2.5):
-            assert potential_dc(p, 2.0, phi) == pytest.approx(-0.5, abs=1e-15)
+            assert potential(p, 2.0, phi) == pytest.approx(-0.5, abs=1e-15)
 
     def test_barrier_terms(self):
         # k = 2 at the cell midpoint: each barrier term contributes 2
         p = DCParams(Q=0.0, alpha=1.0, beta=1.0, k=RationalIndex(2))
-        assert potential_dc(p, 1.0, math.pi / 4) == pytest.approx(4.0, rel=1e-14)
+        assert potential(p, 1.0, math.pi / 4) == pytest.approx(4.0, rel=1e-14)
 
     def test_symmetric_couplings_at_midpoint(self):
         p = DCParams(Q=0.5, alpha=0.7, beta=0.7, k=RationalIndex(2))
@@ -61,7 +64,7 @@ class TestPotentials:
         mid = math.pi / (2 * k)  # cos^2 = sin^2 = 1/2 there
         a_term = p.alpha * k * k / (4 * 1.21 * 0.5)
         b_term = p.beta * k * k / (4 * 1.21 * 0.5)
-        assert potential_dc(p, 1.1, mid) == pytest.approx(-p.Q / 1.1 + a_term + b_term, rel=1e-14)
+        assert potential(p, 1.1, mid) == pytest.approx(-p.Q / 1.1 + a_term + b_term, rel=1e-14)
 
     def test_coupling_swap_equals_cell_reflection(self):
         # swapping (alpha, beta) is the reflection about the cell midline
@@ -69,36 +72,36 @@ class TestPotentials:
         swapped = DCParams(Q=1.0, alpha=0.5, beta=0.2, k=p.k)
         cell = math.pi / p.k.value
         for phi in (0.2 * cell, 0.45 * cell, 0.8 * cell):
-            assert potential_dc(p, 1.3, phi) == pytest.approx(
-                potential_dc(swapped, 1.3, cell - phi), rel=1e-13)
+            assert potential(p, 1.3, phi) == pytest.approx(
+                potential(swapped, 1.3, cell - phi), rel=1e-13)
 
     def test_wall_is_singular(self):
         p = DCParams(Q=1.0, alpha=0.2, beta=0.3, k=RationalIndex(2))
         with pytest.raises(SingularityError):
-            potential_dc(p, 1.0, 0.0)
+            potential(p, 1.0, 0.0)
         with pytest.raises(SingularityError):
-            potential_dc(p, 1.0, math.pi / 2)
+            potential(p, 1.0, math.pi / 2)
 
     def test_origin_is_singular(self):
         p = DCParams(Q=1.0, alpha=0.0, beta=0.0, k=RationalIndex(1))
         with pytest.raises(SingularityError):
-            potential_dc(p, 0.0, 1.0)
+            potential(p, 0.0, 1.0)
 
     def test_ttw_pure_oscillator(self):
         p = TTWParams(omega2=1.0, alpha=0.0, beta=0.0, k=RationalIndex(1))
-        assert potential_ttw(p, 2.0, 0.7) == pytest.approx(4.0, abs=1e-14)
+        assert potential(p, 2.0, 0.7) == pytest.approx(4.0, abs=1e-14)
 
     def test_ttw_barriers(self):
         p = TTWParams(omega2=1.0, alpha=1.0, beta=1.0, k=RationalIndex(1))
-        assert potential_ttw(p, 1.0, math.pi / 4) == pytest.approx(5.0, rel=1e-14)
+        assert potential(p, 1.0, math.pi / 4) == pytest.approx(5.0, rel=1e-14)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.5, 3.0), st.floats(0.5, 3.0))
     def test_ttw_radial_scaling(self, rho, c):
         # with no barriers the potential is homogeneous of degree 2
         p = TTWParams(omega2=0.8, alpha=0.0, beta=0.0, k=RationalIndex(1))
-        assert potential_ttw(p, c * rho, 0.5) == pytest.approx(
-            c * c * potential_ttw(p, rho, 0.5), rel=1e-12)
+        assert potential(p, c * rho, 0.5) == pytest.approx(
+            c * c * potential(p, rho, 0.5), rel=1e-12)
 
 
 class TestHamiltonian:
@@ -166,6 +169,83 @@ class TestGradient:
         p = TTWParams(omega2=1.0, alpha=0.3, beta=0.45, k=RationalIndex(1))
         with pytest.raises(SingularityError):
             hamiltonian_gradient(PhasePoint(1.0, 0.0, 0.1, 0.1, TTW_CHART), p)
+
+
+def _family(name: str, alpha: float, beta: float):
+    """Params, chart and u/q2 of one family: u = k phi / 2 (DC) or k theta (TTW)."""
+    k = RationalIndex(3, 2)
+    if name == "dc":
+        return DCParams(Q=1.0, alpha=alpha, beta=beta, k=k), DC_CHART, 0.5 * k.value
+    return TTWParams(omega2=1.0, alpha=alpha, beta=beta, k=k), TTW_CHART, k.value
+
+
+def _evaluate(fn, params, chart, q2):
+    if fn is potential:
+        return fn(params, 1.2, q2)
+    return fn(PhasePoint(1.2, q2, 0.3, 0.4, chart), params)
+
+
+KERNELS = [potential, hamiltonian, angular_invariant, hamiltonian_gradient]
+
+
+@pytest.mark.parametrize("wall", ["alpha", "beta"])
+@pytest.mark.parametrize("family", ["dc", "ttw"])
+@pytest.mark.parametrize("fn", KERNELS, ids=lambda fn: fn.__name__)
+class TestBarrierWalls:
+    # the alpha wall is cos u = 0, the beta wall sin u = 0
+
+    def test_wall_is_singular(self, fn, family, wall):
+        params, chart, s = _family(family, 0.2, 0.3)
+        q2 = 0.5 * math.pi / s if wall == "alpha" else 0.0
+        with pytest.raises(SingularityError):
+            _evaluate(fn, params, chart, q2)
+
+    def test_zero_coupling_disables_its_wall(self, fn, family, wall):
+        params, chart, s = _family(family, 0.0 if wall == "alpha" else 0.2,
+                                   0.0 if wall == "beta" else 0.3)
+        q2 = 0.5 * math.pi / s if wall == "alpha" else 0.0
+        assert np.all(np.isfinite(_evaluate(fn, params, chart, q2)))
+
+
+@pytest.mark.parametrize("family", ["dc", "ttw"])
+def test_hamiltonian_splits_into_angular_invariant_and_radial_term(family, rng):
+    params, _, _ = _family(family, 0.2, 0.3)
+    for _ in range(200):
+        if family == "dc":
+            pt = random_dc_state(rng, params)
+            V_r = -params.Q / pt.q1
+        else:
+            pt = random_ttw_state(rng, params)
+            V_r = params.omega2 * pt.q1 ** 2
+        expected = pt.p1 ** 2 + angular_invariant(pt, params) / pt.q1 ** 2 + V_r
+        assert hamiltonian(pt, params) == pytest.approx(expected, rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize("family", ["dc", "ttw"])
+def test_kernels_match_written_out_formulas(family, rng):
+    # sec^2/csc^2 potential and its gradient written out per family, as an oracle
+    params, _, _ = _family(family, 0.2, 0.3)
+    k = params.k.value
+    for _ in range(500):
+        if family == "dc":
+            pt = random_dc_state(rng, params)
+            u, K, du, V_r, dV_r = 0.5 * k * pt.q2, k * k / 4, k / 2, -params.Q / pt.q1, \
+                params.Q / pt.q1 ** 2
+        else:
+            pt = random_ttw_state(rng, params)
+            u, K, du, V_r, dV_r = k * pt.q2, k * k, k, params.omega2 * pt.q1 ** 2, \
+                2 * params.omega2 * pt.q1
+        sec2, csc2 = 1 / math.cos(u) ** 2, 1 / math.sin(u) ** 2
+        B = K * (params.alpha * sec2 + params.beta * csc2)
+        dB = 2 * K * du * (params.alpha * sec2 * math.tan(u) - params.beta * csc2 / math.tan(u))
+        r = pt.q1
+        H = pt.p1 ** 2 + pt.p2 ** 2 / r ** 2 + V_r + B / r ** 2
+        scale = pt.p1 ** 2 + (pt.p2 ** 2 + B) / r ** 2 + abs(V_r)
+        assert abs(hamiltonian(pt, params) - H) <= 1e-14 * scale
+        grad = [-2 * pt.p2 ** 2 / r ** 3 - 2 * B / r ** 3 + dV_r, dB / r ** 2,
+                2 * pt.p1, 2 * pt.p2 / r ** 2]
+        g = hamiltonian_gradient(pt, params)
+        assert np.max(np.abs(g - grad)) <= 1e-14 * np.max(np.abs(grad))
 
 
 class TestTurningPoints:
@@ -239,7 +319,6 @@ class TestBoundednessReport:
     def test_shell_state_reproduces_constants(self):
         p = DCParams(Q=1.0, alpha=0.2, beta=0.3, k=RationalIndex(3, 2))
         pt = bounded_dc_state(p, -0.2, 0.9, r_frac=0.3, u_frac=0.7)
-        from superint.systems import angular_invariant
         assert hamiltonian(pt, p) == pytest.approx(-0.2, abs=1e-13)
         assert angular_invariant(pt, p) == pytest.approx(0.9, abs=1e-13)
 
