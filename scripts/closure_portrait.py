@@ -9,6 +9,7 @@ in --out-dir (default ./closure_portrait).
 import argparse
 import os
 
+from superint.cli import atomic_write_text
 from superint.dynamics import closure_check, radial_period_closed_form
 from superint.systems import DCParams, RationalIndex, bounded_dc_state
 
@@ -45,8 +46,7 @@ def main():
         print(f"k={k_text}: closed={rep.closed} after {rep.n_radial} radial periods "
               f"(distance {rep.return_distance:.2e})")
     path = os.path.join(args.out_dir, "closure_portrait.csv")
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    atomic_write_text(path, "\n".join(rows) + "\n")
     print(f"wrote {path}")
 
 

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import specfun
 from .errors import BranchError, DegenerateOrbitError, DomainError, IntegrationError
@@ -96,6 +95,8 @@ def _rhs(params):
 def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10,
               max_step: float = np.inf) -> Trajectory:
     """Integrate Hamilton's equations from an interior point up to t_end."""
+    from scipy.integrate import solve_ivp  # imported here: most CLI commands never integrate
+
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise DomainError(f"integration tolerance {tol} outside [{TOL_MIN}, {TOL_MAX}]")
     hamiltonian(initial, params)  # validates chart and interiorness
@@ -369,16 +370,3 @@ def orbit_constants_from_point(params: DCParams, point: PhasePoint,
 
     delta2 = ((c + d) * math.pi / 2.0 - best_C) / (2.0 * sqrtA * c)
     return OrbitConstants(E=E, A=A, delta1=best_d1, delta2=delta2, C=best_C)
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """One row per accepted step: t, q1, q2, p1, p2, H, A."""
-    lines = ["t,q1,q2,p1,p2,H,A"]
-    for i in range(traj.n_samples):
-        pt = traj.point(i)
-        H = float(hamiltonian(pt, traj.params))
-        A = float(angular_invariant(pt, traj.params))
-        t = float(traj.t[i])
-        lines.append(f"{t!r},{pt.q1!r},{pt.q2!r},{pt.p1!r},{pt.p2!r},{H!r},{A!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

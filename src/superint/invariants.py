@@ -237,16 +237,3 @@ def conservation_rows(traj, n_samples: int = 400):
         drifts = tuple(abs(v - v0) / max(abs(v0), 1e-12) for v, v0 in zip(vals, first))
         rows.append((float(t),) + vals + drifts)
     return rows
-
-
-def conservation_csv(rows) -> str:
-    """Conservation report: t, H, L1, L2sin, L2cos, and per-quantity drifts."""
-    lines = ["t,H,L1,L2sin,L2cos,drift_H,drift_L1,drift_L2sin,drift_L2cos"]
-    lines += [",".join(repr(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def write_conservation_csv(traj, path, n_samples: int = 400) -> None:
-    """Write the conservation report of traj sampled at n_samples times."""
-    with open(path, "w") as fh:
-        fh.write(conservation_csv(conservation_rows(traj, n_samples)))

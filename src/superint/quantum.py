@@ -348,31 +348,3 @@ def ttw_bound_state(params: TTWParams, n: int, m: int):
         return out if np.ndim(out) else float(out)
 
     return psi, E
-
-
-def write_spectrum_csv(params: DCParams, N_max: int, path) -> None:
-    """Levels with index, energy, both degeneracy counts, and member states."""
-    lines = ["N,E,degeneracy_formula,degeneracy_bruteforce,states"]
-    for N in range(N_max + 1):
-        count, states = degeneracy_bruteforce(params.k, N)
-        if not states:
-            continue
-        line = spectral_line(params, N)
-        formula = degeneracy_formula(params.k, N)
-        state_str = ";".join(f"{n}:{m}" for n, m in states)
-        lines.append(f"{N},{line.E!r},{formula},{count},{state_str}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_wavefunction_csv(spec: WavefunctionSpec, grid: GridSpec, path) -> None:
-    """Grid dump of the state: r, phi, psi."""
-    rr, ff = grid.axes()
-    R, F = np.meshgrid(rr, ff, indexing="ij")
-    psi = wavefunction(spec, R, F)
-    lines = ["r,phi,psi"]
-    for i in range(R.shape[0]):
-        for j in range(R.shape[1]):
-            lines.append(f"{float(R[i, j])!r},{float(F[i, j])!r},{float(psi[i, j])!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import superint
+from superint import cli
 from superint.cli import EXIT_CRITERION, EXIT_NUMERICAL, EXIT_PASS, EXIT_USAGE, main
 
 
@@ -24,7 +29,7 @@ class TestCommands:
         assert code == EXIT_PASS
         summary = read_summary(out, "closure")
         assert summary["passed"]
-        assert summary["config"]["options"]["n_radial"] <= 2 * 3 * 2
+        assert summary["data"]["n_radial"] <= 2 * 3 * 2
         assert (out / "closure.csv").exists()
 
     def test_trajectory_writes_series(self, tmp_path):
@@ -72,20 +77,20 @@ class TestCommands:
                         "--Q", "1", "--n-max", "2", "--m-max", "2")
         assert code == EXIT_PASS
         summary = read_summary(out, "spectrum")
-        assert summary["config"]["options"]["E_0_0"] == pytest.approx(-1.0 / 9.0, rel=1e-14)
+        assert summary["data"]["E_0_0"] == pytest.approx(-1.0 / 9.0, rel=1e-14)
         assert (out / "spectrum.csv").exists()
 
     def test_degeneracy_integer_index(self, tmp_path):
         code, out = run(tmp_path, "degeneracy", "--k", "2", "--N-max", "50")
         assert code == EXIT_PASS
         summary = read_summary(out, "degeneracy")
-        assert summary["config"]["options"]["mismatched_N"] == []
+        assert summary["data"]["mismatched_N"] == []
 
     def test_degeneracy_fractional_index_reports(self, tmp_path):
         code, out = run(tmp_path, "degeneracy", "--k", "3/2", "--N-max", "30")
         assert code == EXIT_PASS  # enumeration is authoritative; mismatches reported
         summary = read_summary(out, "degeneracy")
-        assert summary["config"]["options"]["mismatched_N"]
+        assert summary["data"]["mismatched_N"]
 
     def test_wavefunction_residual(self, tmp_path):
         code, out = run(tmp_path, "wavefunction-residual", "--k", "1", "--Q", "1",
@@ -170,6 +175,9 @@ class TestContract:
     ["degeneracy", "--N-max", "-3"],
     ["orbit-residual", "--periods", "0"],
     ["conserve", "--periods", "0"],
+    ["orthogonality", "--states=-1,0"],
+    ["orthogonality", "--states", "0,0;0,0"],
+    ["orthogonality", "--states", "0,0"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_configuration_exits_usage(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)
@@ -197,3 +205,37 @@ def test_conserve_summary_reads_the_csv_rows(tmp_path):
              for name in ("drift_H", "drift_L1", "drift_L2sin", "drift_L2cos")}
     summary = read_summary(out, "conserve")
     assert {c["name"]: c["value"] for c in summary["criteria"]} == worst
+
+
+def test_config_file_value_gets_the_flag_type(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("Q=abc\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main(["closure", "--config", str(cfg), "--E", "-0.2", "--A", "0.75", "--out-dir", str(out)])
+    assert err.value.code == EXIT_USAGE
+    assert not out.exists()
+    # a switch is still set from the file
+    cfg.write_text("export_grid=true\ngrid_r=20\ngrid_phi=14\n")
+    code, out = run(tmp_path, "wavefunction-residual", "--config", str(cfg), "--tol", "1e-3")
+    assert code == EXIT_PASS
+    assert (out / "wavefunction.csv").exists()
+
+
+def test_unexpected_exception_exits_numerical(tmp_path, monkeypatch, capsys):
+    def broken(args, config):
+        raise KeyError("no such entry")
+
+    monkeypatch.setitem(cli.COMMANDS, "degeneracy", broken)
+    code, _ = run(tmp_path, "degeneracy", "--N-max", "3")
+    assert code == EXIT_NUMERICAL
+    assert "KeyError" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_the_integrator_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(superint.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, superint.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"

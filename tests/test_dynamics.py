@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import dc_setup
+from superint.cli import EXIT_PASS, main
 from superint.dynamics import (
     closure_check,
     integrate,
@@ -272,10 +273,11 @@ class TestTrajectoryExport:
     def test_csv_columns_and_rows(self, tmp_path):
         params, E, A, pt = dc_setup("1")
         traj = integrate(params, pt, 5.0, tol=1e-10)
-        path = tmp_path / "traj.csv"
-        from superint.dynamics import write_trajectory_csv
-        write_trajectory_csv(traj, path)
-        lines = path.read_text().strip().splitlines()
+        code = main(["trajectory", "--family", "dc", "--k", "1", "--Q", "1",
+                     "--alpha", "0.2", "--beta", "0.3", "--E", str(E), "--A", str(A),
+                     "--t-end", "5", "--tol", "1e-10", "--out-dir", str(tmp_path)])
+        assert code == EXIT_PASS
+        lines = (tmp_path / "trajectory.csv").read_text().strip().splitlines()
         assert lines[0] == "t,q1,q2,p1,p2,H,A"
         assert len(lines) == traj.n_samples + 1
         first = [float(x) for x in lines[1].split(",")]

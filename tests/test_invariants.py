@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import dc_setup, ttw_params, ttw_radial_period
+from superint.cli import EXIT_PASS, main
 from superint.dynamics import integrate, radial_period_closed_form
 from superint.errors import DomainError
 from superint.invariants import (
@@ -18,7 +19,6 @@ from superint.invariants import (
     lower_degree_variant,
     minimal_integral_degree,
     poisson_bracket_numeric,
-    write_conservation_csv,
 )
 from superint.systems import (
     TTW_CHART,
@@ -169,12 +169,14 @@ class TestConservation:
 
     def test_report_csv(self, tmp_path):
         p = ttw_params("3/2")
-        traj = integrate(p, interior_ttw_point(p), 6 * ttw_radial_period(p.omega2), tol=1e-11)
-        path = tmp_path / "cons.csv"
-        write_conservation_csv(traj, path, n_samples=50)
-        lines = path.read_text().strip().splitlines()
+        s = interior_ttw_point(p)
+        code = main(["conserve", "--k", "3/2", "--omega2", "1", "--alpha", "0.3", "--beta", "0.45",
+                     "--q1", repr(s.q1), "--q2", repr(s.q2), "--p1", repr(s.p1), "--p2", repr(s.p2),
+                     "--periods", "6", "--integrator-tol", "1e-11", "--out-dir", str(tmp_path)])
+        assert code == EXIT_PASS
+        lines = (tmp_path / "conserve.csv").read_text().strip().splitlines()
         assert lines[0] == "t,H,L1,L2sin,L2cos,drift_H,drift_L1,drift_L2sin,drift_L2cos"
-        assert len(lines) == 51
+        assert len(lines) == 401  # conserve samples the orbit 400 times
         last = [float(x) for x in lines[-1].split(",")]
         assert all(d < 1e-7 for d in last[5:])
 

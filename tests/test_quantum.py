@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superint.cli import EXIT_PASS, main
 from superint.errors import DomainError
 from superint.quantum import (
     GridSpec,
@@ -23,8 +24,6 @@ from superint.quantum import (
     spectral_line,
     ttw_bound_state,
     wavefunction,
-    write_spectrum_csv,
-    write_wavefunction_csv,
 )
 from superint.systems import DCParams, RationalIndex, TTWParams
 
@@ -125,10 +124,11 @@ class TestDegeneracy:
                 assert e == pytest.approx(line.E, rel=1e-14)
 
     def test_spectrum_csv(self, tmp_path):
-        p = DCParams(Q=1.0, alpha=0.0, beta=0.0, k=RationalIndex(1))
-        path = tmp_path / "spectrum.csv"
-        write_spectrum_csv(p, 6, path)
-        lines = path.read_text().strip().splitlines()
+        # alpha = beta = 0 at k = 1 (a = b = 1), levels N = 0..6
+        code = main(["spectrum", "--k", "1", "--Q", "1", "--a", "1", "--b", "1",
+                     "--n-max", "3", "--m-max", "3", "--out-dir", str(tmp_path)])
+        assert code == EXIT_PASS
+        lines = (tmp_path / "spectrum.csv").read_text().strip().splitlines()
         assert lines[0] == "N,E,degeneracy_formula,degeneracy_bruteforce,states"
         first = lines[1].split(",")
         assert float(first[1]) == pytest.approx(-1.0 / 9.0, rel=1e-14)
@@ -274,10 +274,13 @@ class TestWavefunctionExport:
     def test_grid_csv(self, tmp_path):
         p = DCParams(Q=1.0, alpha=0.2, beta=0.3, k=RationalIndex(1))
         spec = bound_state(p, 0, 0)
-        grid = GridSpec((0.5, 2.0), (0.5, 2.5), (0.5, 0.5))
-        path = tmp_path / "wf.csv"
-        write_wavefunction_csv(spec, grid, path)
-        lines = path.read_text().strip().splitlines()
+        code = main(["wavefunction-residual", "--k", "1", "--Q", "1", "--alpha", "0.2",
+                     "--beta", "0.3", "--n", "0", "--m", "0", "--grid-r", "20", "--grid-phi", "14",
+                     "--export-grid", "--tol", "1e-3", "--out-dir", str(tmp_path)])
+        assert code == EXIT_PASS
+        lines = (tmp_path / "wavefunction.csv").read_text().strip().splitlines()
         assert lines[0] == "r,phi,psi"
+        rr, ff = default_grid(spec, n_r=20, n_phi=14).axes()
+        assert len(lines) == rr.size * ff.size + 1
         r, phi, psi = (float(x) for x in lines[1].split(","))
         assert psi == pytest.approx(wavefunction(spec, r, phi), rel=1e-15)
