@@ -157,26 +157,41 @@ def _load_config_file(path: str) -> dict:
     return fields
 
 
+def _accepts(action: argparse.Action, value: str) -> bool:
+    """Whether argparse takes value for this flag: its type converts it, its choices hold it."""
+    try:
+        typed = (action.type or str)(value)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return False
+    return not action.choices or typed in action.choices
+
+
 def _parse_args(parser: argparse.ArgumentParser, argv: list[str]):
     """Parse argv; a --config file's values become flags placed before argv's own.
 
-    argparse then applies each flag's type and choices to the file's values,
-    and an explicit flag, coming later, wins.
+    Each file value is first checked against its flag's type and choices,
+    so a bad one is reported with the file and the key; argparse then
+    applies the flags, and an explicit flag, coming later, wins.
     """
     args = parser.parse_args(argv)
     if not args.config:
         return args
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+    actions = {a.dest: a for a in sub._actions}
     tokens = []
     for key, value in _load_config_file(args.config).items():
-        if not hasattr(args, key):
+        if key not in actions or not hasattr(args, key):
             raise DomainError(f"unknown config key {key!r}")
         flag = "--" + key.replace("_", "-")
         if isinstance(getattr(args, key), bool):  # a switch such as --export-grid
             if value.lower() not in ("true", "false"):
                 raise DomainError(f"config key {key!r} must be true or false, got {value!r}")
             tokens += [flag] if value.lower() == "true" else []
-        else:
+        elif _accepts(actions[key], value):
             tokens.append(f"{flag}={value}")
+        else:
+            sub.error(f"--config {args.config}: key {key!r} has invalid value {value!r}")
     return parser.parse_args(argv[:1] + tokens + argv[1:])
 
 
@@ -289,10 +304,9 @@ def cmd_orbit_residual(args, config: ExperimentConfig) -> Outcome:
     consts = dynamics.orbit_constants_from_point(params, initial)
     T = dynamics.radial_period_closed_form(params.Q, consts.E)
     traj = dynamics.integrate(params, initial, args.periods * T, tol=args.integrator_tol)
-    rows = []
-    for t in np.linspace(0.0, traj.t[-1], args.n_samples).tolist():
-        s = traj.at_time(t)
-        rows.append((t, s.q1, s.q2, dynamics.orbit_residual(params, consts, s.q1, s.q2)))
+    tt = np.linspace(0.0, traj.t[-1], args.n_samples)
+    rows = [(t, r, phi, dynamics.orbit_residual(params, consts, r, phi))
+            for t, (r, phi) in zip(tt.tolist(), traj.dense(tt)[:2].T.tolist())]
     _write_csv(config, "orbit_residual.csv", "t,r,phi,residual", rows)
     worst = max(abs(row[3]) for row in rows)
     # off-orbit negative control, perturbed toward the annulus interior

@@ -129,36 +129,39 @@ def radial_period_closed_form(Q: float, E: float) -> float:
     return Q * math.pi / (2.0 * (-E) ** 1.5)
 
 
-def _refine_maximum(f, t0, t1, t2, iterations=40):
-    """Successive three-point parabolic interpolation for a local maximum."""
-    ts = [t0, t1, t2]
-    fs = [f(t) for t in ts]
+def _refine_maxima(f, t0, t1, t2, iterations=40):
+    """Successive three-point parabolic interpolation on arrays of brackets t0 < t1 < t2.
+
+    f(t, rows) is the objective of brackets rows at times t.  A bracket takes
+    the steps it would take alone and stops as it would alone; the best time
+    of each bracket is returned.
+    """
+    ts = np.stack([t0, t1, t2], axis=1).astype(float)
+    m = ts.shape[0]
+    if m == 0:
+        return np.empty(0)
+    fs = f(ts.ravel(), np.repeat(np.arange(m), 3)).reshape(m, 3)
+    active = np.arange(m)
     for _ in range(iterations):
-        a, b, c = ts
-        fa, fb, fc = fs
+        t, v = ts[active], fs[active]
+        (a, b, c), (fa, fb, fc) = t.T, v.T
         denom = (b - a) * (fb - fc) - (b - c) * (fb - fa)
-        if denom == 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_new = b - 0.5 * ((b - a) ** 2 * (fb - fc) - (b - c) ** 2 * (fb - fa)) / denom
+        repeat = np.abs(t_new[:, None] - t) < 1e-15 * np.maximum(1.0, np.abs(t_new))[:, None]
+        go = ((denom != 0.0) & (t.min(axis=1) <= t_new) & (t_new <= t.max(axis=1))
+              & ~repeat.any(axis=1))
+        active, t, v, t_new = active[go], t[go], v[go], t_new[go]
+        if active.size == 0:
             break
-        t_new = b - 0.5 * ((b - a) ** 2 * (fb - fc) - (b - c) ** 2 * (fb - fa)) / denom
-        lo, hi = min(ts), max(ts)
-        if not (lo <= t_new <= hi) or any(abs(t_new - t) < 1e-15 * max(1.0, abs(t_new)) for t in ts):
-            break
-        f_new = f(t_new)
-        # keep the best three bracketing points
-        ts.append(t_new)
-        fs.append(f_new)
-        order = np.argsort(ts)
-        ts = [ts[i] for i in order]
-        fs = [fs[i] for i in order]
-        j = int(np.argmax(fs))
-        if j == 0 or j == len(ts) - 1:
-            ts = ts[:3] if j == 0 else ts[-3:]
-            fs = fs[:3] if j == 0 else fs[-3:]
-        else:
-            ts = ts[j - 1:j + 2]
-            fs = fs[j - 1:j + 2]
-    j = int(np.argmax(fs))
-    return ts[j]
+        # keep the best three bracketing points of the four
+        t4 = np.column_stack([t, t_new])
+        v4 = np.column_stack([v, f(t_new, active)])
+        order = np.argsort(t4, axis=1)
+        t4, v4 = np.take_along_axis(t4, order, 1), np.take_along_axis(v4, order, 1)
+        keep = np.clip(np.argmax(v4, axis=1) - 1, 0, 1)[:, None] + np.arange(3)
+        ts[active], fs[active] = np.take_along_axis(t4, keep, 1), np.take_along_axis(v4, keep, 1)
+    return ts[np.arange(m), np.argmax(fs, axis=1)]
 
 
 def radial_maxima_times(traj: Trajectory, samples_per_unit: float = 400.0) -> np.ndarray:
@@ -171,8 +174,7 @@ def radial_maxima_times(traj: Trajectory, samples_per_unit: float = 400.0) -> np
         raise DegenerateOrbitError("radial coordinate is constant; no oscillation to measure")
     interior = (rr[1:-1] > rr[:-2]) & (rr[1:-1] >= rr[2:])
     idx = np.nonzero(interior)[0] + 1
-    f = lambda t: float(traj.dense(t)[0])
-    return np.array([_refine_maximum(f, tt[i - 1], tt[i], tt[i + 1]) for i in idx])
+    return _refine_maxima(lambda t, rows: traj.dense(t)[0], tt[idx - 1], tt[idx], tt[idx + 1])
 
 
 def measure_radial_period(traj: Trajectory) -> float:
@@ -181,17 +183,6 @@ def measure_radial_period(traj: Trajectory) -> float:
     if peaks.size < 2:
         raise DegenerateOrbitError("need at least two radial maxima to measure a period")
     return float(np.mean(np.diff(peaks)))
-
-
-def _wrap(x: float, period: float) -> float:
-    return x - period * round(x / period)
-
-
-def _return_distance(y, y0, period_phi):
-    scales = np.where(np.abs(y0) > 1e-9, np.abs(y0), 1.0)
-    d = (y - y0) / scales
-    d[1] = _wrap(y[1] - y0[1], period_phi) / scales[1]
-    return float(np.sqrt(np.sum(d * d)))
 
 
 def closure_check(params: DCParams, initial: PhasePoint, max_radial_periods: int,
@@ -213,27 +204,24 @@ def closure_check(params: DCParams, initial: PhasePoint, max_radial_periods: int
     T_r = radial_period_closed_form(params.Q, E)
     period_phi = 2.0 * math.pi / params.k.value
     traj = integrate(params, initial, (max_radial_periods + 0.3) * T_r, tol=integrator_tol)
-    y0 = initial.as_array()
+    y0 = initial.as_array()[:, None]
+    scales = np.where(np.abs(y0) > 1e-9, np.abs(y0), 1.0)
 
     def distance(t):
-        return _return_distance(traj.dense(t), y0, period_phi)
+        dy = traj.dense(t) - y0
+        dy[1] -= period_phi * np.round(dy[1] / period_phi)
+        return np.sqrt(np.sum((dy / scales) ** 2, axis=0))
 
-    best = (False, 0, math.inf, 0.0)
-    for n in range(1, max_radial_periods + 1):
-        lo, hi = (n - 0.25) * T_r, (n + 0.25) * T_r
-        grid = np.linspace(lo, hi, 160)
-        vals = np.array([distance(t) for t in grid])
-        j = int(np.argmin(vals))
-        j = min(max(j, 1), grid.size - 2)
-        t_star = float(_refine_maximum(lambda t: -distance(t), grid[j - 1], grid[j], grid[j + 1]))
-        d_star = distance(t_star)
-        if d_star < best[2]:
-            best = (False, n, d_star, t_star)
-        if d_star < tol:
-            return ClosureReport(closed=True, n_radial=n, return_distance=d_star,
-                                 period_total=t_star)
-    return ClosureReport(closed=False, n_radial=best[1], return_distance=best[2],
-                         period_total=best[3])
+    n = np.arange(1, max_radial_periods + 1)
+    grid = np.linspace((n - 0.25) * T_r, (n + 0.25) * T_r, 160, axis=1)
+    j = np.clip(np.argmin(distance(grid.ravel()).reshape(grid.shape), axis=1), 1, 158)
+    t_star = _refine_maxima(lambda t, rows: -distance(t),
+                            grid[n - 1, j - 1], grid[n - 1, j], grid[n - 1, j + 1])
+    d_star = distance(t_star)
+    closed = np.nonzero(d_star < tol)[0]
+    i = int(closed[0]) if closed.size else int(np.argmin(d_star))
+    return ClosureReport(closed=bool(closed.size), n_radial=i + 1,
+                         return_distance=float(d_star[i]), period_total=float(t_star[i]))
 
 
 # --- closed-form trajectory equations -------------------------------------

@@ -229,11 +229,11 @@ def conservation_rows(traj, n_samples: int = 400):
     tt = np.linspace(traj.t[0], traj.t[-1], n_samples)
     rows = []
     first = None
-    for t in tt:
-        s = traj.at_time(t)
+    for t, y in zip(tt.tolist(), traj.dense(tt).T.tolist()):
+        s = PhasePoint(*y, traj.chart)
         vals = (hamiltonian(s, p), l1_ttw(p, s.q2, s.p2), l2_poly(p, s), l2_cos(p, s))
         if first is None:
             first = vals
         drifts = tuple(abs(v - v0) / max(abs(v0), 1e-12) for v, v0 in zip(vals, first))
-        rows.append((float(t),) + vals + drifts)
+        rows.append((t,) + vals + drifts)
     return rows

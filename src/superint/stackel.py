@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .dynamics import _refine_maxima
 from .errors import DomainError
 from .systems import (
     DC_CHART,
@@ -165,32 +166,29 @@ def _min_distance_to_dense(points: np.ndarray, dense, t_grid: np.ndarray,
                            scales: np.ndarray) -> float:
     """Largest over points of the distance to a densely sampled curve.
 
-    Each point's nearest dense sample is refined in the curve parameter
+    Every local minimum of a point's sampled distance marks a candidate arc,
+    and all (point, arc) pairs are refined together in the curve parameter
     by iterated parabolic interpolation.
     """
-    from .dynamics import _refine_maximum
-
-    curve = np.stack([dense(t)[:2] for t in t_grid]) / scales
-    worst = 0.0
-    for pt in points:
-        target = pt / scales
+    curve = dense(t_grid)[:2].T / scales
+    targets = points / scales
+    best = np.empty(len(targets))
+    candidates = []
+    for i, target in enumerate(targets):
         d2 = np.sum((curve - target) ** 2, axis=1)
-
-        def f(t):
-            q = dense(t)[:2] / scales
-            return -float(np.sum((q - target) ** 2))
-
-        # every local minimum of the sampled distance marks a candidate
-        # arc; the nearest one may not hold the smallest sampled value
         interior = (d2[1:-1] <= d2[:-2]) & (d2[1:-1] <= d2[2:])
-        candidates = list(np.nonzero(interior)[0] + 1) or [int(np.argmin(d2))]
-        best = float(np.min(d2))
-        for j in candidates:
-            j = min(max(j, 1), t_grid.size - 2)
-            t_star = _refine_maximum(f, t_grid[j - 1], t_grid[j], t_grid[j + 1])
-            best = min(best, -f(t_star))
-        worst = max(worst, math.sqrt(best))
-    return worst
+        candidates.append(np.nonzero(interior)[0] + 1 if interior.any() else [np.argmin(d2)])
+        best[i] = np.min(d2)
+    owner = np.repeat(np.arange(len(targets)), [len(c) for c in candidates])
+    j = np.clip(np.concatenate(candidates), 1, t_grid.size - 2)
+
+    def f(t, pairs):
+        q = dense(t)[:2] / scales[:, None]
+        return -np.sum((q - targets[owner[pairs]].T) ** 2, axis=0)
+
+    t_star = _refine_maxima(f, t_grid[j - 1], t_grid[j], t_grid[j + 1])
+    np.minimum.at(best, owner, -f(t_star, np.arange(owner.size)))
+    return float(np.sqrt(np.max(best)))
 
 
 def mapped_orbit_hausdorff(ttw_traj, dc_traj, n_probe: int = 250,
@@ -207,7 +205,7 @@ def mapped_orbit_hausdorff(ttw_traj, dc_traj, n_probe: int = 250,
 
     def ttw_config(t):
         y = ttw_traj.dense(t)
-        return np.array([0.5 * y[0] ** 2, 2.0 * y[1], 0.0, 0.0])
+        return np.array([0.5 * y[0] ** 2, 2.0 * y[1]])
 
     mapped = map_trajectory(ttw_traj)[:, :2]
     scales = np.array([
@@ -215,10 +213,8 @@ def mapped_orbit_hausdorff(ttw_traj, dc_traj, n_probe: int = 250,
         max(np.max(np.abs(mapped[:, 1])), np.max(np.abs(dc_traj.y[1]))),
     ])
 
-    probes_a = np.stack([ttw_config(t)[:2] for t in
-                         np.linspace(ttw_traj.t[0], ttw_traj.t[-1], n_probe)])
-    probes_b = np.stack([dc_traj.dense(t)[:2] for t in
-                         np.linspace(dc_traj.t[0], dc_traj.t[-1], n_probe)])
+    probes_a = ttw_config(np.linspace(ttw_traj.t[0], ttw_traj.t[-1], n_probe)).T
+    probes_b = dc_traj.dense(np.linspace(dc_traj.t[0], dc_traj.t[-1], n_probe))[:2].T
 
     grid_b = np.linspace(dc_traj.t[0], dc_traj.t[-1], n_dense)
     d_ab = _min_distance_to_dense(probes_a, dc_traj.dense, grid_b, scales)

@@ -207,7 +207,7 @@ def test_conserve_summary_reads_the_csv_rows(tmp_path):
     assert {c["name"]: c["value"] for c in summary["criteria"]} == worst
 
 
-def test_config_file_value_gets_the_flag_type(tmp_path):
+def test_config_file_value_gets_the_flag_type(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("Q=abc\n")
     out = tmp_path / "out"
@@ -215,6 +215,9 @@ def test_config_file_value_gets_the_flag_type(tmp_path):
         main(["closure", "--config", str(cfg), "--E", "-0.2", "--A", "0.75", "--out-dir", str(out)])
     assert err.value.code == EXIT_USAGE
     assert not out.exists()
+    # the message names the file and the key, not a flag the user never typed
+    message = capsys.readouterr().err
+    assert f"--config {cfg}" in message and "'Q'" in message and "'abc'" in message
     # a switch is still set from the file
     cfg.write_text("export_grid=true\ngrid_r=20\ngrid_phi=14\n")
     code, out = run(tmp_path, "wavefunction-residual", "--config", str(cfg), "--tol", "1e-3")

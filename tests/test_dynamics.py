@@ -6,9 +6,11 @@ import pytest
 from conftest import dc_setup
 from superint.cli import EXIT_PASS, main
 from superint.dynamics import (
+    _refine_maxima,
     closure_check,
     integrate,
     measure_radial_period,
+    radial_maxima_times,
     orbit_constants_from_point,
     orbit_residual,
     radial_period_closed_form,
@@ -120,7 +122,6 @@ class TestRadialPeriod:
         params, E, A, pt = dc_setup("1")
         T = radial_period_closed_form(params.Q, E)
         traj = integrate(params, pt, 6 * T, tol=1e-12)
-        from superint.dynamics import radial_maxima_times
         peaks = radial_maxima_times(traj)
         gaps = np.diff(peaks)
         assert np.max(np.abs(gaps - T)) / T < 1e-6
@@ -131,6 +132,78 @@ class TestRadialPeriod:
         traj = integrate(p, pt, 20.0, tol=1e-10)
         with pytest.raises(DegenerateOrbitError):
             measure_radial_period(traj)
+
+
+    def test_orbit_shorter_than_one_period_is_degenerate(self):
+        params, E, A, pt = dc_setup("1")
+        traj = integrate(params, pt, 0.5, tol=1e-12)
+        assert radial_maxima_times(traj).size == 0
+        with pytest.raises(DegenerateOrbitError):
+            measure_radial_period(traj)
+
+
+def _refine_maximum_loop(f, t0, t1, t2, iterations=40):
+    """The scalar per-bracket loop _refine_maxima replaced, kept as its reference.
+
+    Squares are written as products, as numpy squares arrays; a scalar
+    ``x ** 2`` goes through libm pow and can differ in the last bit.
+    """
+    ts = [t0, t1, t2]
+    fs = [f(t) for t in ts]
+    for _ in range(iterations):
+        (a, b, c), (fa, fb, fc) = ts, fs
+        denom = (b - a) * (fb - fc) - (b - c) * (fb - fa)
+        if denom == 0.0:
+            break
+        t_new = b - 0.5 * ((b - a) * (b - a) * (fb - fc) - (b - c) * (b - c) * (fb - fa)) / denom
+        if not (min(ts) <= t_new <= max(ts)) or \
+                any(abs(t_new - t) < 1e-15 * max(1.0, abs(t_new)) for t in ts):
+            break
+        ts.append(t_new)
+        fs.append(f(t_new))
+        order = np.argsort(ts)
+        ts = [ts[i] for i in order]
+        fs = [fs[i] for i in order]
+        j = int(np.argmax(fs))
+        lo = 0 if j == 0 else len(ts) - 3 if j == len(ts) - 1 else j - 1
+        ts, fs = ts[lo:lo + 3], fs[lo:lo + 3]
+    return ts[int(np.argmax(fs))]
+
+
+class TestRefineMaxima:
+    def test_batch_matches_one_bracket_calls_and_the_scalar_loop(self):
+        c = np.linspace(0.3, 2.9, 9)
+        h = np.linspace(0.01, 0.4, 9)
+        f = lambda t, rows: np.cos(t - c[rows]) + 0.2 * np.sin(3.0 * (t - c[rows]))
+        t0, t1, t2 = c - h, c + 0.3 * h, c + 1.1 * h
+        t1[4] = t2[4] - 1e-3  # a bracket with its best point at an end
+        batch = _refine_maxima(f, t0, t1, t2)
+        for i in range(c.size):
+            scalar = lambda t: float(f(np.array([t]), np.array([i]))[0])
+            assert _refine_maximum_loop(scalar, t0[i], t1[i], t2[i]) == batch[i]
+            one = _refine_maxima(lambda t, rows: f(t, rows + i), t0[i:i + 1], t1[i:i + 1],
+                                 t2[i:i + 1])
+            assert one.tobytes() == batch[i:i + 1].tobytes()
+
+    def test_recovers_known_maxima(self):
+        c = np.linspace(0.3, 2.9, 9)
+        h = np.linspace(0.01, 0.3, 9)
+        t = _refine_maxima(lambda t, rows: -np.sin(t - c[rows]) ** 2, c - h, c + 0.3 * h,
+                           c + 1.1 * h)
+        assert np.max(np.abs(t - c)) < 1e-12
+
+    def test_monotone_bracket_returns_its_best_point(self):
+        t = _refine_maxima(lambda t, rows: t, np.array([0.0, 5.0]), np.array([1.0, 6.0]),
+                           np.array([2.0, 7.0]))
+        assert t.tolist() == [2.0, 7.0]
+
+    def test_empty_batch_never_calls_the_objective(self):
+        def f(t, rows):
+            raise AssertionError("objective called on an empty batch")
+
+        empty = np.empty(0)
+        t = _refine_maxima(f, empty, empty, empty)
+        assert isinstance(t, np.ndarray) and t.size == 0
 
 
 class TestClosure:
@@ -246,7 +319,6 @@ class TestTimeEquation:
         consts = orbit_constants_from_point(params, pt)
         T = radial_period_closed_form(params.Q, E)
         traj = integrate(params, pt, 3 * T, tol=1e-12)
-        from superint.dynamics import radial_maxima_times
         t_peak = radial_maxima_times(traj)[1]
         r_peak = float(traj.dense(t_peak)[0])
         D1 = params.Q ** 2 + 4 * A * E
