@@ -398,8 +398,10 @@ def cmd_wavefunction_residual(args, config: ExperimentConfig) -> Outcome:
         params, spec.E, lambda r, phi: quantum.wavefunction(spec, r, phi),
         grid, target=config.tol)
     if args.export_grid:
-        R, F = np.meshgrid(*grid.axes(), indexing="ij")
-        psi = quantum.wavefunction(spec, R, F)
+        rr, ff = grid.axes()
+        r, phi = rr[:, None], ff[None, :]
+        psi = quantum.wavefunction(spec, r, phi)
+        R, F = np.broadcast_arrays(r, phi)
         _write_csv(config, "wavefunction.csv", "r,phi,psi",
                    zip(R.ravel().tolist(), F.ravel().tolist(), psi.ravel().tolist()))
     return [

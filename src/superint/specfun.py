@@ -92,7 +92,7 @@ def jacobi(m, a, b, x):
 
 
 def quadrature_nodes(n, lo, hi):
-    """Gauss-Legendre nodes and weights on [lo, hi] as a list of pairs.
+    """Gauss-Legendre (nodes, weights) on [lo, hi], as two arrays.
 
     Exact for polynomials of degree <= 2n - 1.
     """
@@ -103,4 +103,4 @@ def quadrature_nodes(n, lo, hi):
     t, w = np.polynomial.legendre.leggauss(int(n))
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
-    return [(float(mid + half * ti), float(half * wi)) for ti, wi in zip(t, w)]
+    return mid + half * t, half * w

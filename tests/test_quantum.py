@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superint import quantum
 from superint.cli import EXIT_PASS, main
 from superint.errors import DomainError
 from superint.quantum import (
@@ -25,7 +27,8 @@ from superint.quantum import (
     ttw_bound_state,
     wavefunction,
 )
-from superint.systems import DCParams, RationalIndex, TTWParams
+from superint.stackel import map_wavefunction, ttw_to_dc
+from superint.systems import DCParams, RationalIndex, TTWParams, _barrier, _radial
 
 
 class TestExponents:
@@ -214,6 +217,96 @@ class TestSchrodingerResidual:
         bad = GridSpec((0.5, 5.0), (0.0, 2.0), (0.05, 0.02))
         with pytest.raises(DomainError):
             schrodinger_residual(spec, bad)
+
+
+def _full_grid_residual(params, E, psi, grid):
+    """The full-meshgrid residual the row-block stream replaced, kept as its reference."""
+    rr, ff = grid.axes()
+    hr = rr[1] - rr[0]
+    hf = ff[1] - ff[0]
+    R, F = np.meshgrid(rr, ff, indexing="ij")
+    psi_grid = psi(R, F)
+    interior = psi_grid[1:-1, 1:-1]
+    d2r = (psi_grid[2:, 1:-1] - 2.0 * interior + psi_grid[:-2, 1:-1]) / hr ** 2
+    d1r = (psi_grid[2:, 1:-1] - psi_grid[:-2, 1:-1]) / (2.0 * hr)
+    d2f = (psi_grid[1:-1, 2:] - 2.0 * interior + psi_grid[1:-1, :-2]) / hf ** 2
+    ri = rr[1:-1, None]
+    V_r = np.array([_radial(params, r)[0] for r in rr[1:-1]])[:, None]
+    B = np.array([_barrier(params, f)[0] for f in ff[1:-1]])
+    V = V_r + B / ri ** 2
+    residual = -(d2r + d1r / ri + d2f / ri ** 2) + (V - E) * interior
+    scale = abs(E) * float(np.max(np.abs(psi_grid)))
+    return float(np.max(np.abs(residual))) / scale
+
+
+def _block_height(grid):
+    return max(1, quantum._BLOCK_BYTES // (8 * grid.axes()[1].size))
+
+
+def _assert_matches_full_grid(params, E, psi, grid):
+    assert dc_operator_residual(params, E, psi, grid) == _full_grid_residual(params, E, psi, grid)
+
+
+class TestStreamedResidual:
+    """The row-block residual equals the full-grid reference bit for bit."""
+
+    def _state(self, k_text="3/2", alpha=0.2, beta=0.3, n=1, m=1):
+        p = DCParams(Q=1.0, alpha=alpha, beta=beta, k=RationalIndex.from_string(k_text))
+        spec = bound_state(p, n, m)
+        return p, spec, lambda r, phi: wavefunction(spec, r, phi)
+
+    @pytest.mark.parametrize("k_text,alpha,beta,n,m", GRID_CASES)
+    def test_ragged_multi_block_grid(self, k_text, alpha, beta, n, m):
+        p, spec, psi = self._state(k_text, alpha, beta, n, m)
+        grid = default_grid(spec, n_r=500, n_phi=340)
+        interior_rows, height = grid.axes()[0].size - 2, _block_height(grid)
+        assert interior_rows > height and interior_rows % height != 0
+        _assert_matches_full_grid(p, spec.E, psi, grid)
+
+    @pytest.mark.parametrize("height", [1, 2, 7, 38, 39, 40])
+    def test_any_block_height(self, monkeypatch, height):
+        p, spec, psi = self._state()
+        grid = default_grid(spec, n_r=40, n_phi=28)
+        assert grid.axes()[0].size - 2 == 39
+        monkeypatch.setattr(quantum, "_BLOCK_BYTES", 8 * grid.axes()[1].size * height)
+        assert _block_height(grid) == height
+        _assert_matches_full_grid(p, spec.E, psi, grid)
+
+    def test_minimum_grid(self):
+        p, spec, psi = self._state()
+        grid = GridSpec((1.0, 6.0), (0.3, 1.8), (100.0, 100.0))
+        assert [a.size for a in grid.axes()] == [5, 5]
+        _assert_matches_full_grid(p, spec.E, psi, grid)
+
+    def test_mapped_oscillator_state(self):
+        ttw = TTWParams(omega2=0.25, alpha=0.2, beta=0.3, k=RationalIndex(3, 2))
+        psi, E_ttw = ttw_bound_state(ttw, 1, 1)
+        dc, E_tilde = ttw_to_dc(ttw, E_ttw)
+        mapped = map_wavefunction(psi)
+        grid = default_grid(bound_state(dc, 1, 1), n_r=500, n_phi=340)
+        assert grid.axes()[0].size - 2 > _block_height(grid)
+        _assert_matches_full_grid(dc, E_tilde, mapped, grid)
+
+    @pytest.mark.parametrize("psi", [
+        lambda r, phi: np.exp(-r) * np.sin(phi) + 0.1 * np.cos(r * phi),
+        lambda r, phi: r * np.exp(-r),
+    ], ids=["sum_of_terms", "radial_only"])
+    def test_broadcasting_non_product_callable(self, psi):
+        p, spec, _ = self._state()
+        grid = default_grid(spec, n_r=500, n_phi=340)
+        _assert_matches_full_grid(p, spec.E, psi, grid)
+
+    def test_peak_memory_below_one_full_grid(self):
+        p, spec, psi = self._state()
+        grid = default_grid(spec, n_r=2000, n_phi=1360)
+        n_r, n_phi = (a.size for a in grid.axes())
+        tracemalloc.start()
+        try:
+            dc_operator_residual(p, spec.E, psi, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_r * n_phi
 
 
 class TestOrthogonality:

@@ -129,17 +129,17 @@ class TestJacobi:
 
 class TestQuadrature:
     def test_single_node_is_midpoint(self):
-        nodes = specfun.quadrature_nodes(1, -1.0, 1.0)
-        assert nodes == [(pytest.approx(0.0), pytest.approx(2.0))]
+        x, w = specfun.quadrature_nodes(1, -1.0, 1.0)
+        assert x.tolist() == [pytest.approx(0.0)] and w.tolist() == [pytest.approx(2.0)]
 
     def test_exact_for_quadratic(self):
-        nodes = specfun.quadrature_nodes(2, -1.0, 1.0)
-        value = sum(w * x * x for x, w in nodes)
+        x, w = specfun.quadrature_nodes(2, -1.0, 1.0)
+        value = np.sum(w * x * x)
         assert value == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     def test_exact_for_quintic(self):
-        nodes = specfun.quadrature_nodes(3, 0.0, 1.0)
-        value = sum(w * x ** 5 for x, w in nodes)
+        x, w = specfun.quadrature_nodes(3, 0.0, 1.0)
+        value = np.sum(w * x ** 5)
         assert value == pytest.approx(1.0 / 6.0, abs=1e-14)
 
     def test_degenerate_interval(self):
@@ -155,6 +155,6 @@ class TestQuadrature:
     def test_exactness_degree(self, n):
         # degree 2n - 1 monomial integrates exactly on [0, 1]
         d = 2 * n - 1
-        nodes = specfun.quadrature_nodes(n, 0.0, 1.0)
-        value = sum(w * x ** d for x, w in nodes)
+        x, w = specfun.quadrature_nodes(n, 0.0, 1.0)
+        value = np.sum(w * x ** d)
         assert value == pytest.approx(1.0 / (d + 1), rel=1e-13)
