@@ -2,11 +2,15 @@
 
 The integrator is an adaptive 8th-order embedded explicit pair (DOP853)
 with PI step control; symplecticity is not needed because runs are short
-and energy drift is monitored on every trajectory.
+and energy drift is monitored on every trajectory.  `integrate` drives
+scipy's DOP853 one accepted step at a time, up to a budget of _MAX_STEPS
+steps, and stacks each step's dense-output coefficients; `StackedDense`
+evaluates the stacked interpolant at any array of times in one pass.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -26,6 +30,65 @@ from .systems import (
 )
 
 TOL_MIN, TOL_MAX = 1e-14, 1e-3
+# Accepted steps one integration may take (the longest run of the test suite
+# takes 4,252); past it integrate raises, so no run grows without bound.
+_MAX_STEPS = 100_000
+
+
+class StackedDense:
+    """DOP853 dense output of every accepted step, from stacked coefficients.
+
+    Step i spans [t[i], t[i+1]], starts at y[i] and has the coefficients
+    F[:, i] (F has shape (7, steps, 4)).  A time goes to the first step whose
+    right end is not below it, times outside [t[0], t[-1]] extrapolate the
+    first or last step, and the interpolant is summed in the Horner order of
+    Hairer, Norsett and Wanner (Solving ODEs I, II.6).  Step choice and sums
+    are scipy's own, so the values are those of scipy's dense output bit for
+    bit.  A scalar time gives shape (4,), a 1-D array of n times shape (4, n).
+    """
+
+    def __init__(self, t: np.ndarray, y: np.ndarray, F: np.ndarray):
+        self._t, self._y, self._F = t, y, F
+        self._h = np.diff(t)
+        # counting the inner breakpoints below a time gives its step, already
+        # clipped to the first and last
+        self._inner = t[1:-1]
+        self._t_list, self._h_list = t.tolist(), self._h.tolist()
+        self._inner_list = self._inner.tolist()
+
+    def __call__(self, t):
+        if np.ndim(t) == 0:
+            return self._at(float(t))
+        t = np.asarray(t)
+        if t.ndim > 1:
+            raise ValueError("times must be a scalar or a 1-D array")
+        # seg lies in [0, steps - 1], so mode="clip" moves no index; it only
+        # spares np.take its buffered bounds check
+        seg = np.searchsorted(self._inner, t, side="left")
+        x = t - np.take(self._t, seg, mode="clip")
+        x /= np.take(self._h, seg, mode="clip")
+        x = x[:, None]
+        weights = (x, 1.0 - x)
+        y = np.zeros((t.size, 4))
+        row = np.empty_like(y)
+        # one (n, 4) coefficient row per stage: an (n, 7, 4) gather would
+        # hold 224 bytes per point at once
+        for i in range(6, -1, -1):
+            y += np.take(self._F[i], seg, axis=0, out=row, mode="clip")
+            y *= weights[i % 2]
+        y += np.take(self._y, seg, axis=0, out=row, mode="clip")
+        return y.T
+
+    def _at(self, t: float) -> np.ndarray:
+        """The same sums in Python floats: one time costs no array set-up."""
+        s = bisect.bisect_left(self._inner_list, t)
+        x = (t - self._t_list[s]) / self._h_list[s]
+        a = b = c = d = 0.0
+        # stages 6, 5, ..., 0 take the weights x, 1 - x, x, ..., x
+        for w, (f0, f1, f2, f3) in zip((x, 1.0 - x) * 4, self._F[::-1, s].tolist()):
+            a, b, c, d = (a + f0) * w, (b + f1) * w, (c + f2) * w, (d + f3) * w
+        y0, y1, y2, y3 = self._y[s].tolist()
+        return np.array([a + y0, b + y1, c + y2, d + y3])
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,30 +157,46 @@ def _rhs(params):
 
 def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10,
               max_step: float = np.inf) -> Trajectory:
-    """Integrate Hamilton's equations from an interior point up to t_end."""
-    from scipy.integrate import solve_ivp  # imported here: most CLI commands never integrate
+    """Integrate Hamilton's equations from an interior point up to t_end > 0.
+
+    Raises IntegrationError, carrying the last accepted state, when the
+    integrator fails or has taken _MAX_STEPS steps short of t_end.
+    """
+    from scipy.integrate import DOP853  # imported here: most CLI commands never integrate
 
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise DomainError(f"integration tolerance {tol} outside [{TOL_MIN}, {TOL_MAX}]")
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise DomainError(f"integration end time {t_end} must be finite and positive")
     hamiltonian(initial, params)  # validates chart and interiorness
     chart = initial.chart
     rtol = max(tol, 3e-14)  # DOP853 floor
-    sol = solve_ivp(_rhs(params), (0.0, t_end), initial.as_array(),
-                    method="DOP853", rtol=rtol, atol=tol, dense_output=True,
-                    max_step=max_step)
-    if not sol.success or sol.t[-1] < t_end:
-        i_last = sol.t.size - 1
-        last = PhasePoint(*sol.y[:, i_last], chart) if i_last >= 0 else None
-        raise IntegrationError(
-            f"integration stopped at t = {sol.t[-1] if sol.t.size else 0.0}: {sol.message}",
-            t_last=float(sol.t[-1]) if sol.t.size else None, state_last=last)
+    solver = DOP853(_rhs(params), 0.0, initial.as_array(), float(t_end),
+                    rtol=rtol, atol=tol, max_step=max_step)
+    ts, ys, Fs = [solver.t], [solver.y], []
+    for _ in range(_MAX_STEPS):
+        message = solver.step()
+        if solver.status == "failed":
+            break
+        # dense_output computes this step's three extra stages: call it before the next step
+        Fs.append(solver.dense_output().F)
+        ts.append(solver.t)
+        ys.append(solver.y)
+        if solver.status == "finished":
+            break
+    else:
+        message = f"step budget of {_MAX_STEPS} steps spent before t = {t_end}"
+    if solver.status != "finished":
+        raise IntegrationError(f"integration stopped at t = {ts[-1]}: {message}",
+                               t_last=float(ts[-1]), state_last=PhasePoint(*ys[-1], chart))
 
-    h = np.array([hamiltonian(PhasePoint(*sol.y[:, i], chart), params)
-                  for i in range(sol.t.size)])
+    t, y = np.array(ts), np.array(ys)
+    h = np.array([hamiltonian(PhasePoint(*row, chart), params) for row in y])
     scale = max(abs(h[0]), 1e-12)
     drift = float(np.max(np.abs(h - h[0])) / scale)
-    return Trajectory(params=params, chart=chart, t=sol.t, y=sol.y, dense=sol.sol,
-                      steps=int(sol.t.size - 1), max_energy_drift=drift, tol=tol)
+    return Trajectory(params=params, chart=chart, t=t, y=y.T,
+                      dense=StackedDense(t, y, np.stack(Fs, axis=1)),
+                      steps=len(Fs), max_energy_drift=drift, tol=tol)
 
 
 def radial_period_closed_form(Q: float, E: float) -> float:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import superint
-from superint import cli
+from superint import cli, dynamics
 from superint.cli import EXIT_CRITERION, EXIT_NUMERICAL, EXIT_PASS, EXIT_USAGE, main
 
 
@@ -184,6 +184,24 @@ def test_bad_configuration_exits_usage(tmp_path, capsys, argv):
     assert code == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
     assert not any(out.iterdir())  # rejected before the command ran
+
+
+@pytest.mark.parametrize("argv", [
+    ["trajectory", "--family", "dc", "--k", "1", "--Q", "1", "--alpha", "0", "--beta", "0",
+     "--q1", "1", "--q2", "1", "--p1", "0", "--p2", "0.70710678", "--t-end", "1e9"],
+    ["conserve", "--k", "3/2", "--omega2", "1", "--alpha", "0.3", "--beta", "0.45", "--q1", "1.1",
+     "--q2", "0.3", "--p1", "0.4", "--p2", "0.7", "--periods", "1e8"],
+    ["closure", "--k", "3/2", "--Q", "1", "--alpha", "0.2", "--beta", "0.3", "--E", "-0.2",
+     "--A", "0.9", "--max-periods", "10000000"],
+], ids=lambda argv: argv[0])
+def test_run_past_the_step_budget_exits_numerical(tmp_path, capsys, monkeypatch, argv):
+    # 5,000 steps is above the longest integration of this suite and takes
+    # about a second; the real budget of 100,000 stops each run in about 20 s
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 5_000)
+    code, out = run(tmp_path, *argv)
+    assert code == EXIT_NUMERICAL
+    assert "step budget" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_config_file_integer_index(tmp_path):

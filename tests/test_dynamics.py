@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import dc_setup
+from superint import dynamics
 from superint.cli import EXIT_PASS, main
 from superint.dynamics import (
+    StackedDense,
     _refine_maxima,
+    _rhs,
     closure_check,
     integrate,
     measure_radial_period,
@@ -94,6 +98,106 @@ class TestIntegrate:
             integrate(p, pt, 10.0, tol=1e-10)
         assert err.value.state_last is not None
         assert err.value.state_last.q1 < 1.0
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_end_time_must_be_finite_and_positive(self, t_end):
+        params, _, _, pt = dc_setup("1")
+        with pytest.raises(DomainError):
+            integrate(params, pt, t_end, tol=1e-10)
+
+    def test_step_budget_raises_with_last_state(self, monkeypatch):
+        params, _, _, pt = dc_setup("3/2")
+        traj = integrate(params, pt, 10.0, tol=1e-12)
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", traj.steps)
+        assert integrate(params, pt, 10.0, tol=1e-12).steps == traj.steps
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", traj.steps - 1)
+        with pytest.raises(IntegrationError, match="step budget") as err:
+            integrate(params, pt, 10.0, tol=1e-12)
+        assert err.value.t_last == traj.t[-2]
+        assert err.value.state_last == traj.point(traj.steps - 1)
+
+
+@pytest.fixture(scope="module", params=["1", "3/2", "2/3"])
+def orbit_and_reference(request):
+    """An integrated orbit and scipy's solve_ivp run of it, the reference."""
+    from scipy.integrate import solve_ivp
+
+    params, E, _, pt = dc_setup(request.param)
+    t_end = 3.2 * radial_period_closed_form(params.Q, E)
+    sol = solve_ivp(_rhs(params), (0.0, t_end), pt.as_array(), method="DOP853",
+                    rtol=1e-12, atol=1e-12, dense_output=True)
+    return integrate(params, pt, t_end, tol=1e-12), sol
+
+
+class TestStackedDense:
+    def test_steps_match_solve_ivp(self, orbit_and_reference):
+        traj, sol = orbit_and_reference
+        assert np.array_equal(traj.t, sol.t)
+        assert np.array_equal(traj.y, sol.y)
+        assert traj.steps == sol.t.size - 1
+
+    def test_scalars(self, orbit_and_reference):
+        traj, sol = orbit_and_reference
+        for t in np.random.default_rng(3).uniform(0.0, traj.t[-1], 200).tolist():
+            assert np.array_equal(traj.dense(t), sol.sol(t))
+            assert np.array_equal(traj.dense(np.float64(t)), sol.sol(t))
+        assert traj.dense(1.0).shape == (4,)
+
+    def test_sorted_unsorted_and_repeated_arrays(self, orbit_and_reference):
+        traj, sol = orbit_and_reference
+        tt = np.random.default_rng(4).uniform(0.0, traj.t[-1], 3000)
+        repeated = np.repeat(tt[:50], 3)
+        for times in (np.sort(tt), tt, repeated, tt[:1]):
+            out = traj.dense(times)
+            assert out.shape == (4, times.size)
+            assert np.array_equal(out, sol.sol(times))
+
+    def test_every_breakpoint_takes_the_step_that_ends_there(self, orbit_and_reference):
+        traj, sol = orbit_and_reference
+        assert np.array_equal(traj.dense(traj.t), sol.sol(traj.t))
+        for t in traj.t.tolist():
+            assert np.array_equal(traj.dense(t), sol.sol(t))
+
+    def test_tie_rule_where_neighbouring_steps_disagree(self):
+        # integrated steps meet to the last bit at most breakpoints, so random
+        # coefficients show which step a breakpoint takes
+        from scipy.integrate import OdeSolution
+        from scipy.integrate._ivp.rk import Dop853DenseOutput
+
+        rng = np.random.default_rng(5)
+        t, y, F = np.array([0.0, 0.5, 1.25, 2.0]), rng.normal(size=(4, 4)), rng.normal(size=(7, 3, 4))
+        dense = StackedDense(t, y, F)
+        ref = OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[i], F[:, i]) for i in range(3)])
+        times = np.concatenate([t, [-0.3, 0.2, 1.0, 2.4]])
+        assert np.array_equal(dense(times), ref(times))
+        for s in times.tolist():
+            assert np.array_equal(dense(s), ref(s))
+
+    def test_times_outside_extrapolate_the_end_steps(self, orbit_and_reference):
+        traj, sol = orbit_and_reference
+        outside = np.array([-0.5, -1e-3, traj.t[-1] + 1e-3, traj.t[-1] + 0.5])
+        assert np.array_equal(traj.dense(outside), sol.sol(outside))
+        for t in outside.tolist():
+            assert np.array_equal(traj.dense(t), sol.sol(t))
+
+    def test_empty_and_two_dimensional_arrays(self, orbit_and_reference):
+        traj, _ = orbit_and_reference
+        assert traj.dense(np.empty(0)).shape == (4, 0)
+        with pytest.raises(ValueError):
+            traj.dense(np.zeros((2, 2)))
+
+    def test_peak_memory_below_one_coefficient_gather(self, orbit_and_reference):
+        # an (n, 7, 4) gather of every coefficient would alone take 224 n bytes
+        traj, _ = orbit_and_reference
+        n = 200_000
+        tt = np.linspace(0.0, traj.t[-1], n)
+        tracemalloc.start()
+        try:
+            traj.dense(tt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 224 * n
 
 
 class TestRadialPeriod:
