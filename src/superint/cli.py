@@ -11,12 +11,14 @@ file writer: the library modules return data, formatted and written here.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
 import traceback
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,13 +59,17 @@ class ExperimentConfig:
         return {"command": self.command, "seed": self.seed, "tol": self.tol}
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temporary file and rename, so readers never see partials."""
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write a str, or str pieces in order, via a temporary file and rename.
+
+    Readers never see a partial file, and an iterable is written as it is
+    produced, so no caller has to join a large text in memory first.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -72,10 +78,10 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def _write_csv(config: ExperimentConfig, name: str, header: str, rows) -> None:
-    """Write rows under a header line; a str cell is written as is, any other by repr."""
+    """Stream rows under a header line; a str cell is written as is, any other by repr."""
     cell = lambda v: v if isinstance(v, str) else repr(v)
-    lines = [header] + [",".join(cell(v) for v in row) for row in rows]
-    atomic_write_text(os.path.join(config.out_dir, name), "\n".join(lines) + "\n")
+    lines = (",".join(cell(v) for v in row) + "\n" for row in rows)
+    atomic_write_text(os.path.join(config.out_dir, name), itertools.chain([header + "\n"], lines))
 
 
 def write_summary(config: ExperimentConfig, criteria: list[dict], data: dict) -> str:
@@ -216,8 +222,9 @@ def _initial_point(args, params) -> PhasePoint:
     return PhasePoint(args.q1, args.q2, args.p1, args.p2, chart)
 
 
-def _states_text(states) -> str:
-    return ";".join(f"{n}:{m}" for n, m in states)
+def _state_labels(states) -> list[str]:
+    """The n:m label of each state, for a CSV states cell joined by ';'."""
+    return [f"{n}:{m}" for n, m in states]
 
 
 def _write_params(config: ExperimentConfig, params) -> None:
@@ -358,11 +365,11 @@ def cmd_spectrum(args, config: ExperimentConfig) -> Outcome:
     params = DCParams(Q=args.Q, alpha=alpha, beta=beta, k=k)
     rows = []
     for N in range(args.n_max * k.d + args.m_max * k.c + 1):
-        count, states = quantum.degeneracy_bruteforce(k, N)
-        if states:
-            # spectral_line raises AccuracyError if the line's energies disagree
-            rows.append((N, quantum.spectral_line(params, N).E,
-                         quantum.degeneracy_formula(k, N), count, _states_text(states)))
+        # spectral_line raises AccuracyError if the line's energies disagree
+        line = quantum.spectral_line(params, N)
+        if line is not None:
+            rows.append((N, line.E, quantum.degeneracy_formula(k, N), len(line.states),
+                         ";".join(_state_labels(line.states))))
     _write_csv(config, "spectrum.csv", "N,E,degeneracy_formula,degeneracy_bruteforce,states", rows)
     worst = 0.0
     for n in range(args.n_max + 1):
@@ -377,10 +384,18 @@ def cmd_spectrum(args, config: ExperimentConfig) -> Outcome:
 
 def cmd_degeneracy(args, config: ExperimentConfig) -> Outcome:
     k = _parse_k(args.k)
-    levels, mismatches = quantum.degeneracy_report(k, args.N_max)
-    rows = [(row["N"], row["formula"], row["bruteforce"], row["formula"] == row["bruteforce"],
-             _states_text(row["states"])) for row in levels]
-    _write_csv(config, "degeneracy.csv", "N,formula,bruteforce,match,states", rows)
+    mismatches = []
+
+    def rows():
+        # one walk per level, consumed as its row is written
+        for N in range(args.N_max + 1):
+            labels = _state_labels(quantum.level_states(k, N))
+            formula = quantum.degeneracy_formula(k, N)
+            if formula != len(labels):
+                mismatches.append(N)
+            yield N, formula, len(labels), formula == len(labels), ";".join(labels)
+
+    _write_csv(config, "degeneracy.csv", "N,formula,bruteforce,match,states", rows())
     if k.d == 1:
         crit = _criterion("formula_matches_enumeration", float(len(mismatches)), 0.0,
                           passed=not mismatches)

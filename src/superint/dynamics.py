@@ -155,8 +155,7 @@ def _rhs(params):
     return rhs
 
 
-def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10,
-              max_step: float = np.inf) -> Trajectory:
+def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10) -> Trajectory:
     """Integrate Hamilton's equations from an interior point up to t_end > 0.
 
     Raises IntegrationError, carrying the last accepted state, when the
@@ -172,7 +171,7 @@ def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10,
     chart = initial.chart
     rtol = max(tol, 3e-14)  # DOP853 floor
     solver = DOP853(_rhs(params), 0.0, initial.as_array(), float(t_end),
-                    rtol=rtol, atol=tol, max_step=max_step)
+                    rtol=rtol, atol=tol)
     ts, ys, Fs = [solver.t], [solver.y], []
     for _ in range(_MAX_STEPS):
         message = solver.step()

@@ -5,6 +5,11 @@ with the Laguerre argument 2 r sqrt(-E) it is the combination under which
 the separated radial equation has polynomial solutions at the quantized
 energies (the grid residual check is decisive on this point, and the
 growing-exponent alternative fails it by construction).
+
+The energy depends on n + k m alone, so with k = c/d the level
+N = d n + c m is one line of lattice points.  ``level_states`` walks that
+line lazily; the counts, the degeneracy table and the spectral lines are
+all built on it, and none of them keeps a list of every level's states.
 """
 
 from __future__ import annotations
@@ -82,19 +87,23 @@ def bound_state(params: DCParams, n: int, m: int) -> WavefunctionSpec:
     return WavefunctionSpec(params=params, qn=QuantumNumbers(n, m), a=a, b=b, A=A, E=E)
 
 
-def degeneracy_bruteforce(k: RationalIndex, N: int) -> tuple[int, list[tuple[int, int]]]:
-    """All (n, m) >= 0 with d n + c m = N, by lattice enumeration."""
+def level_states(k: RationalIndex, N: int):
+    """Lazy walk over the (n, m) >= 0 with d n + c m = N, in increasing m.
+
+    m runs over its residue class N c^-1 (mod d) up to N // c, and
+    n = (N - c m) / d.  N is checked here, at the call, not at the first
+    next().
+    """
     if N < 0:
         raise DomainError("level index must be non-negative")
     c, d = k.c, k.d
-    states = []
-    m = 0
-    while c * m <= N:
-        rem = N - c * m
-        if rem % d == 0:
-            states.append((rem // d, m))
-        m += 1
-    return len(states), states
+    m0 = N * pow(c, -1, d) % d
+    return (((N - c * m) // d, m) for m in range(m0, N // c + 1, d))
+
+
+def degeneracy_bruteforce(k: RationalIndex, N: int) -> int:
+    """Number of states on level N, counted by consuming its lattice walk."""
+    return sum(1 for _ in level_states(k, N))
 
 
 def degeneracy_formula(k: RationalIndex, N: int) -> int:
@@ -111,28 +120,35 @@ class SpectralLine:
     states: tuple
 
 
-def spectral_line(params: DCParams, N: int) -> SpectralLine:
-    """The level with index N = d n + c m; all member states share one energy."""
+def spectral_line(params: DCParams, N: int) -> SpectralLine | None:
+    """The level with index N = d n + c m, or None when no state lies on it.
+
+    The level is walked once; all member states must share one energy.
+    """
     a, b = exponents_from_couplings(params.alpha, params.beta)
-    _, states = degeneracy_bruteforce(params.k, N)
+    states = tuple(level_states(params.k, N))
     if not states:
-        raise DomainError(f"no states on level N = {N} for k = {params.k}")
+        return None
     energies = [energy_level(params.Q, params.k, a, b, n, m) for n, m in states]
     E0 = energies[0]
     spread = max(abs(e - E0) for e in energies) / abs(E0)
     if spread > 1e-13:
         raise AccuracyError(f"states on level N = {N} disagree in energy by {spread}")
-    return SpectralLine(N=N, E=E0, states=tuple(states))
+    return SpectralLine(N=N, E=E0, states=states)
 
 
 def degeneracy_report(k: RationalIndex, N_max: int):
-    """Formula-vs-enumeration table; mismatches are collected, never hidden."""
+    """Formula-vs-enumeration counts per level; mismatches are collected, never hidden.
+
+    Rows hold counts only, so the table's memory is linear in N_max
+    whatever the number of states.
+    """
     rows = []
     mismatches = []
     for N in range(N_max + 1):
-        count, states = degeneracy_bruteforce(k, N)
+        count = degeneracy_bruteforce(k, N)
         formula = degeneracy_formula(k, N)
-        rows.append({"N": N, "formula": formula, "bruteforce": count, "states": states})
+        rows.append({"N": N, "formula": formula, "bruteforce": count})
         if formula != count:
             mismatches.append(N)
     return rows, mismatches

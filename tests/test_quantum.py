@@ -20,6 +20,7 @@ from superint.quantum import (
     energy_level,
     energy_level_from_A,
     exponents_from_couplings,
+    level_states,
     orthogonality_check,
     schrodinger_residual,
     separation_constant,
@@ -91,14 +92,40 @@ class TestSpectrum:
             energy_level(0.0, RationalIndex(1), 1.0, 1.0, 0, 0)
 
 
+def _scan_level(k, N):
+    """Every-m scan of d n + c m = N: the reference the lattice walk must match."""
+    return [((N - k.c * m) // k.d, m) for m in range(N // k.c + 1) if (N - k.c * m) % k.d == 0]
+
+
+def _popoviciu_count(k, N):
+    """Popoviciu's closed form for the number of (n, m) >= 0 with d n + c m = N."""
+    c, d = k.c, k.d
+    top = N - c * ((pow(c, -1, d) * N) % d) - d * ((pow(d, -1, c) * N) % c) + c * d
+    assert top % (c * d) == 0
+    return top // (c * d)
+
+
 class TestDegeneracy:
     def test_enumeration_examples(self):
-        count, states = degeneracy_bruteforce(RationalIndex(2), 4)
-        assert count == 3
-        assert set(states) == {(4, 0), (2, 1), (0, 2)}
-        assert degeneracy_bruteforce(RationalIndex(1), 5)[0] == 6
-        count, states = degeneracy_bruteforce(RationalIndex(3, 2), 7)
-        assert count == 1 and states == [(2, 1)]
+        assert degeneracy_bruteforce(RationalIndex(2), 4) == 3
+        assert set(level_states(RationalIndex(2), 4)) == {(4, 0), (2, 1), (0, 2)}
+        assert degeneracy_bruteforce(RationalIndex(1), 5) == 6
+        count = degeneracy_bruteforce(RationalIndex(3, 2), 7)
+        assert count == 1 and list(level_states(RationalIndex(3, 2), 7)) == [(2, 1)]
+
+    def test_walk_matches_scan_and_popoviciu(self):
+        for c in range(1, 9):
+            for d in range(1, 9):
+                if math.gcd(c, d) != 1:
+                    continue
+                k = RationalIndex(c, d)
+                for N in range(400):
+                    assert list(level_states(k, N)) == _scan_level(k, N), (k, N)
+                    assert degeneracy_bruteforce(k, N) == _popoviciu_count(k, N), (k, N)
+
+    def test_negative_level_raises_at_the_call(self):
+        with pytest.raises(DomainError):
+            level_states(RationalIndex(3, 2), -1)
 
     def test_formula_examples(self):
         assert degeneracy_formula(RationalIndex(2), 4) == 3
@@ -110,15 +137,38 @@ class TestDegeneracy:
         for c in (1, 2, 3, 5):
             k = RationalIndex(c)
             for N in range(201):
-                assert degeneracy_formula(k, N) == degeneracy_bruteforce(k, N)[0]
+                assert degeneracy_formula(k, N) == degeneracy_bruteforce(k, N)
 
     def test_fractional_index_report_collects_mismatches(self):
         rows, mismatches = degeneracy_report(RationalIndex(3, 2), 40)
         assert mismatches  # the printed count over-counts for d > 1
         assert all(rows[N]["N"] == N for N in range(41))
 
+    def test_report_memory_linear_in_levels(self):
+        # holding every level's states would take about N_max^2 / (2 c) tuples
+        N_max = 600
+        tracemalloc.start()
+        try:
+            degeneracy_report(RationalIndex(2), N_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * (N_max + 1)
+
+    def test_degeneracy_csv_streamed(self, tmp_path):
+        # joining the CSV in memory before writing would alone exceed its size
+        tracemalloc.start()
+        try:
+            code = main(["degeneracy", "--k", "1", "--N-max", "800", "--out-dir", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_PASS
+        assert peak < (tmp_path / "degeneracy.csv").stat().st_size
+
     def test_states_on_a_line_share_energy(self):
         p = DCParams(Q=1.0, alpha=0.2, beta=0.3, k=RationalIndex(3, 2))
+        assert spectral_line(p, 1) is None  # 2 n + 3 m = 1 has no solution
         for N in (6, 7, 12, 17):
             line = spectral_line(p, N)
             a, b = exponents_from_couplings(p.alpha, p.beta)
