@@ -6,12 +6,17 @@ The polynomial form of the higher-order integral is assembled directly
 from four explicit binomial sums; the trigonometric form (phase angles
 recovered atan2-style from the auxiliary pairs) serves as an independent
 oracle for it.
+
+Every kernel here except the trigonometric form is built from arithmetic
+and cmath-or-math picks on its input, so it also takes a complex-step
+perturbed state; that is what makes the Poisson brackets exact.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +27,12 @@ from .systems import (
     DCParams,
     PhasePoint,
     TTWParams,
-    _barrier,
+    angular_invariant,
     hamiltonian,
 )
+
+# complex-step size: Im F(x + i h) / h is dF/dx to roundoff for any h this small
+_STEP = 1e-20
 
 
 @dataclass(frozen=True)
@@ -33,13 +41,14 @@ class ABQuad:
 
     (A_x, A_y) depends on the angular motion only, (B_x, B_y) on the
     radial motion; both squared norms are functions of H, L1 and the
-    couplings alone.
+    couplings alone.  sqrt_L1 rides along for the integrals' denominators.
     """
 
     A_x: float
     A_y: float
     B_x: float
     B_y: float
+    sqrt_L1: float
 
     @property
     def norm_A(self) -> float:
@@ -53,41 +62,32 @@ class ABQuad:
 @dataclass(frozen=True)
 class BracketEstimate:
     value: float
-    step: float
-    richardson_error: float
-
-
-def l1_ttw(p: TTWParams, theta: float, p_theta: float) -> float:
-    """Angular integral p_theta^2 + alpha k^2 sec^2(k theta) + beta k^2 csc^2(k theta)."""
-    return p_theta ** 2 + _barrier(p, theta)[0]
 
 
 def ab_quantities(p: TTWParams, state: PhasePoint) -> ABQuad:
-    """The four auxiliary quantities at a state with L1 > 0."""
+    """The four auxiliary quantities, and sqrt(L1), at a state with L1 > 0."""
     if state.chart != TTW_CHART:
         raise DomainError("ab_quantities needs a TTW-chart state")
-    L1 = l1_ttw(p, state.q2, state.p2)
-    if L1 <= 0.0:
+    L1 = angular_invariant(state, p)
+    if L1.real <= 0.0:
         raise DomainError(f"auxiliary quantities need L1 > 0, got {L1}")
     k = p.k.value
     rho, theta = state.q1, state.q2
+    # theta can be complex while L1 is real: with no barrier, L1 = p2^2
+    m = cmath if isinstance(L1, complex) or isinstance(theta, complex) else math
     H = hamiltonian(state, p)
-    sqrtL1 = math.sqrt(L1)
+    sqrtL1 = m.sqrt(L1)
     two_kt = 2.0 * k * theta
     # exponential radial variable: exp(-2R) = rho^-2, p_R = rho p_rho
     inv_rho2 = 1.0 / (rho * rho)
     p_R = rho * state.p1
     return ABQuad(
-        A_x=sqrtL1 * math.sin(two_kt) * state.p2,
-        A_y=L1 * math.cos(two_kt) - p.alpha * k * k + p.beta * k * k,
+        A_x=sqrtL1 * m.sin(two_kt) * state.p2,
+        A_y=L1 * m.cos(two_kt) - p.alpha * k * k + p.beta * k * k,
         B_x=2.0 * sqrtL1 * inv_rho2 * p_R,
         B_y=2.0 * L1 * inv_rho2 - H,
+        sqrt_L1=sqrtL1,
     )
-
-
-def _parity(i: int) -> int:
-    """1 for odd i, 0 for even i (the prefactor exponent selector)."""
-    return i % 2
 
 
 def _binomial_re_im(x: float, y: float, n: int) -> tuple[float, float]:
@@ -101,64 +101,52 @@ def _binomial_re_im(x: float, y: float, n: int) -> tuple[float, float]:
     return re, im
 
 
-def _phase_difference(p: TTWParams, ab: ABQuad, L1: float) -> float:
+def _phase_difference(p: TTWParams, ab: ABQuad) -> float:
     """4 c sqrt(L1) (M - N): the combined phase entering both trig forms.
 
     M and N are arccos phases of the B and A pairs; the quadrant lost by
     arccos is recovered from the second component of each pair.
     """
-    c, d = p.k.c, p.k.d
-    sqrtL1 = math.sqrt(L1)
+    sqrtL1 = ab.sqrt_L1
     M = math.atan2(ab.B_y, ab.B_x) / (4.0 * sqrtL1)
     N = math.atan2(ab.A_y, ab.A_x) / (4.0 * p.k.value * sqrtL1)
-    return 4.0 * c * sqrtL1 * (M - N)
-
-
-def _l1_of(p: TTWParams, state: PhasePoint) -> float:
-    L1 = l1_ttw(p, state.q2, state.p2)
-    if L1 <= 0.0:
-        raise DomainError(f"higher integral needs L1 > 0, got {L1}")
-    return L1
+    return 4.0 * p.k.c * sqrtL1 * (M - N)
 
 
 def l2_trig(p: TTWParams, state: PhasePoint) -> float:
     """Sine-variant higher integral in its trigonometric form."""
-    L1 = _l1_of(p, state)
     ab = ab_quantities(p, state)
     c, d = p.k.c, p.k.d
-    angle = _phase_difference(p, ab, L1)
+    angle = _phase_difference(p, ab)
     return (ab.norm_B ** c * ab.norm_A ** d * math.sin(angle)
-            / math.sqrt(L1) ** _parity(c + d - 1))
+            / ab.sqrt_L1 ** ((c + d - 1) % 2))
 
 
 def l2_cos_trig(p: TTWParams, state: PhasePoint) -> float:
     """Cosine-variant higher integral in its trigonometric form."""
-    L1 = _l1_of(p, state)
     ab = ab_quantities(p, state)
     c, d = p.k.c, p.k.d
-    angle = _phase_difference(p, ab, L1)
+    angle = _phase_difference(p, ab)
     return (ab.norm_B ** c * ab.norm_A ** d * math.cos(angle)
-            / math.sqrt(L1) ** _parity(c + d))
+            / ab.sqrt_L1 ** ((c + d) % 2))
 
 
 def l2_poly(p: TTWParams, state: PhasePoint) -> float:
     """Sine-variant higher integral assembled from the binomial sums."""
-    L1 = _l1_of(p, state)
     ab = ab_quantities(p, state)
     c, d = p.k.c, p.k.d
     re_B, im_B = _binomial_re_im(ab.B_x, ab.B_y, c)
     re_A, im_A = _binomial_re_im(ab.A_x, ab.A_y, d)
-    return (im_B * re_A - im_A * re_B) / math.sqrt(L1) ** _parity(c + d - 1)
+    return (im_B * re_A - im_A * re_B) / ab.sqrt_L1 ** ((c + d - 1) % 2)
 
 
 def l2_cos(p: TTWParams, state: PhasePoint) -> float:
     """Cosine-variant higher integral assembled from the binomial sums."""
-    L1 = _l1_of(p, state)
     ab = ab_quantities(p, state)
     c, d = p.k.c, p.k.d
     re_B, im_B = _binomial_re_im(ab.B_x, ab.B_y, c)
     re_A, im_A = _binomial_re_im(ab.A_x, ab.A_y, d)
-    return (re_B * re_A + im_B * im_A) / math.sqrt(L1) ** _parity(c + d)
+    return (re_B * re_A + im_B * im_A) / ab.sqrt_L1 ** ((c + d) % 2)
 
 
 def minimal_integral_degree(k) -> int:
@@ -171,37 +159,27 @@ def lower_degree_variant(k) -> str:
     return "sin" if (k.c + k.d) % 2 == 0 else "cos"
 
 
-_FIELDS = ("q1", "q2", "p1", "p2")
+def poisson_bracket_numeric(F, G, state: PhasePoint) -> BracketEstimate:
+    """{F, G} from complex-step partials dF/dx = Im F(x + i h) / h.
 
+    F and G take a PhasePoint and are evaluated once at each of the four
+    points with one coordinate stepped by i h.  There is no subtractive
+    cancellation, so the partials are exact to roundoff for any tiny h.
 
-def _partials(F, state: PhasePoint, h: float) -> np.ndarray:
-    out = np.empty(4)
-    for i, name in enumerate(_FIELDS):
-        x = getattr(state, name)
-        plus = F(replace(state, **{name: x + h}))
-        minus = F(replace(state, **{name: x - h}))
-        out[i] = (plus - minus) / (2.0 * h)
-    return out
-
-
-def _bracket_once(F, G, state: PhasePoint, h: float) -> float:
-    dF = _partials(F, state, h)
-    dG = _partials(G, state, h)
-    return float(dF[0] * dG[2] - dF[2] * dG[0] + dF[1] * dG[3] - dF[3] * dG[1])
-
-
-def poisson_bracket_numeric(F, G, state: PhasePoint, h: float | None = None) -> BracketEstimate:
-    """Central-difference {F, G} at steps h and h/2 with Richardson extrapolation.
-
-    F and G take a PhasePoint.  The default step scales with the state
-    magnitude to balance truncation against roundoff.
+    Operands must be built from arithmetic and the package's kernels, which
+    carry the imaginary part through.  One that calls a real-only function
+    on the state, such as math.atan2 in l2_trig, raises TypeError; one that
+    drops the imaginary part (abs, .real) reads a zero partial.
     """
-    if h is None:
-        h = 1e-5 * (1.0 + float(np.linalg.norm(state.as_array())))
-    coarse = _bracket_once(F, G, state, h)
-    fine = _bracket_once(F, G, state, 0.5 * h)
-    value = (4.0 * fine - coarse) / 3.0
-    return BracketEstimate(value=value, step=h, richardson_error=abs(fine - coarse) / 3.0)
+    q1, q2, p1, p2, chart = state.q1, state.q2, state.p1, state.p2, state.chart
+    points = (PhasePoint(complex(q1, _STEP), q2, p1, p2, chart),
+              PhasePoint(q1, complex(q2, _STEP), p1, p2, chart),
+              PhasePoint(q1, q2, complex(p1, _STEP), p2, chart),
+              PhasePoint(q1, q2, p1, complex(p2, _STEP), chart))
+    dF = [F(s).imag / _STEP for s in points]
+    dG = [G(s).imag / _STEP for s in points]
+    return BracketEstimate(value=float(dF[0] * dG[2] - dF[2] * dG[0]
+                                       + dF[1] * dG[3] - dF[3] * dG[1]))
 
 
 def dc_integral(p_dc: DCParams, state_dc: PhasePoint, variant: str = "sin") -> float:
@@ -231,7 +209,7 @@ def conservation_rows(traj, n_samples: int = 400):
     first = None
     for t, y in zip(tt.tolist(), traj.dense(tt).T.tolist()):
         s = PhasePoint(*y, traj.chart)
-        vals = (hamiltonian(s, p), l1_ttw(p, s.q2, s.p2), l2_poly(p, s), l2_cos(p, s))
+        vals = (hamiltonian(s, p), angular_invariant(s, p), l2_poly(p, s), l2_cos(p, s))
         if first is None:
             first = vals
         drifts = tuple(abs(v - v0) / max(abs(v0), 1e-12) for v, v0 in zip(vals, first))

@@ -8,6 +8,7 @@ exchange is exact pointwise: (H~ - E~) = rho^-2 (H - E).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -67,27 +68,32 @@ def transform_hamiltonian(sys: SeparableOscillatorSystem, E: float) -> Transform
     return TransformedSystem(E=E, f1=sys.f1, f2=sys.f2)
 
 
-def pushforward_phase(pt: PhasePoint) -> PhasePoint:
+def _exchange_map(rho, theta, p_rho, p_theta):
     """Oscillator chart to Coulomb chart: r = rho^2/2, phi = 2 theta.
 
     The momentum map is the induced canonical one: p_r = p_rho / rho,
-    p_phi = p_theta / 2.
+    p_phi = p_theta / 2.  Arithmetic only, so floats, complex steps and
+    arrays all pass through it.
     """
+    return 0.5 * rho * rho, 2.0 * theta, p_rho / rho, 0.5 * p_theta
+
+
+def pushforward_phase(pt: PhasePoint) -> PhasePoint:
+    """The exchange map at one TTW-chart point with rho > 0."""
     if pt.chart != TTW_CHART:
         raise DomainError("pushforward expects a TTW-chart point")
-    if pt.q1 <= 0.0:
+    if pt.q1.real <= 0.0:
         raise DomainError("pushforward needs rho > 0")
-    rho = pt.q1
-    return PhasePoint(0.5 * rho * rho, 2.0 * pt.q2, pt.p1 / rho, 0.5 * pt.p2, DC_CHART)
+    return PhasePoint(*_exchange_map(pt.q1, pt.q2, pt.p1, pt.p2), DC_CHART)
 
 
 def pullback_phase(pt: PhasePoint) -> PhasePoint:
     """Coulomb chart to oscillator chart, inverse of pushforward_phase."""
     if pt.chart != DC_CHART:
         raise DomainError("pullback expects a DC-chart point")
-    if pt.q1 <= 0.0:
+    if pt.q1.real <= 0.0:
         raise DomainError("pullback needs r > 0")
-    rho = math.sqrt(2.0 * pt.q1)
+    rho = (cmath if isinstance(pt.q1, complex) else math).sqrt(2.0 * pt.q1)
     return PhasePoint(rho, 0.5 * pt.q2, rho * pt.p1, 2.0 * pt.p2, TTW_CHART)
 
 
@@ -134,16 +140,9 @@ def map_trajectory(traj) -> np.ndarray:
     """
     if traj.chart != TTW_CHART:
         raise DomainError("map_trajectory expects a TTW trajectory")
-    rho = traj.y[0]
-    theta = traj.y[1]
-    if np.any(rho <= 0.0):
+    if np.any(traj.y[0] <= 0.0):
         raise DomainError("trajectory crosses rho = 0")
-    out = np.empty((traj.n_samples, 4))
-    out[:, 0] = 0.5 * rho * rho
-    out[:, 1] = 2.0 * theta
-    out[:, 2] = traj.y[2] / rho
-    out[:, 3] = 0.5 * traj.y[3]
-    return out
+    return np.stack(_exchange_map(*traj.y), axis=1)
 
 
 def map_wavefunction(psi: Callable) -> Callable:
@@ -204,8 +203,7 @@ def mapped_orbit_hausdorff(ttw_traj, dc_traj, n_probe: int = 250,
         raise DomainError("need one TTW trajectory and one DC trajectory")
 
     def ttw_config(t):
-        y = ttw_traj.dense(t)
-        return np.array([0.5 * y[0] ** 2, 2.0 * y[1]])
+        return np.array(_exchange_map(*ttw_traj.dense(t))[:2])
 
     mapped = map_trajectory(ttw_traj)[:, :2]
     scales = np.array([

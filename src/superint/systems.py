@@ -14,6 +14,7 @@ potential, Hamiltonian, angular invariant and gradient are built from them.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -111,21 +112,23 @@ def _barrier(params, q2) -> tuple[float, float]:
 
     u = k phi / 2 with K = k^2 / 4 in the DC chart, u = k theta with K = k^2
     in the TTW chart; the barrier is the same function of u in both.  A zero
-    coupling drops its term and with it its wall.
+    coupling drops its term and with it its wall.  A complex q2 (a complex
+    step) takes cmath; a real one stays on math, bit for bit.
     """
     s = 0.5 * params.k.value if isinstance(params, DCParams) else params.k.value
     K = s * s
-    cu, su = math.cos(s * q2), math.sin(s * q2)
+    m = cmath if isinstance(q2, complex) else math
+    cu, su = m.cos(s * q2), m.sin(s * q2)
     B = dB = 0.0
     if params.alpha != 0.0:
         c2 = cu * cu
-        if c2 < WALL_EPS:
+        if abs(c2) < WALL_EPS:
             raise SingularityError("evaluation on a wall of the wedge cell")
         B += params.alpha * K / c2
         dB += 2.0 * s * params.alpha * K * su / (c2 * cu)
     if params.beta != 0.0:
         s2 = su * su
-        if s2 < WALL_EPS:
+        if abs(s2) < WALL_EPS:
             raise SingularityError("evaluation on a wall of the wedge cell")
         B += params.beta * K / s2
         dB -= 2.0 * s * params.beta * K * cu / (s2 * su)
@@ -134,7 +137,7 @@ def _barrier(params, q2) -> tuple[float, float]:
 
 def _radial(params, q1) -> tuple[float, float]:
     """Radial term V_r and dV_r/dq1: -Q/r for DC, omega^2 rho^2 for TTW."""
-    if q1 <= 0.0:
+    if q1.real <= 0.0:
         raise SingularityError("radial coordinate must be positive")
     if isinstance(params, DCParams):
         return -params.Q / q1, params.Q / (q1 * q1)

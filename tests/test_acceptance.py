@@ -26,7 +26,6 @@ from superint.dynamics import (
 )
 from superint.invariants import (
     dc_integral,
-    l1_ttw,
     l2_cos,
     l2_poly,
     l2_trig,
@@ -62,6 +61,7 @@ from superint.systems import (
     PhasePoint,
     RationalIndex,
     TTWParams,
+    angular_invariant,
     bounded_dc_state,
     hamiltonian,
     random_ttw_state,
@@ -162,7 +162,7 @@ def test_criterion_4_higher_order_integrals():
         s0 = PhasePoint(1.1, 0.3 * cell, 0.4, 0.7, TTW_CHART)
         traj = integrate(p, s0, 20 * ttw_radial_period(p.omega2), tol=1e-12)
         tt = np.linspace(0.0, traj.t[-1], 260)
-        for fn in (lambda s: l1_ttw(p, s.q2, s.p2),
+        for fn in (lambda s: angular_invariant(s, p),
                    lambda s: l2_poly(p, s), lambda s: l2_cos(p, s)):
             vals = np.array([fn(traj.at_time(t)) for t in tt])
             worst_drift = max(worst_drift,

@@ -2,8 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import superint
 from superint import cli, dynamics
@@ -260,3 +263,21 @@ def test_cli_import_leaves_the_integrator_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(["dc", "ttw"]), k=st.sampled_from(["1", "3/2", "0", "3/0", "x"]),
+       n_states=st.integers(1, 3), alpha=st.sampled_from(["-0.3", "0", "0.2", "nan"]),
+       beta=st.sampled_from(["-0.3", "0", "0.2", "nan"]))
+def test_bracket_exit_code_contract(family, k, n_states, alpha, beta):
+    # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a verdict
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["bracket", "--family", family, "--k", k, "--n-states", str(n_states),
+                f"--alpha={alpha}", f"--beta={beta}", "--out-dir", out]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in {EXIT_PASS, EXIT_CRITERION, EXIT_USAGE, EXIT_NUMERICAL}
+        summary = os.path.exists(os.path.join(out, "bracket_summary.json"))
+        assert summary == (code in {EXIT_PASS, EXIT_CRITERION})

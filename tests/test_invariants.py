@@ -11,7 +11,6 @@ from superint.errors import DomainError
 from superint.invariants import (
     ab_quantities,
     dc_integral,
-    l1_ttw,
     l2_cos,
     l2_cos_trig,
     l2_poly,
@@ -20,11 +19,14 @@ from superint.invariants import (
     minimal_integral_degree,
     poisson_bracket_numeric,
 )
+from superint.stackel import pushforward_phase
 from superint.systems import (
     TTW_CHART,
     PhasePoint,
     RationalIndex,
+    angular_invariant,
     hamiltonian,
+    hamiltonian_gradient,
     random_dc_state,
     random_ttw_state,
 )
@@ -37,19 +39,63 @@ def interior_ttw_point(p, frac=0.3):
     return PhasePoint(1.1, frac * cell, 0.4, 0.7, TTW_CHART)
 
 
+# Reference: the central-difference stencil the library used before
+# complex-step brackets, at steps h and h/2 with Richardson extrapolation.
+_FIELDS = ("q1", "q2", "p1", "p2")
+
+
+def _step(state):
+    return 1e-5 * (1.0 + float(np.linalg.norm(state.as_array())))
+
+
+def _partials(F, state, h):
+    out = np.empty(4)
+    for i, name in enumerate(_FIELDS):
+        x = getattr(state, name)
+        plus = F(replace(state, **{name: x + h}))
+        minus = F(replace(state, **{name: x - h}))
+        out[i] = (plus - minus) / (2.0 * h)
+    return out
+
+
+def _bracket_once(F, G, state, h):
+    dF = _partials(F, state, h)
+    dG = _partials(G, state, h)
+    return float(dF[0] * dG[2] - dF[2] * dG[0] + dF[1] * dG[3] - dF[3] * dG[1])
+
+
+def _richardson_bracket(F, G, state):
+    h = _step(state)
+    return (4.0 * _bracket_once(F, G, state, 0.5 * h) - _bracket_once(F, G, state, h)) / 3.0
+
+
+def _richardson_gradient(F, state):
+    h = _step(state)
+    return (4.0 * _partials(F, state, 0.5 * h) - _partials(F, state, h)) / 3.0
+
+
+def _complex_step_gradient(F, state):
+    """(dF/dq1, dF/dq2, dF/dp1, dF/dp2) as brackets with the canonical coordinates."""
+    bracket = lambda A, B: poisson_bracket_numeric(A, B, state).value
+    return np.array([bracket(F, lambda x: x.p1), bracket(F, lambda x: x.p2),
+                     bracket(lambda x: x.q1, F), bracket(lambda x: x.q2, F)])
+
+
 class TestAngularIntegral:
     def test_reduces_to_momentum_square(self):
         p = ttw_params("1", alpha=0.0, beta=0.0)
-        assert l1_ttw(p, 0.7, 1.3) == pytest.approx(1.69, rel=1e-15)
+        s = PhasePoint(1.0, 0.7, 0.0, 1.3, TTW_CHART)
+        assert angular_invariant(s, p) == pytest.approx(1.69, rel=1e-15)
 
     def test_symmetric_midpoint_value(self):
         p = ttw_params("1", alpha=1.0, beta=1.0)
-        assert l1_ttw(p, math.pi / 4, 0.0) == pytest.approx(4.0, rel=1e-14)
+        s = PhasePoint(1.0, math.pi / 4, 0.0, 0.0, TTW_CHART)
+        assert angular_invariant(s, p) == pytest.approx(4.0, rel=1e-14)
 
     def test_conserved_along_orbit(self):
         p = ttw_params("3/2")
         traj = integrate(p, interior_ttw_point(p), 20 * ttw_radial_period(p.omega2), tol=1e-12)
-        vals = [l1_ttw(p, *traj.dense(t)[1::2]) for t in np.linspace(0, traj.t[-1], 400)]
+        vals = [angular_invariant(traj.at_time(t), p) for t in np.linspace(0, traj.t[-1], 400)]
         assert max(abs(v - vals[0]) for v in vals) / abs(vals[0]) < 1e-9
 
 
@@ -61,7 +107,7 @@ class TestAuxiliaryQuadruple:
         for _ in range(200):
             s = random_ttw_state(rng, p)
             ab = ab_quantities(p, s)
-            L1 = l1_ttw(p, s.q2, s.p2)
+            L1 = angular_invariant(s, p)
             H = hamiltonian(s, p)
             lhs_a = ab.A_x ** 2 + ab.A_y ** 2
             rhs_a = (L1 - (p.alpha + p.beta) * k2) ** 2 - 4 * k2 * k2 * p.alpha * p.beta
@@ -104,7 +150,7 @@ class TestHigherIntegralForms:
         for _ in range(50):
             s = random_ttw_state(rng, p)
             ab = ab_quantities(p, s)
-            L1 = l1_ttw(p, s.q2, s.p2)
+            L1 = angular_invariant(s, p)
             expected = (ab.B_y * ab.A_x - ab.A_y * ab.B_x) / math.sqrt(L1)
             assert l2_poly(p, s) == pytest.approx(expected, rel=1e-13)
 
@@ -198,7 +244,7 @@ class TestPoissonBracket:
     def test_separation_constant_commutes(self, rng):
         p = ttw_params("3/2")
         H = lambda x: hamiltonian(x, p)
-        L1 = lambda x: l1_ttw(p, x.q2, x.p2)
+        L1 = lambda x: angular_invariant(x, p)
         for _ in range(20):
             s = random_ttw_state(rng, p, rho_range=(0.9, 1.5), p_max=1.0, margin=0.2)
             est = poisson_bracket_numeric(H, L1, s)
@@ -217,17 +263,60 @@ class TestPoissonBracket:
                 s = random_ttw_state(rng, p, rho_range=(1.0, 1.4), p_max=0.8, margin=0.3)
                 est = poisson_bracket_numeric(H, G, s)
                 assert abs(est.value) < 1e-6
-                assert est.richardson_error < 1e-2  # error bar stays sane
 
-    def test_error_estimate_brackets_truth(self, rng):
-        # for a bracket with known value the error bar must cover the miss
+    def test_known_brackets_exact(self, rng):
         p = ttw_params("1")
+        for _ in range(20):
+            s = random_ttw_state(rng, p)
+            H = lambda x: hamiltonian(x, p)
+            assert poisson_bracket_numeric(lambda x: x.q1, H, s).value \
+                == pytest.approx(2.0 * s.p1, rel=1e-12)
+            assert _complex_step_gradient(H, s) == pytest.approx(
+                hamiltonian_gradient(s, p), rel=1e-12)
+            F = lambda x: x.q1 ** 3 * x.p2
+            G = lambda x: x.p1 * x.q2
+            exact = 3.0 * s.q1 ** 2 * s.p2 * s.q2 - s.q1 ** 3 * s.p1
+            assert poisson_bracket_numeric(F, G, s).value == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("k_text", K_LIST)
+    def test_gradients_match_richardson_reference(self, k_text, rng):
+        # dF/dq_i = {F, p_i} and dF/dp_i = {q_i, F}: the gradient through the bracket
+        kv = RationalIndex.from_string(k_text).value
+        p = ttw_params(k_text, alpha=0.3 / kv ** 2, beta=0.45 / kv ** 2)
+        params, _, _, _ = dc_setup(k_text)
+        fields = [lambda x, f=f: getattr(pushforward_phase(x), f) for f in _FIELDS]
+        operands = [lambda x: hamiltonian(x, p), lambda x: angular_invariant(x, p),
+                    lambda x: l2_poly(p, x), lambda x: l2_cos(p, x), *fields]
+        for _ in range(10):
+            s = random_ttw_state(rng, p, rho_range=(1.0, 1.4), p_max=0.8, margin=0.3)
+            for F in operands:
+                assert _complex_step_gradient(F, s) == pytest.approx(
+                    _richardson_gradient(F, s), rel=1e-7, abs=1e-12)
+            s = random_dc_state(rng, params, r_range=(0.8, 1.6), p_max=0.6, margin=0.3)
+            G = lambda x: dc_integral(params, x)
+            assert _complex_step_gradient(G, s) == pytest.approx(
+                _richardson_gradient(G, s), rel=1e-7, abs=1e-12)
+
+    @pytest.mark.parametrize("k_text", K_LIST)
+    def test_separation_constants_do_not_commute(self, k_text, rng):
+        # {L1, L2} is the next element of the algebra, not zero
+        kv = RationalIndex.from_string(k_text).value
+        p = ttw_params(k_text, alpha=0.3 / kv ** 2, beta=0.45 / kv ** 2)
+        L1 = lambda x: angular_invariant(x, p)
+        L2 = lambda x: l2_poly(p, x)
+        values = []
+        for _ in range(10):
+            s = random_ttw_state(rng, p, rho_range=(1.0, 1.4), p_max=0.8, margin=0.3)
+            values.append(poisson_bracket_numeric(L1, L2, s).value)
+            assert values[-1] == pytest.approx(_richardson_bracket(L1, L2, s), rel=1e-6)
+        assert max(map(abs, values)) > 0.1
+
+    def test_real_only_operand_raises(self, rng):
+        # atan2 cannot carry a complex step; the bracket must not read 0
+        p = ttw_params("3/2")
         s = random_ttw_state(rng, p)
-        F = lambda x: x.q1 ** 3 * x.p2
-        G = lambda x: x.p1 * x.q2
-        est = poisson_bracket_numeric(F, G, s)
-        exact = 3.0 * s.q1 ** 2 * s.p2 * s.q2 - s.q1 ** 3 * s.p1
-        assert abs(est.value - exact) <= max(10.0 * est.richardson_error, 1e-9)
+        with pytest.raises(TypeError):
+            poisson_bracket_numeric(lambda x: hamiltonian(x, p), lambda x: l2_trig(p, x), s)
 
 
 class TestCoulombPullback:

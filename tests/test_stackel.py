@@ -210,6 +210,21 @@ class TestTrajectoryMap:
         mapped = map_trajectory(traj)
         assert np.max(np.abs(mapped[:, 0] - mapped[0, 0])) < 1e-9
 
+    def test_matches_the_map_written_out_per_column(self):
+        ttw = TTWParams(omega2=0.25, alpha=0.2, beta=0.3, k=RationalIndex(3, 2))
+        traj = integrate(ttw, ttw_orbit_start(ttw), 3 * ttw_radial_period(ttw.omega2), tol=1e-12)
+        rho, theta, p_rho, p_theta = traj.y
+        expected = np.empty((traj.n_samples, 4))
+        expected[:, 0] = 0.5 * rho * rho
+        expected[:, 1] = 2.0 * theta
+        expected[:, 2] = p_rho / rho
+        expected[:, 3] = 0.5 * p_theta
+        assert np.array_equal(map_trajectory(traj), expected)
+        # each row is also the scalar pushforward of its sample
+        for i in range(0, traj.n_samples, 7):
+            image = pushforward_phase(traj.point(i))
+            assert [image.q1, image.q2, image.p1, image.p2] == expected[i].tolist()
+
     @pytest.mark.parametrize("k_text,omega2", [("1", 1.0), ("3/2", 0.25), ("2", 0.5)])
     def test_geometric_overlap_with_integrated_orbit(self, k_text, omega2):
         ttw = TTWParams(omega2=omega2, alpha=0.2, beta=0.3,
