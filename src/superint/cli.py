@@ -251,7 +251,7 @@ def cmd_trajectory(args, config: ExperimentConfig) -> Outcome:
     _write_csv(config, "trajectory.csv", "t,q1,q2,p1,p2,H,A", rows)
     _write_params(config, params)
     return ([_criterion("energy_drift", traj.max_energy_drift, 10.0 * config.tol)],
-            {"steps": traj.steps})
+            {"steps": traj.steps, "nfev": traj.nfev, "rejected": traj.rejected})
 
 
 def cmd_closure(args, config: ExperimentConfig) -> Outcome:

@@ -1,17 +1,19 @@
 """Time integration, period and closure detection, and closed-form orbit residuals.
 
-The integrator is an adaptive 8th-order embedded explicit pair (DOP853)
-with PI step control; symplecticity is not needed because runs are short
-and energy drift is monitored on every trajectory.  `integrate` drives
-scipy's DOP853 one accepted step at a time, up to a budget of _MAX_STEPS
-steps, and stacks each step's dense-output coefficients; `StackedDense`
-evaluates the stacked interpolant at any array of times in one pass.
+The integrator is the adaptive 8th-order embedded explicit pair DOP853
+(Hairer, Norsett and Wanner, Solving ODEs I, II.5-II.6) with its step
+controller; symplecticity is not needed because runs are short and energy
+drift is monitored on every trajectory.  `integrate` runs its own DOP853
+stage loop on Python floats, up to a budget of _MAX_STEPS accepted steps,
+and stores each step's dense-output coefficients; `StackedDense` evaluates
+the stacked interpolant at any array of times in one pass.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,124 @@ TOL_MIN, TOL_MAX = 1e-14, 1e-3
 # takes 4,252); past it integrate raises, so no run grows without bound.
 _MAX_STEPS = 100_000
 
+# The DOP853 tableau of Hairer, Norsett and Wanner (Solving ODEs I, II.5-II.6).
+# Stage s starts from y + h sum_j _A[s][j] K[j] at time t + _C[s] h (the
+# equations are autonomous, so _C only documents the nodes).  Stages 0-11
+# make the step, stage 12 is the derivative at its end, so _A[12] holds the
+# weights of the 8th-order solution, and stages 13-15 serve only the dense
+# output.  _E5 and _E3 weigh the 5th- and 3rd-order error estimates, and _D
+# gives the interpolant coefficients F[3:].
+_C = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
+    0.8571428571428571, 1.0, 1.0, 0.1, 0.2, 0.7777777777777778
+)
+_A = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (
+        0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+        -0.015319437748624402, 0.008273789163814023
+    ),
+    (
+        0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+        27.59209969944671, 20.154067550477894, -43.48988418106996
+    ),
+    (
+        0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+        21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627
+    ),
+    (
+        -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+        -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+        -3.0467644718982196
+    ),
+    (
+        2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+        -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+        12.360567175794303, 0.6433927460157636
+    ),
+    (
+        0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+        -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+        0.04471061572777259
+    ),
+    (
+        0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+        -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+        0.00820105229563469, 0.007567897660545699, -0.008298
+    ),
+    (
+        0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+        0.053541988307438566, -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932,
+        0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325
+    ),
+    (
+        -0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+        4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+        2.9475147891527724, -9.15095847217987
+    ),
+)
+_E3 = (
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082, 0.0
+)
+_E5 = (
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294, 0.0
+)
+_D = (
+    (
+        -8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+        2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+        0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+        -4.436036387594894
+    ),
+    (
+        10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+        -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+        -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+        35.81684148639408
+    ),
+    (
+        19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+        527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+        0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+        11.99229113618279
+    ),
+    (
+        -25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+        357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+        29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+        -149.72683625798564
+    ),
+)
+_B = _A[12]
+
+
+def _nonzero(row):
+    return tuple((j, c) for j, c in enumerate(row) if c != 0.0)
+
+
+# the same weights as (stage, weight) pairs without the zeros, as the stage loop reads them
+_A_NZ = tuple(_nonzero(row) for row in _A)
+_B_NZ, _E3_NZ, _E5_NZ = _nonzero(_B), _nonzero(_E3), _nonzero(_E5)
+_D_NZ = tuple(_nonzero(row) for row in _D)
+
+# Step control: the step-size ratio is SAFETY err^(-1/8), kept within
+# [MIN_FACTOR, MAX_FACTOR] (8 = order of the error estimator + 1); the
+# initial step takes the same exponent.
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0
+_NAN4 = (math.nan,) * 4
+
 
 class StackedDense:
     """DOP853 dense output of every accepted step, from stacked coefficients.
@@ -43,8 +163,9 @@ class StackedDense:
     right end is not below it, times outside [t[0], t[-1]] extrapolate the
     first or last step, and the interpolant is summed in the Horner order of
     Hairer, Norsett and Wanner (Solving ODEs I, II.6).  Step choice and sums
-    are scipy's own, so the values are those of scipy's dense output bit for
-    bit.  A scalar time gives shape (4,), a 1-D array of n times shape (4, n).
+    follow the reference DOP853 dense output, whose values the tests match
+    bit for bit.  A scalar time gives shape (4,), a 1-D array of n times
+    shape (4, n).
     """
 
     def __init__(self, t: np.ndarray, y: np.ndarray, F: np.ndarray):
@@ -97,7 +218,8 @@ class Trajectory:
 
     t is strictly increasing; y has shape (4, len(t)) in chart order
     (q1, q2, p1, p2).  max_energy_drift is the largest relative deviation
-    of H from its initial value over the accepted steps.
+    of H from its initial value over the accepted steps.  nfev counts the
+    right-hand-side evaluations and rejected the rejected step attempts.
     """
 
     params: object
@@ -108,6 +230,8 @@ class Trajectory:
     steps: int
     max_energy_drift: float
     tol: float
+    nfev: int
+    rejected: int
 
     @property
     def n_samples(self) -> int:
@@ -144,58 +268,143 @@ class ClosureReport:
     period_total: float
 
 
-def _rhs(params):
-    def rhs(t, y):
-        try:
-            g = _gradient(params, *y.tolist())
-        except (DomainError, ArithmeticError):
-            return np.full(4, np.nan)
-        return np.array([g[2], g[3], -g[0], -g[1]])
+def _initial_step(f, y, f0, interval, rtol, atol):
+    """First step size by the rule of Hairer, Norsett and Wanner (Solving ODEs I, II.4)."""
+    scale = [atol + abs(yi) * rtol for yi in y]
+    d0 = _rms([yi / s for yi, s in zip(y, scale)])
+    d1 = _rms([fi / s for fi, s in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = f(*[yi + h0 * fi for yi, fi in zip(y, f0)])
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+    return min(100.0 * h0, h1, interval)
 
-    return rhs
+
+def _rms(v) -> float:
+    """Root mean square of the four components of v."""
+    return math.sqrt(sum(x * x for x in v)) / 2.0
 
 
 def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10) -> Trajectory:
     """Integrate Hamilton's equations from an interior point up to t_end > 0.
 
-    Raises IntegrationError, carrying the last accepted state, when the
-    integrator fails or has taken _MAX_STEPS steps short of t_end.
+    Raises IntegrationError, carrying the last accepted state, when the step
+    size falls below ten float spacings at t or _MAX_STEPS steps end short of
+    t_end.  A state off the domain of the Hamiltonian has a NaN derivative,
+    so a step that reaches one is rejected and shrunk until one of the two
+    happens.
     """
-    from scipy.integrate import DOP853  # imported here: most CLI commands never integrate
-
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise DomainError(f"integration tolerance {tol} outside [{TOL_MIN}, {TOL_MAX}]")
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise DomainError(f"integration end time {t_end} must be finite and positive")
     hamiltonian(initial, params)  # validates chart and interiorness
     chart = initial.chart
-    rtol = max(tol, 3e-14)  # DOP853 floor
-    solver = DOP853(_rhs(params), 0.0, initial.as_array(), float(t_end),
-                    rtol=rtol, atol=tol)
-    ts, ys, Fs = [solver.t], [solver.y], []
+    t_end = float(t_end)
+    rtol, atol = max(tol, 3e-14), tol  # DOP853 floor
+
+    def f(q1, q2, p1, p2):
+        try:
+            g = _gradient(params, q1, q2, p1, p2)
+        except (DomainError, ArithmeticError):
+            return _NAN4
+        return g[2], g[3], -g[0], -g[1]
+
+    K = [_NAN4] * 16  # K[s]: the derivative of stage s
+
+    def combine(weights):
+        """sum_j w_j K[j] over the (j, w_j) pairs, per component."""
+        d0 = d1 = d2 = d3 = 0.0
+        for j, w in weights:
+            k0, k1, k2, k3 = K[j]
+            d0 += w * k0
+            d1 += w * k1
+            d2 += w * k2
+            d3 += w * k3
+        return d0, d1, d2, d3
+
+    def stages(first, last, y0, y1, y2, y3, h):
+        for s in range(first, last):
+            d0, d1, d2, d3 = combine(_A_NZ[s])
+            K[s] = f(y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
+
+    def step(t, y, h_abs):
+        """(t_new, y_new, next step size) of one accepted step, or None if h gets too small."""
+        nonlocal nfev, rejected
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        was_rejected = False
+        while h_abs >= min_step:  # False for a NaN step size too
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            stages(1, 12, *y, h)
+            y_new = tuple(yi + h * bi for yi, bi in zip(y, combine(_B_NZ)))
+            K[12] = f(*y_new)
+            nfev += 12
+            n5 = n3 = 0.0
+            for yi, yni, e5, e3 in zip(y, y_new, combine(_E5_NZ), combine(_E3_NZ)):
+                scale = atol + max(abs(yi), abs(yni)) * rtol
+                e5, e3 = e5 / scale, e3 / scale
+                n5 += e5 * e5
+                n3 += e3 * e3
+            err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 4.0)
+            if err < 1.0:
+                factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR,
+                                                            _SAFETY * err ** _ERROR_EXPONENT)
+                return t_new, y_new, h * (min(1.0, factor) if was_rejected else factor)
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+            was_rejected = True
+            rejected += 1
+        return None
+
+    t, y = 0.0, tuple(initial.as_array().tolist())
+    K[0] = f(*y)
+    h_abs = _initial_step(f, y, K[0], t_end, rtol, atol)
+    nfev, rejected = 2, 0  # f at y and the initial-step probe
+    # flat float buffers: a tuple per step would hold several times the memory
+    ts, ys, Fs = array("d", [t]), array("d", y), array("d")
     for _ in range(_MAX_STEPS):
-        message = solver.step()
-        if solver.status == "failed":
+        accepted = step(t, y, h_abs)
+        if accepted is None:
+            message = "step size fell below ten float spacings"
             break
-        # dense_output computes this step's three extra stages: call it before the next step
-        Fs.append(solver.dense_output().F)
-        ts.append(solver.t)
-        ys.append(solver.y)
-        if solver.status == "finished":
+        t_new, y_new, h_abs = accepted
+        h = t_new - t
+        # the three extra stages of the dense output, then its 7 x 4 coefficients F
+        stages(13, 16, *y, h)
+        nfev += 3
+        dy = [yni - yi for yi, yni in zip(y, y_new)]
+        Fs.extend(dy)
+        Fs.extend([h * f0 - d for f0, d in zip(K[0], dy)])
+        Fs.extend([2.0 * d - h * (f1 + f0) for f0, f1, d in zip(K[0], K[12], dy)])
+        for weights in _D_NZ:
+            Fs.extend([h * c for c in combine(weights)])
+        t, y = t_new, y_new
+        ts.append(t)
+        ys.extend(y)
+        K[0] = K[12]
+        if t >= t_end:
             break
     else:
         message = f"step budget of {_MAX_STEPS} steps spent before t = {t_end}"
-    if solver.status != "finished":
-        raise IntegrationError(f"integration stopped at t = {ts[-1]}: {message}",
-                               t_last=float(ts[-1]), state_last=PhasePoint(*ys[-1], chart))
+    if t < t_end:
+        raise IntegrationError(f"integration stopped at t = {t}: {message}",
+                               t_last=t, state_last=PhasePoint(*y, chart))
 
-    t, y = np.array(ts), np.array(ys)
-    h = np.array([hamiltonian(PhasePoint(*row, chart), params) for row in y])
+    steps = len(ts) - 1
+    t, y = np.frombuffer(ts), np.frombuffer(ys).reshape(steps + 1, 4)
+    # Fs holds each step's 7 x 4 coefficients in turn; the evaluator reads (7, steps, 4)
+    F = np.frombuffer(Fs).reshape(steps, 7, 4).transpose(1, 0, 2).copy()
+    h = np.array([hamiltonian(PhasePoint(*row, chart), params) for row in y.tolist()])
     scale = max(abs(h[0]), 1e-12)
     drift = float(np.max(np.abs(h - h[0])) / scale)
-    return Trajectory(params=params, chart=chart, t=t, y=y.T,
-                      dense=StackedDense(t, y, np.stack(Fs, axis=1)),
-                      steps=len(Fs), max_energy_drift=drift, tol=tol)
+    return Trajectory(params=params, chart=chart, t=t, y=y.T, dense=StackedDense(t, y, F),
+                      steps=steps, max_energy_drift=drift, tol=tol, nfev=nfev,
+                      rejected=rejected)
 
 
 def radial_period_closed_form(Q: float, E: float) -> float:

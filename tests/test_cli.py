@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,9 @@ class TestCommands:
         lines = (out / "trajectory.csv").read_text().strip().splitlines()
         assert lines[0] == "t,q1,q2,p1,p2,H,A"
         assert len(lines) >= 3  # header plus one row per accepted step
+        data = read_summary(out, "trajectory")["data"]
+        assert data["steps"] == len(lines) - 2
+        assert data["nfev"] == 2 + 12 * (data["steps"] + data["rejected"]) + 3 * data["steps"]
 
     def test_conserve(self, tmp_path):
         code, out = run(tmp_path, "conserve", "--k", "3/2", "--omega2", "1",
@@ -256,13 +260,36 @@ def test_unexpected_exception_exits_numerical(tmp_path, monkeypatch, capsys):
     assert "KeyError" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_the_integrator_unloaded():
+def _python(code, *argv):
+    """Run python -c code with the package on the path; return the finished process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(superint.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, superint.cli; print('scipy.integrate' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True)
+
+
+def test_cli_import_leaves_the_integrator_unloaded():
+    # neither importing the CLI nor integrating an orbit loads any scipy module
+    probe = textwrap.dedent("""
+        import sys
+        import superint.cli
+        from superint import dynamics, systems
+        p = systems.DCParams(Q=1.0, alpha=0.0, beta=0.0, k=systems.RationalIndex(1))
+        dynamics.integrate(p, systems.PhasePoint(1.0, 1.0, 0.0, 0.7, systems.DC_CHART), 5.0)
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """)
+    result = _python(probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_readme_closure_runs_without_scipy(tmp_path):
+    # scipy blocked from import: the integrating commands must not need it
+    runner = "import sys; sys.modules['scipy'] = None; from superint.cli import main; sys.exit(main())"
+    result = _python(runner, "closure", "--k", "3/2", "--Q", "1", "--alpha", "0.2",
+                     "--beta", "0.3", "--E", "-0.2", "--A", "0.9", "--out-dir", str(tmp_path))
+    assert result.returncode == EXIT_PASS, result.stderr
+    assert read_summary(tmp_path, "closure")["passed"]
 
 
 @settings(max_examples=30, deadline=None)
@@ -280,4 +307,23 @@ def test_bracket_exit_code_contract(family, k, n_states, alpha, beta):
             code = exc.code
         assert code in {EXIT_PASS, EXIT_CRITERION, EXIT_USAGE, EXIT_NUMERICAL}
         summary = os.path.exists(os.path.join(out, "bracket_summary.json"))
+        assert summary == (code in {EXIT_PASS, EXIT_CRITERION})
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(["dc", "ttw"]), k=st.sampled_from(["1", "3/2", "0", "x"]),
+       q1=st.sampled_from(["1", "0", "-1", "nan"]),
+       t_end=st.sampled_from(["0.5", "5", "0", "-1", "inf"]))
+def test_trajectory_exit_code_contract(family, k, q1, t_end):
+    # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a verdict
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["trajectory", "--family", family, "--k", k, "--Q", "1", "--alpha", "0.2",
+                "--beta", "0.3", f"--q1={q1}", "--q2", "1", "--p1", "0.1", "--p2", "0.5",
+                f"--t-end={t_end}", "--out-dir", out]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in {EXIT_PASS, EXIT_CRITERION, EXIT_USAGE, EXIT_NUMERICAL}
+        summary = os.path.exists(os.path.join(out, "trajectory_summary.json"))
         assert summary == (code in {EXIT_PASS, EXIT_CRITERION})
