@@ -8,8 +8,9 @@ growing-exponent alternative fails it by construction).
 
 The energy depends on n + k m alone, so with k = c/d the level
 N = d n + c m is one line of lattice points.  ``level_states`` walks that
-line lazily; the counts, the degeneracy table and the spectral lines are
-all built on it, and none of them keeps a list of every level's states.
+line lazily and the spectral lines are built on it; a level's count is the
+length of the m range the walk runs over, so the degeneracy table walks
+nothing, and none of them keeps a list of every level's states.
 """
 
 from __future__ import annotations
@@ -87,23 +88,27 @@ def bound_state(params: DCParams, n: int, m: int) -> WavefunctionSpec:
     return WavefunctionSpec(params=params, qn=QuantumNumbers(n, m), a=a, b=b, A=A, E=E)
 
 
-def level_states(k: RationalIndex, N: int):
-    """Lazy walk over the (n, m) >= 0 with d n + c m = N, in increasing m.
-
-    m runs over its residue class N c^-1 (mod d) up to N // c, and
-    n = (N - c m) / d.  N is checked here, at the call, not at the first
-    next().
-    """
+def _level_m_range(k: RationalIndex, N: int) -> range:
+    """The m of level N: its residue class N c^-1 (mod d), from there up to N // c."""
     if N < 0:
         raise DomainError("level index must be non-negative")
     c, d = k.c, k.d
-    m0 = N * pow(c, -1, d) % d
-    return (((N - c * m) // d, m) for m in range(m0, N // c + 1, d))
+    return range(N * pow(c, -1, d) % d, N // c + 1, d)
+
+
+def level_states(k: RationalIndex, N: int):
+    """Lazy walk over the (n, m) >= 0 with d n + c m = N, in increasing m.
+
+    m runs over ``_level_m_range`` and n = (N - c m) / d.  N is checked
+    here, at the call, not at the first next().
+    """
+    c, d = k.c, k.d
+    return (((N - c * m) // d, m) for m in _level_m_range(k, N))
 
 
 def degeneracy_bruteforce(k: RationalIndex, N: int) -> int:
-    """Number of states on level N, counted by consuming its lattice walk."""
-    return sum(1 for _ in level_states(k, N))
+    """Number of states on level N: the length of the m range its walk runs over."""
+    return len(_level_m_range(k, N))
 
 
 def degeneracy_formula(k: RationalIndex, N: int) -> int:
@@ -172,11 +177,12 @@ def wavefunction(spec: WavefunctionSpec, r, phi):
         raise DomainError("wavefunction evaluated on or beyond a wedge wall")
     kappa = math.sqrt(-spec.E)
     sqrtA = math.sqrt(spec.A)
-    g1 = r ** sqrtA * np.exp(-kappa * r)
-    g2 = cosw ** spec.a * sinw ** spec.b
-    radial = specfun.laguerre(spec.qn.n, 2.0 * sqrtA, 2.0 * kappa * r)
-    angular = specfun.jacobi(spec.qn.m, spec.a - 0.5, spec.b - 0.5, -np.cos(k * phi))
-    out = g1 * g2 * radial * angular
+    # every r factor, then every phi factor: one outer product on a grid
+    radial = (r ** sqrtA * np.exp(-kappa * r)
+              * specfun.laguerre(spec.qn.n, 2.0 * sqrtA, 2.0 * kappa * r))
+    angular = (cosw ** spec.a * sinw ** spec.b
+               * specfun.jacobi(spec.qn.m, spec.a - 0.5, spec.b - 0.5, -np.cos(k * phi)))
+    out = radial * angular
     return out if np.ndim(out) else float(out)
 
 
@@ -205,15 +211,31 @@ class GridSpec:
 _BLOCK_BYTES = 2 ** 20
 
 
+def _abs_max(x):
+    """max|x| in two reductions and no |x| array; a NaN in x stays NaN."""
+    return max(x.max(), -x.min())
+
+
 def dc_operator_residual(params: DCParams, E: float, psi, grid: GridSpec) -> float:
     """Max of |(-Laplacian + V - E) psi| / (|E| max|psi|) over the grid interior.
 
     The polar Laplacian (including the (1/r) d_r term) is applied by
     second-order central differences, so the result converges as O(h^2).
+    With V = V_r(r) + B(phi)/r^2 the five-point stencil at node (i, j) is
+
+        (B_j w_i + centre_i) psi - up_i psi[i+1] - down_i psi[i-1]
+                                 - side_i (psi[j+1] + psi[j-1]),
+
+    where up, down = 1/h_r^2 +- 1/(2 h_r r), w = 1/r^2, side = w/h_phi^2 and
+    centre = 2/h_r^2 + 2 side + V_r - E.  These row weights are built once
+    per grid; each block then takes about ten passes over one residual
+    buffer and one scratch buffer, both allocated once.
+
     The grid is streamed in blocks of interior rows with a one-row halo,
     so no array grows past a block: ``psi`` is called on an ``(rows, 1)``
     column of r and a ``(1, n_phi)`` row of phi, and must broadcast over
-    them (a separable state then costs O(rows + n_phi) per block).
+    them.  A separable state then costs O(rows + n_phi) kernel work and one
+    outer product per block.
     """
     rr, ff = grid.axes()
     k = params.k.value
@@ -222,23 +244,36 @@ def dc_operator_residual(params: DCParams, E: float, psi, grid: GridSpec) -> flo
     hr = rr[1] - rr[0]
     hf = ff[1] - ff[0]
     phi = ff[None, :]
-    # V = V_r(r) + B(phi)/r^2, each kernel evaluated once per axis node
-    V_r = np.array([_radial(params, r)[0] for r in rr[1:-1]])
+    ri = rr[1:-1]
+    # each potential kernel is evaluated once per axis node
+    V_r = np.array([_radial(params, r)[0] for r in ri])
     B = np.array([_barrier(params, f)[0] for f in ff[1:-1]])
+    up = 1.0 / hr ** 2 + 1.0 / (2.0 * hr * ri)
+    down = 1.0 / hr ** 2 - 1.0 / (2.0 * hr * ri)
+    w = 1.0 / ri ** 2
+    side = w / hf ** 2
+    centre = 2.0 / hr ** 2 + 2.0 * side + V_r - E
     height = max(1, _BLOCK_BYTES // (8 * ff.size))
+    acc_buf = np.empty((min(height, ri.size), B.size))
+    tmp_buf = np.empty_like(acc_buf)
     worst, psi_max = [], []
     for i0 in range(1, rr.size - 1, height):
         i1 = min(i0 + height, rr.size - 1)
+        rows = slice(i0 - 1, i1 - 1)
         block = np.broadcast_to(psi(rr[i0 - 1:i1 + 1, None], phi), (i1 - i0 + 2, ff.size))
-        interior = block[1:-1, 1:-1]
-        d2r = (block[2:, 1:-1] - 2.0 * interior + block[:-2, 1:-1]) / hr ** 2
-        d1r = (block[2:, 1:-1] - block[:-2, 1:-1]) / (2.0 * hr)
-        d2f = (block[1:-1, 2:] - 2.0 * interior + block[1:-1, :-2]) / hf ** 2
-        ri = rr[i0:i1, None]
-        V = V_r[i0 - 1:i1 - 1, None] + B / ri ** 2
-        residual = -(d2r + d1r / ri + d2f / ri ** 2) + (V - E) * interior
-        worst.append(np.max(np.abs(residual)))
-        psi_max.append(np.max(np.abs(block)))
+        acc, tmp = acc_buf[:i1 - i0], tmp_buf[:i1 - i0]
+        np.multiply(w[rows, None], B, out=acc)
+        acc += centre[rows, None]
+        acc *= block[1:-1, 1:-1]
+        np.add(block[1:-1, 2:], block[1:-1, :-2], out=tmp)
+        tmp *= side[rows, None]
+        acc -= tmp
+        np.multiply(up[rows, None], block[2:, 1:-1], out=tmp)
+        acc -= tmp
+        np.multiply(down[rows, None], block[:-2, 1:-1], out=tmp)
+        acc -= tmp
+        worst.append(_abs_max(acc))
+        psi_max.append(_abs_max(block))
     # np.max over the block maxima keeps a NaN block visible
     scale = abs(E) * float(np.max(psi_max))
     if scale == 0.0:
@@ -368,10 +403,11 @@ def ttw_bound_state(params: TTWParams, n: int, m: int):
         sinw = np.sin(k * theta)
         if np.any(cosw <= 0.0) or np.any(sinw <= 0.0):
             raise DomainError("oscillator state evaluated on or beyond a wall")
-        gauge = rho ** sigma * np.exp(-0.5 * omega * rho ** 2) * cosw ** a * sinw ** b
-        poly = (specfun.laguerre(n, sigma, omega * rho ** 2)
-                * specfun.jacobi(m, a - 0.5, b - 0.5, -np.cos(2.0 * k * theta)))
-        out = gauge * poly
+        radial = (rho ** sigma * np.exp(-0.5 * omega * rho ** 2)
+                  * specfun.laguerre(n, sigma, omega * rho ** 2))
+        angular = (cosw ** a * sinw ** b
+                   * specfun.jacobi(m, a - 0.5, b - 0.5, -np.cos(2.0 * k * theta)))
+        out = radial * angular
         return out if np.ndim(out) else float(out)
 
     return psi, E

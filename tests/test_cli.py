@@ -327,3 +327,22 @@ def test_trajectory_exit_code_contract(family, k, q1, t_end):
         assert code in {EXIT_PASS, EXIT_CRITERION, EXIT_USAGE, EXIT_NUMERICAL}
         summary = os.path.exists(os.path.join(out, "trajectory_summary.json"))
         assert summary == (code in {EXIT_PASS, EXIT_CRITERION})
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.sampled_from(["1", "3/2", "0", "x"]), n=st.sampled_from(["0", "1", "-1"]),
+       alpha=st.sampled_from(["0", "0.2", "-0.3", "nan"]),
+       grid_r=st.sampled_from(["40", "4", "0"]), grid_phi=st.sampled_from(["28", "0"]))
+def test_wavefunction_residual_exit_code_contract(k, n, alpha, grid_r, grid_phi):
+    # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a verdict
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["wavefunction-residual", "--k", k, "--Q", "1", f"--alpha={alpha}", "--beta", "0.3",
+                f"--n={n}", "--m", "0", f"--grid-r={grid_r}", f"--grid-phi={grid_phi}",
+                "--out-dir", out]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in {EXIT_PASS, EXIT_CRITERION, EXIT_USAGE, EXIT_NUMERICAL}
+        summary = os.path.exists(os.path.join(out, "wavefunction-residual_summary.json"))
+        assert summary == (code in {EXIT_PASS, EXIT_CRITERION})

@@ -22,6 +22,7 @@ from superint.quantum import (
     exponents_from_couplings,
     level_states,
     orthogonality_check,
+    residual_with_refinement,
     schrodinger_residual,
     separation_constant,
     spectral_line,
@@ -121,7 +122,9 @@ class TestDegeneracy:
                 k = RationalIndex(c, d)
                 for N in range(400):
                     assert list(level_states(k, N)) == _scan_level(k, N), (k, N)
-                    assert degeneracy_bruteforce(k, N) == _popoviciu_count(k, N), (k, N)
+                    count = degeneracy_bruteforce(k, N)
+                    assert count == _popoviciu_count(k, N), (k, N)
+                    assert count == sum(1 for _ in level_states(k, N)), (k, N)
 
     def test_negative_level_raises_at_the_call(self):
         with pytest.raises(DomainError):
@@ -293,12 +296,45 @@ def _block_height(grid):
     return max(1, quantum._BLOCK_BYTES // (8 * grid.axes()[1].size))
 
 
+def _roundoff_bound(params, E, grid):
+    """eps W / |E|: W is the largest, over interior nodes, of the summed
+    |weights| of the five-point Laplacian plus |V - E|.  Summing the stencil
+    in another order moves the relative residual by at most this much."""
+    rr, ff = grid.axes()
+    hr = rr[1] - rr[0]
+    hf = ff[1] - ff[0]
+    ri = rr[1:-1, None]
+    V_r = np.array([_radial(params, r)[0] for r in rr[1:-1]])[:, None]
+    B = np.array([_barrier(params, f)[0] for f in ff[1:-1]])
+    radial = 2.0 / hr ** 2 + np.abs(1.0 / hr ** 2 + 1.0 / (2.0 * hr * ri)) \
+        + np.abs(1.0 / hr ** 2 - 1.0 / (2.0 * hr * ri))
+    angular = 4.0 / (hf ** 2 * ri ** 2)
+    W = float(np.max(radial + angular + np.abs(V_r + B / ri ** 2 - E)))
+    return np.finfo(float).eps * W / abs(E)
+
+
 def _assert_matches_full_grid(params, E, psi, grid):
-    assert dc_operator_residual(params, E, psi, grid) == _full_grid_residual(params, E, psi, grid)
+    """Bit-exact against one block holding every row; within roundoff of the full grid."""
+    got = dc_operator_residual(params, E, psi, grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantum, "_BLOCK_BYTES", 8 * grid.axes()[1].size * grid.axes()[0].size)
+        assert _block_height(grid) >= grid.axes()[0].size - 2
+        assert got == dc_operator_residual(params, E, psi, grid)
+    assert abs(got - _full_grid_residual(params, E, psi, grid)) <= _roundoff_bound(params, E, grid)
+
+
+def _nan_at(psi, r_star, f_star):
+    """psi with a NaN at the node (r_star, phi_star) of every refinement level."""
+    def out(r, phi):
+        hit = np.isclose(r, r_star, rtol=0.0, atol=1e-9) & np.isclose(phi, f_star, rtol=0.0,
+                                                                     atol=1e-9)
+        return np.where(hit, np.nan, psi(r, phi))
+    return out
 
 
 class TestStreamedResidual:
-    """The row-block residual equals the full-grid reference bit for bit."""
+    """The row-block residual is independent of the block height and within
+    roundoff of the full-grid reference."""
 
     def _state(self, k_text="3/2", alpha=0.2, beta=0.3, n=1, m=1):
         p = DCParams(Q=1.0, alpha=alpha, beta=beta, k=RationalIndex.from_string(k_text))
@@ -357,6 +393,24 @@ class TestStreamedResidual:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n_r * n_phi
+        assert peak < 6 * quantum._BLOCK_BYTES
+
+    # (row, column) of the NaN on the 41 x 29 grid: an interior node on the
+    # last row of one block and in the halo of the next, a node of the
+    # r = r_min edge, and the far corner, which no stencil reads
+    @pytest.mark.parametrize("i,j", [(21, 14), (0, 14), (40, 28)],
+                             ids=["interior", "edge", "corner"])
+    def test_nan_stays_visible(self, monkeypatch, i, j):
+        p, spec, psi = self._state()
+        grid = default_grid(spec, n_r=40, n_phi=28)
+        rr, ff = grid.axes()
+        assert (rr.size, ff.size) == (41, 29)
+        monkeypatch.setattr(quantum, "_BLOCK_BYTES", 8 * ff.size * 7)
+        bad = _nan_at(psi, rr[i], ff[j])
+        assert math.isnan(dc_operator_residual(p, spec.E, bad, grid))
+        res, _, finest = residual_with_refinement(p, spec.E, bad, grid)
+        assert finest.axes()[0].size > 2 * _block_height(finest)
+        assert not res <= 1e-5
 
 
 class TestOrthogonality:
