@@ -545,11 +545,13 @@ def orbit_residual(params: DCParams, consts: OrbitConstants, r, phi,
     """
     c, d = params.k.c, params.k.d
     X_r, X_phi = _arcsin_arguments(params, consts.E, consts.A, r, phi)
-    X_phi_c = np.asarray(specfun.clamp_unit(X_phi, eps=clamp_eps))
-    base = (-specfun.chebyshev_T(c, specfun.clamp_unit(X_r, eps=clamp_eps))
-            + math.cos(consts.C) * specfun.chebyshev_T(d, X_phi_c))
-    wing = (math.sin(consts.C) * specfun.chebyshev_U(d - 1, X_phi_c)
-            * np.sqrt(1.0 - X_phi_c ** 2))
+    # one clamp per argument; the recurrence then takes them as they are
+    X_r = specfun.clamp_unit(X_r, eps=clamp_eps)
+    X_phi = specfun.clamp_unit(X_phi, eps=clamp_eps)
+    cheb = specfun.chebyshev_recurrence
+    base = -cheb(c, X_r) + math.cos(consts.C) * cheb(d, X_phi)
+    wing = (math.sin(consts.C) * cheb(d - 1, X_phi, second_kind=True)
+            * np.sqrt(1.0 - X_phi * X_phi))
     if branch is not None:
         out = base + branch * wing
     else:

@@ -159,30 +159,39 @@ def degeneracy_report(k: RationalIndex, N_max: int):
     return rows, mismatches
 
 
-def wavefunction(spec: WavefunctionSpec, r, phi):
-    """Gauge factors times the Laguerre-Jacobi polynomial pair.
-
-    Real-valued on r > 0, 0 < phi < pi/k (the cell where both gauge
-    factors are positive).
-    """
+def _radial_factor(spec: WavefunctionSpec, r):
+    """r^sqrt(A) exp(-kappa r) L_n^{2 sqrt(A)}(2 kappa r), kappa = sqrt(-E), on r > 0."""
     r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
     if np.any(r <= 0.0):
         raise DomainError("wavefunction needs r > 0")
+    kappa = math.sqrt(-spec.E)
+    sqrtA = math.sqrt(spec.A)
+    return (r ** sqrtA * np.exp(-kappa * r)
+            * specfun.laguerre(spec.qn.n, 2.0 * sqrtA, 2.0 * kappa * r))
+
+
+def _angular_factor(spec: WavefunctionSpec, phi):
+    """cos^a sin^b of k phi / 2 times P_m^{(a-1/2, b-1/2)}(-cos k phi), inside the cell."""
+    phi = np.asarray(phi, dtype=float)
     k = spec.params.k.value
     half = 0.5 * k * phi
     cosw = np.cos(half)
     sinw = np.sin(half)
     if np.any(cosw <= 0.0) or np.any(sinw <= 0.0):
         raise DomainError("wavefunction evaluated on or beyond a wedge wall")
-    kappa = math.sqrt(-spec.E)
-    sqrtA = math.sqrt(spec.A)
-    # every r factor, then every phi factor: one outer product on a grid
-    radial = (r ** sqrtA * np.exp(-kappa * r)
-              * specfun.laguerre(spec.qn.n, 2.0 * sqrtA, 2.0 * kappa * r))
-    angular = (cosw ** spec.a * sinw ** spec.b
-               * specfun.jacobi(spec.qn.m, spec.a - 0.5, spec.b - 0.5, -np.cos(k * phi)))
-    out = radial * angular
+    return (cosw ** spec.a * sinw ** spec.b
+            * specfun.jacobi(spec.qn.m, spec.a - 0.5, spec.b - 0.5, -np.cos(k * phi)))
+
+
+def wavefunction(spec: WavefunctionSpec, r, phi):
+    """Gauge factors times the Laguerre-Jacobi polynomial pair.
+
+    Real-valued on r > 0, 0 < phi < pi/k (the cell where both gauge
+    factors are positive).  The state is the product of its radial and
+    angular factors, so on an (n_r, 1) column and a (1, n_phi) row it
+    costs O(n_r + n_phi) kernel work and one outer product.
+    """
+    out = _radial_factor(spec, r) * _angular_factor(spec, phi)
     return out if np.ndim(out) else float(out)
 
 
@@ -274,6 +283,7 @@ def dc_operator_residual(params: DCParams, E: float, psi, grid: GridSpec) -> flo
         acc -= tmp
         worst.append(_abs_max(acc))
         psi_max.append(_abs_max(block))
+        del block  # so the next block is never built while this one is alive
     # np.max over the block maxima keeps a NaN block visible
     scale = abs(E) * float(np.max(psi_max))
     if scale == 0.0:
@@ -342,36 +352,43 @@ def _radial_cutoff(spec1: WavefunctionSpec, spec2: WavefunctionSpec,
     return hi
 
 
+def _panel_rule(n: int, cuts) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of an n-point Gauss-Legendre rule on each panel between cuts."""
+    nodes, weights = zip(*(specfun.quadrature_nodes(n, lo, hi)
+                           for lo, hi in zip(cuts[:-1], cuts[1:])))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
 def orthogonality_check(spec1: WavefunctionSpec, spec2: WavefunctionSpec,
                         n_radial: int = 140, n_angular: int = 120) -> float:
     """Normalized overlap of two states of the same system under r dr dphi.
 
     Quadrature runs over the wedge cell with the radial range truncated
-    where the envelope falls twelve decades below its peak; convergence is
-    confirmed against a finer rule.
+    where the envelope falls twelve decades below its peak; each axis is
+    split into two panels, because the integrand has limited smoothness at
+    the r = 0 and wall endpoints.  Both states separate, psi = R(r) Phi(phi),
+    so the tensor-product rule on those panels factors: every overlap and
+    norm is (sum of w r R_1 R_2 over the r nodes) times (sum of w Phi_1
+    Phi_2 over the phi nodes), O(n_radial + n_angular) work per state.
+    Convergence is confirmed against a rule 1.4 times finer on each axis.
     """
     if spec1.params != spec2.params:
         raise DomainError("overlap needs two states of the same system")
     r_cut = _radial_cutoff(spec1, spec2)
     cell = math.pi / spec1.params.k.value
     eps_f = 1e-9 * cell
+    r_mid = min(max(math.sqrt(spec1.A) / math.sqrt(-spec1.E), 0.2 * r_cut), 0.8 * r_cut)
 
     def inner(nr, nf):
-        # split each axis at its midpoint: the integrand has limited
-        # smoothness at the r = 0 and wall endpoints
-        overlap = norm1 = norm2 = 0.0
-        r_mid = min(max(math.sqrt(spec1.A) / math.sqrt(-spec1.E), 0.2 * r_cut), 0.8 * r_cut)
-        for r_pan in ((1e-12, r_mid), (r_mid, r_cut)):
-            rv, rw = specfun.quadrature_nodes(nr, *r_pan)
-            for f_pan in ((eps_f, 0.5 * cell), (0.5 * cell, cell - eps_f)):
-                fv, fw = specfun.quadrature_nodes(nf, *f_pan)
-                W = np.outer(rw * rv, fw)
-                p1 = wavefunction(spec1, rv[:, None], fv[None, :])
-                p2 = wavefunction(spec2, rv[:, None], fv[None, :])
-                overlap += float(np.sum(W * p1 * p2))
-                norm1 += float(np.sum(W * p1 * p1))
-                norm2 += float(np.sum(W * p2 * p2))
-        return overlap / math.sqrt(norm1 * norm2)
+        rv, rw = _panel_rule(nr, (1e-12, r_mid, r_cut))
+        fv, fw = _panel_rule(nf, (eps_f, 0.5 * cell, cell - eps_f))
+        rw = rw * rv  # the r of the measure r dr dphi
+        R1, R2 = _radial_factor(spec1, rv), _radial_factor(spec2, rv)
+        F1, F2 = _angular_factor(spec1, fv), _angular_factor(spec2, fv)
+        overlap = (rw @ (R1 * R2)) * (fw @ (F1 * F2))
+        norm1 = (rw @ (R1 * R1)) * (fw @ (F1 * F1))
+        norm2 = (rw @ (R2 * R2)) * (fw @ (F2 * F2))
+        return float(overlap / math.sqrt(norm1 * norm2))
 
     coarse = inner(n_radial, n_angular)
     fine = inner(int(1.4 * n_radial), int(1.4 * n_angular))

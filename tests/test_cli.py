@@ -346,3 +346,24 @@ def test_wavefunction_residual_exit_code_contract(k, n, alpha, grid_r, grid_phi)
         assert code in {EXIT_PASS, EXIT_CRITERION, EXIT_USAGE, EXIT_NUMERICAL}
         summary = os.path.exists(os.path.join(out, "wavefunction-residual_summary.json"))
         assert summary == (code in {EXIT_PASS, EXIT_CRITERION})
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.sampled_from(["1", "3/2", "0", "x"]), alpha=st.sampled_from(["0", "0.2", "-0.3", "nan"]),
+       states=st.sampled_from(["0,0;1,0", "0,0", "-1,0", "0,0;0,0", "x", "0,0;1,0;0,1"]))
+def test_orthogonality_exit_code_contract(k, alpha, states):
+    # every input maps onto {0, 1, 2, 3}; a summary exists exactly on a
+    # verdict, and exit 0 only with a passing one
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["orthogonality", "--k", k, "--Q", "1", f"--alpha={alpha}", "--beta", "0.3",
+                f"--states={states}", "--out-dir", out]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in {EXIT_PASS, EXIT_CRITERION, EXIT_USAGE, EXIT_NUMERICAL}
+        path = os.path.join(out, "orthogonality_summary.json")
+        assert os.path.exists(path) == (code in {EXIT_PASS, EXIT_CRITERION})
+        if code in {EXIT_PASS, EXIT_CRITERION}:
+            with open(path) as fh:
+                assert json.load(fh)["passed"] == (code == EXIT_PASS)

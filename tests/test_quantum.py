@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superint import quantum
+from superint import quantum, specfun
 from superint.cli import EXIT_PASS, main
 from superint.errors import DomainError
 from superint.quantum import (
@@ -393,7 +393,9 @@ class TestStreamedResidual:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n_r * n_phi
-        assert peak < 6 * quantum._BLOCK_BYTES
+        # one psi block, the two block buffers and the halo slack: the
+        # previous psi block is released before the next one is built
+        assert peak < 3.6 * quantum._BLOCK_BYTES
 
     # (row, column) of the NaN on the 41 x 29 grid: an interior node on the
     # last row of one block and in the halo of the next, a node of the
@@ -413,9 +415,57 @@ class TestStreamedResidual:
         assert not res <= 1e-5
 
 
+def _tensor_grid_overlap(spec1, spec2, n_radial=196, n_angular=168):
+    """The normalized overlap summed over the full 2-D tensor grid of every
+    panel pair: the reference the separable sums must reproduce."""
+    r_cut = quantum._radial_cutoff(spec1, spec2)
+    cell = math.pi / spec1.params.k.value
+    eps_f = 1e-9 * cell
+    r_mid = min(max(math.sqrt(spec1.A) / math.sqrt(-spec1.E), 0.2 * r_cut), 0.8 * r_cut)
+    overlap = norm1 = norm2 = 0.0
+    for r_pan in ((1e-12, r_mid), (r_mid, r_cut)):
+        rv, rw = specfun.quadrature_nodes(n_radial, *r_pan)
+        for f_pan in ((eps_f, 0.5 * cell), (0.5 * cell, cell - eps_f)):
+            fv, fw = specfun.quadrature_nodes(n_angular, *f_pan)
+            W = np.outer(rw * rv, fw)
+            p1 = wavefunction(spec1, rv[:, None], fv[None, :])
+            p2 = wavefunction(spec2, rv[:, None], fv[None, :])
+            overlap += float(np.sum(W * p1 * p2))
+            norm1 += float(np.sum(W * p1 * p1))
+            norm2 += float(np.sum(W * p2 * p2))
+    return overlap / math.sqrt(norm1 * norm2)
+
+
+ORTHO_STATES = [(0, 0), (1, 0), (0, 1), (1, 1)]
+# (k, alpha, beta, state 1, state 2): every k = 3/2 pair and self-norm, and
+# one pair each at k = 1 and k = 2
+OVERLAP_CASES = [("3/2", 0.2, 0.3, s1, s2)
+                 for i, s1 in enumerate(ORTHO_STATES) for s2 in ORTHO_STATES[i:]] + [
+    ("1", 0.75, 2.0, (0, 0), (1, 0)),
+    ("2", 0.2, 0.3, (0, 1), (1, 0)),
+]
+
+
 class TestOrthogonality:
     def setup_method(self):
         self.params = DCParams(Q=1.0, alpha=0.2, beta=0.3, k=RationalIndex(3, 2))
+
+    @pytest.mark.parametrize("k_text,alpha,beta,nm1,nm2", OVERLAP_CASES)
+    def test_separable_sums_match_tensor_grid(self, k_text, alpha, beta, nm1, nm2):
+        p = DCParams(Q=1.0, alpha=alpha, beta=beta, k=RationalIndex.from_string(k_text))
+        s1, s2 = bound_state(p, *nm1), bound_state(p, *nm2)
+        assert abs(orthogonality_check(s1, s2) - _tensor_grid_overlap(s1, s2)) <= 1e-14
+
+    def test_peak_memory_below_one_grid(self):
+        s1, s2 = bound_state(self.params, 0, 0), bound_state(self.params, 1, 1)
+        orthogonality_check(s1, s2)  # builds the cached rules
+        tracemalloc.start()
+        try:
+            orthogonality_check(s1, s2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 196 * 168  # one float grid of the fine rule
 
     def test_same_state_normalized(self):
         s = bound_state(self.params, 0, 0)

@@ -42,6 +42,19 @@ class TestChebyshevFirstKind:
         x = np.array([-0.5, 0.0, 0.5])
         np.testing.assert_allclose(specfun.chebyshev_T(2, x), 2 * x * x - 1, atol=1e-15)
 
+    def test_scalar_in_float_out(self):
+        assert type(specfun.chebyshev_T(3, 0.2)) is float
+        assert type(specfun.chebyshev_U(0, 0.2)) is float
+
+
+class TestClampUnit:
+    def test_nan_and_signed_zero_pass_through(self):
+        assert math.isnan(specfun.clamp_unit(math.nan))
+        assert math.copysign(1.0, specfun.clamp_unit(-0.0)) == -1.0
+        out = specfun.clamp_unit(np.array([np.nan, -0.0, 1.0 + 5e-13, -1.0 - 5e-13]))
+        assert math.isnan(out[0]) and math.copysign(1.0, out[1]) == -1.0
+        assert out[2:].tolist() == [1.0, -1.0]
+
 
 class TestChebyshevSecondKind:
     def test_degree_zero(self):
@@ -158,3 +171,19 @@ class TestQuadrature:
         x, w = specfun.quadrature_nodes(n, 0.0, 1.0)
         value = np.sum(w * x ** d)
         assert value == pytest.approx(1.0 / (d + 1), rel=1e-13)
+
+    def test_returned_arrays_are_fresh(self):
+        x0, w0 = specfun.quadrature_nodes(7, -1.0, 1.0)
+        x_ref, w_ref = x0.copy(), w0.copy()
+        x0[:] = 0.0
+        w0 *= 2.0
+        x1, w1 = specfun.quadrature_nodes(7, -1.0, 1.0)
+        assert np.array_equal(x1, x_ref) and np.array_equal(w1, w_ref)
+
+    def test_cached_rule_is_read_only(self):
+        t, w = specfun._legendre_rule(7)
+        assert specfun._legendre_rule(7)[0] is t
+        with pytest.raises(ValueError):
+            t[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
