@@ -127,6 +127,8 @@ def _parse_states(text: str) -> list[tuple[int, int]]:
 _POSITIVE = ("q1", "t_end", "periods", "integrator_tol")
 _MINIMUM = {"tol": 0.0, "n_states": 1, "n_points": 1, "n_samples": 1, "max_periods": 1,
             "N_max": 0, "n_max": 0, "m_max": 0, "n": 0, "m": 0, "grid_r": 1, "grid_phi": 1}
+# Commands that build bound states, whose couplings must admit normalizable ones.
+_BOUND_STATE_COMMANDS = ("wavefunction-residual", "orthogonality")
 
 
 def _validate(args) -> None:
@@ -143,6 +145,12 @@ def _validate(args) -> None:
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise DomainError(f"{flag(name)} must be at least {low}, got {value}")
+    if args.command in _BOUND_STATE_COMMANDS:
+        for name in ("alpha", "beta"):
+            value = getattr(args, name)
+            if not value > quantum.COUPLING_FLOOR:
+                raise DomainError(f"{flag(name)} must exceed {quantum.COUPLING_FLOOR} for "
+                                  f"normalizable states, got {value}")
     if hasattr(args, "k"):
         _parse_k(args.k)
     if hasattr(args, "states"):

@@ -5,8 +5,11 @@ The integrator is the adaptive 8th-order embedded explicit pair DOP853
 controller; symplecticity is not needed because runs are short and energy
 drift is monitored on every trajectory.  `integrate` runs its own DOP853
 stage loop on Python floats, up to a budget of _MAX_STEPS accepted steps,
-and stores each step's dense-output coefficients; `StackedDense` evaluates
-the stacked interpolant at any array of times in one pass.
+and keeps each step's stage derivatives that the dense output reads.  Once
+the loop has reached the end time, one pass computes every step's
+dense-output coefficients in blocks of steps, as array arithmetic that
+rounds as the scalar loop would; `StackedDense` evaluates the stacked
+interpolant at any array of times in one pass.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .errors import BranchError, DegenerateOrbitError, DomainError, IntegrationE
 from .systems import (
     DCParams,
     PhasePoint,
+    _energy,
     _gradient,
     angular_invariant,
     discriminants,
@@ -146,6 +150,13 @@ def _nonzero(row):
 _A_NZ = tuple(_nonzero(row) for row in _A)
 _B_NZ, _E3_NZ, _E5_NZ = _nonzero(_B), _nonzero(_E3), _nonzero(_E5)
 _D_NZ = tuple(_nonzero(row) for row in _D)
+# The step stages the dense output reads (stages 1-4 have zero weight in
+# _A[13:] and _D), kept per accepted step for the pass after the loop, and
+# the steps that pass combines per block: 512 was the fastest block size
+# measured, and its arrays take under half a megabyte where one block of a
+# whole long run would double the run's peak memory.
+_DENSE_STAGES = (0, 5, 6, 7, 8, 9, 10, 11, 12)
+_DENSE_BLOCK = 512
 
 # Step control: the step-size ratio is SAFETY err^(-1/8), kept within
 # [MIN_FACTOR, MAX_FACTOR] (8 = order of the error estimator + 1); the
@@ -327,21 +338,19 @@ def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10) -> 
             d3 += w * k3
         return d0, d1, d2, d3
 
-    def stages(first, last, y0, y1, y2, y3, h):
-        for s in range(first, last):
-            d0, d1, d2, d3 = combine(_A_NZ[s])
-            K[s] = f(y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
-
     def step(t, y, h_abs):
         """(t_new, y_new, next step size) of one accepted step, or None if h gets too small."""
         nonlocal nfev, rejected
+        y0, y1, y2, y3 = y
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         was_rejected = False
         while h_abs >= min_step:  # False for a NaN step size too
             t_new = min(t + h_abs, t_end)
             h = t_new - t
-            stages(1, 12, *y, h)
+            for s in range(1, 12):
+                d0, d1, d2, d3 = combine(_A_NZ[s])
+                K[s] = f(y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
             y_new = tuple(yi + h * bi for yi, bi in zip(y, combine(_B_NZ)))
             K[12] = f(*y_new)
             nfev += 12
@@ -365,27 +374,18 @@ def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10) -> 
     K[0] = f(*y)
     h_abs = _initial_step(f, y, K[0], t_end, rtol, atol)
     nfev, rejected = 2, 0  # f at y and the initial-step probe
-    # flat float buffers: a tuple per step would hold several times the memory
-    ts, ys, Fs = array("d", [t]), array("d", y), array("d")
+    # flat float buffers: a tuple per step would hold several times the memory;
+    # Ks keeps each accepted step's derivatives of _DENSE_STAGES, in that order
+    ts, ys, Ks = array("d", [t]), array("d", y), array("d")
     for _ in range(_MAX_STEPS):
         accepted = step(t, y, h_abs)
         if accepted is None:
             message = "step size fell below ten float spacings"
             break
-        t_new, y_new, h_abs = accepted
-        h = t_new - t
-        # the three extra stages of the dense output, then its 7 x 4 coefficients F
-        stages(13, 16, *y, h)
-        nfev += 3
-        dy = [yni - yi for yi, yni in zip(y, y_new)]
-        Fs.extend(dy)
-        Fs.extend([h * f0 - d for f0, d in zip(K[0], dy)])
-        Fs.extend([2.0 * d - h * (f1 + f0) for f0, f1, d in zip(K[0], K[12], dy)])
-        for weights in _D_NZ:
-            Fs.extend([h * c for c in combine(weights)])
-        t, y = t_new, y_new
+        t, y, h_abs = accepted
         ts.append(t)
         ys.extend(y)
+        Ks.fromlist([*K[0], *K[5], *K[6], *K[7], *K[8], *K[9], *K[10], *K[11], *K[12]])
         K[0] = K[12]
         if t >= t_end:
             break
@@ -397,14 +397,52 @@ def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10) -> 
 
     steps = len(ts) - 1
     t, y = np.frombuffer(ts), np.frombuffer(ys).reshape(steps + 1, 4)
-    # Fs holds each step's 7 x 4 coefficients in turn; the evaluator reads (7, steps, 4)
-    F = np.frombuffer(Fs).reshape(steps, 7, 4).transpose(1, 0, 2).copy()
-    h = np.array([hamiltonian(PhasePoint(*row, chart), params) for row in y.tolist()])
+    F = _dense_coefficients(f, t, y, np.frombuffer(Ks).reshape(steps, len(_DENSE_STAGES), 4))
+    nfev += 3 * steps  # stages 13-15 of every step
+    del Ks  # the stage buffer is the largest array; the drift pass below needs it no more
+    h = np.array([_energy(params, *row) for row in y.tolist()])
     scale = max(abs(h[0]), 1e-12)
     drift = float(np.max(np.abs(h - h[0])) / scale)
     return Trajectory(params=params, chart=chart, t=t, y=y.T, dense=StackedDense(t, y, F),
                       steps=steps, max_energy_drift=drift, tol=tol, nfev=nfev,
                       rejected=rejected)
+
+
+def _dense_coefficients(f, t, y, K):
+    """The (7, steps, 4) dense-output coefficients F of every accepted step.
+
+    Step i spans [t[i], t[i+1]] from y[i]; K[i] holds its derivatives of
+    _DENSE_STAGES.  Blocks of _DENSE_BLOCK steps are combined as arrays: the
+    inputs of stages 13-15, their derivatives through the scalar f, and the
+    seven rows of F.  Every sum adds the same products in the same stage
+    order as the scalar step would, and numpy's elementwise * and + round as
+    Python floats do, so F is the scalar loop's to the last bit.
+    """
+    steps = t.size - 1
+    F = np.empty((7, steps, 4))
+    for a in range(0, steps, _DENSE_BLOCK):
+        b = min(a + _DENSE_BLOCK, steps)
+        y0, h = y[a:b], (t[a + 1:b + 1] - t[a:b])[:, None]
+        # one contiguous (n, 4) array per stage
+        block = K[a:b].transpose(1, 0, 2).copy()
+        stage = dict(zip(_DENSE_STAGES, block))
+
+        def combine(weights):
+            """sum_j w_j K_j over the (j, w_j) pairs, in order, from 0.0 as the scalar sum."""
+            acc = np.zeros_like(y0)
+            for j, w in weights:
+                acc += w * stage[j]
+            return acc
+
+        for s in (13, 14, 15):
+            inputs = y0 + combine(_A_NZ[s]) * h
+            stage[s] = np.array([f(*row) for row in inputs.tolist()])
+        dy = np.subtract(y[a + 1:b + 1], y0, out=F[0, a:b])
+        np.subtract(h * stage[0], dy, out=F[1, a:b])
+        np.subtract(2.0 * dy, h * (stage[12] + stage[0]), out=F[2, a:b])
+        for row, weights in enumerate(_D_NZ, start=3):
+            np.multiply(h, combine(weights), out=F[row, a:b])
+    return F
 
 
 def radial_period_closed_form(Q: float, E: float) -> float:

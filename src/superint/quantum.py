@@ -25,9 +25,13 @@ from .errors import AccuracyError, DomainError
 from .systems import DCParams, RationalIndex, TTWParams, _barrier, _radial
 
 
+# A coupling must exceed this for normalizable states: a(a - 1) = -1/4 at a = 1/2.
+COUPLING_FLOOR = -0.25
+
+
 def exponents_from_couplings(alpha: float, beta: float) -> tuple[float, float]:
     """Solve alpha = a(a-1), beta = b(b-1) on the normalizable branch a, b >= 1/2."""
-    if alpha <= -0.25 or beta <= -0.25:
+    if alpha <= COUPLING_FLOOR or beta <= COUPLING_FLOOR:
         raise DomainError("couplings must exceed -1/4 for normalizable states")
     a = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * alpha))
     b = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * beta))

@@ -154,15 +154,20 @@ def potential(params, q1, q2) -> float:
 def hamiltonian(point: PhasePoint, params) -> float:
     """H = p1^2 + (p2^2 + B)/q1^2 + V_r in the matching chart."""
     _require_chart(point, params)
-    V_r, _ = _radial(params, point.q1)
-    B, _ = _barrier(params, point.q2)
-    return point.p1 ** 2 + (point.p2 ** 2 + B) / (point.q1 * point.q1) + V_r
+    return _energy(params, point.q1, point.q2, point.p1, point.p2)
 
 
 def angular_invariant(point: PhasePoint, params) -> float:
     """Separation constant p2^2 + B of the angular motion: A for DC, L1 for TTW."""
     _require_chart(point, params)
     return point.p2 ** 2 + _barrier(params, point.q2)[0]
+
+
+def _energy(params, q1, q2, p1, p2) -> float:
+    """H = p1^2 + (p2^2 + B)/q1^2 + V_r at the coordinates of a point, its chart unchecked."""
+    V_r, _ = _radial(params, q1)
+    B, _ = _barrier(params, q2)
+    return p1 ** 2 + (p2 ** 2 + B) / (q1 * q1) + V_r
 
 
 def _gradient(params, q1, q2, p1, p2) -> tuple[float, float, float, float]:

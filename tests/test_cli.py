@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superint
-from superint import cli, dynamics
+from superint import cli, dynamics, quantum
 from superint.cli import EXIT_CRITERION, EXIT_NUMERICAL, EXIT_PASS, EXIT_USAGE, main
 
 
@@ -185,12 +185,25 @@ class TestContract:
     ["orthogonality", "--states=-1,0"],
     ["orthogonality", "--states", "0,0;0,0"],
     ["orthogonality", "--states", "0,0"],
+    ["orthogonality", "--k", "3/2", "--Q", "1", "--alpha=-0.3", "--beta", "0.3"],
+    ["wavefunction-residual", "--k", "1", "--Q", "1", "--alpha=-0.3", "--beta", "0.3"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_configuration_exits_usage(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)
     assert code == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
     assert not any(out.iterdir())  # rejected before the command ran
+
+
+@pytest.mark.parametrize("command", ["wavefunction-residual", "orthogonality"])
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+@pytest.mark.parametrize("value", [quantum.COUPLING_FLOOR, quantum.COUPLING_FLOOR - 0.05])
+def test_coupling_at_or_below_the_floor_names_its_flag(tmp_path, capsys, command, flag, value):
+    # no normalizable state exists there, so no state is built
+    code, out = run(tmp_path, command, f"{flag}={value}")
+    assert code == EXIT_USAGE
+    assert f"error: {flag} must exceed" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
@@ -367,3 +380,40 @@ def test_orthogonality_exit_code_contract(k, alpha, states):
         if code in {EXIT_PASS, EXIT_CRITERION}:
             with open(path) as fh:
                 assert json.load(fh)["passed"] == (code == EXIT_PASS)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.sampled_from(["1", "3/2", "0", "x"]), E=st.sampled_from(["-0.2", "0.1", "nan"]),
+       alpha=st.sampled_from(["0.2", "-0.3", "nan"]),
+       max_periods=st.sampled_from(["3", "0", "-1", "inf"]))
+def test_closure_exit_code_contract(k, E, alpha, max_periods):
+    # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a verdict
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["closure", "--k", k, "--Q", "1", f"--alpha={alpha}", "--beta", "0.3",
+                f"--E={E}", "--A", "0.9", f"--max-periods={max_periods}", "--out-dir", out]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in {EXIT_PASS, EXIT_CRITERION, EXIT_USAGE, EXIT_NUMERICAL}
+        summary = os.path.exists(os.path.join(out, "closure_summary.json"))
+        assert summary == (code in {EXIT_PASS, EXIT_CRITERION})
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.sampled_from(["1", "3/2", "0", "x"]), omega2=st.sampled_from(["1", "-1"]),
+       alpha=st.sampled_from(["0.3", "-0.3", "nan"]),
+       periods=st.sampled_from(["2", "0", "-1", "inf"]))
+def test_conserve_exit_code_contract(k, omega2, alpha, periods):
+    # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a verdict
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["conserve", "--k", k, f"--omega2={omega2}", f"--alpha={alpha}", "--beta", "0.45",
+                "--q1", "1.1", "--q2", "0.3", "--p1", "0.4", "--p2", "0.7",
+                f"--periods={periods}", "--out-dir", out]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in {EXIT_PASS, EXIT_CRITERION, EXIT_USAGE, EXIT_NUMERICAL}
+        summary = os.path.exists(os.path.join(out, "conserve_summary.json"))
+        assert summary == (code in {EXIT_PASS, EXIT_CRITERION})

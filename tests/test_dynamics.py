@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dc_setup
+from conftest import dc_setup, ttw_params, ttw_radial_period
 from superint import dynamics
 from superint.cli import EXIT_PASS, main
 from superint.dynamics import (
@@ -22,6 +22,7 @@ from superint.dynamics import (
 from superint.errors import DegenerateOrbitError, DomainError, IntegrationError
 from superint.systems import (
     DC_CHART,
+    TTW_CHART,
     DCParams,
     PhasePoint,
     RationalIndex,
@@ -174,6 +175,96 @@ class TestStageLoop:
         # apart by roundoff in the error estimate
         traj, sol, _ = orbit_and_reference
         assert traj.t[1] == pytest.approx(sol.t[1], rel=1e-14)
+
+
+def _scalar_coefficients(params, traj):
+    """(7, steps, 4) dense coefficients, each step's 16 stages redone from (y[i], h_i).
+
+    Python floats in the order the scalar step loop takes: stages 1-11, the
+    8th-order solution and its derivative (stage 12), stages 13-15, then the
+    seven rows of F.
+    """
+    def f(*y):
+        try:
+            g = _gradient(params, *y)
+        except (DomainError, ArithmeticError):
+            return (math.nan,) * 4
+        return g[2], g[3], -g[0], -g[1]
+
+    def combine(K, weights):
+        d = [0.0] * 4
+        for j, w in weights:
+            for c in range(4):
+                d[c] += w * K[j][c]
+        return d
+
+    t, y = traj.t.tolist(), traj.y.T.tolist()
+    F = []
+    for i in range(traj.steps):
+        h, y0 = t[i + 1] - t[i], y[i]
+        K = [f(*y0)] + [None] * 15
+        for s in range(1, 12):
+            K[s] = f(*[yc + dc * h for yc, dc in zip(y0, combine(K, dynamics._A_NZ[s]))])
+        y1 = [yc + h * bc for yc, bc in zip(y0, combine(K, dynamics._B_NZ))]
+        assert y1 == y[i + 1]
+        K[12] = f(*y1)
+        for s in range(13, 16):
+            K[s] = f(*[yc + dc * h for yc, dc in zip(y0, combine(K, dynamics._A_NZ[s]))])
+        dy = [b - a for a, b in zip(y0, y1)]
+        rows = [dy, [h * f0 - d for f0, d in zip(K[0], dy)],
+                [2.0 * d - h * (f1 + f0) for f0, f1, d in zip(K[0], K[12], dy)]]
+        rows += [[h * c for c in combine(K, weights)] for weights in dynamics._D_NZ]
+        F.append(rows)
+    return np.array(F).transpose(1, 0, 2)
+
+
+def _family_run(family, k_text, tol=1e-10):
+    """A short orbit of either family: 1.5 radial periods (DC) or 3 periods (TTW)."""
+    if family == "dc":
+        params, E, _, pt = dc_setup(k_text)
+        t_end = 1.5 * radial_period_closed_form(params.Q, E)
+    else:
+        params = ttw_params(k_text)
+        pt = PhasePoint(1.1, 0.3 / params.k.value, 0.4, 0.7, TTW_CHART)
+        t_end = 3.0 * ttw_radial_period(params.omega2)
+    return params, pt, t_end, integrate(params, pt, t_end, tol=tol)
+
+
+class TestDenseCoefficients:
+    """The coefficient pass after the step loop gives the scalar loop's F bit for bit."""
+
+    @pytest.mark.parametrize("family", ["dc", "ttw"])
+    @pytest.mark.parametrize("k_text", ["1", "3/2", "2/3"])
+    def test_match_the_scalar_stage_order(self, family, k_text):
+        params, _, _, traj = _family_run(family, k_text)
+        assert traj.rejected > 0  # the step controller rejected attempts on this run
+        assert np.array_equal(traj.dense._F, _scalar_coefficients(params, traj))
+
+    def test_any_block_size(self, monkeypatch):
+        params, pt, t_end, traj = _family_run("ttw", "3/2")
+        assert traj.steps > 2 * 7
+        for block in (1, 7, traj.steps - 1):  # the last block ragged, or one step alone
+            monkeypatch.setattr(dynamics, "_DENSE_BLOCK", block)
+            other = integrate(params, pt, t_end, tol=1e-10)
+            assert np.array_equal(other.t, traj.t) and np.array_equal(other.y, traj.y)
+            assert np.array_equal(other.dense._F, traj.dense._F)
+            assert (other.nfev, other.rejected) == (traj.nfev, traj.rejected)
+
+    def test_peak_memory_per_step_of_a_long_run(self):
+        # the stores hold 328 bytes per step (t, y, the 9 stages the pass
+        # reads) and F 224 more; 591 were measured with 512-step blocks and
+        # 1,324 with one block of every step
+        params = ttw_params("3/2")
+        pt = PhasePoint(1.1, 0.3, 0.4, 0.7, TTW_CHART)
+        integrate(params, pt, 1.0, tol=1e-12)  # warm imports and caches
+        tracemalloc.start()
+        try:
+            traj = integrate(params, pt, 200 * ttw_radial_period(params.omega2), tol=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.steps >= 18_000
+        assert peak < 650 * traj.steps
 
 
 @pytest.fixture(scope="module", params=["1", "3/2", "2/3"])
