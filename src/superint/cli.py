@@ -38,6 +38,7 @@ from .systems import (
     params_to_text,
     random_dc_state,
     random_ttw_state,
+    validate_bounded,
 )
 
 EXIT_PASS = 0
@@ -155,6 +156,20 @@ def _validate(args) -> None:
         _parse_k(args.k)
     if hasattr(args, "states"):
         _parse_states(args.states)
+    if args.command == "conserve" and not args.omega2 > 0:
+        raise DomainError(f"--omega2 must be positive: conserve counts oscillator periods, "
+                          f"got {args.omega2}")
+    if _builds_dc_state_from_constants(args):
+        report = validate_bounded(_dc_params(args), args.E, args.A)
+        if not report.all_passed:
+            raise DomainError(f"--E {args.E} and --A {args.A} describe no bounded orbit: "
+                              f"they fail the rows {report.failed()}")
+
+
+def _builds_dc_state_from_constants(args) -> bool:
+    """Whether the command starts from a DC phase point built from --E and --A."""
+    return (hasattr(args, "Q") and getattr(args, "family", "dc") == "dc"
+            and getattr(args, "E", None) is not None and getattr(args, "A", None) is not None)
 
 
 def _load_config_file(path: str) -> dict:
@@ -219,7 +234,7 @@ def _ttw_params(args) -> TTWParams:
 
 def _initial_point(args, params) -> PhasePoint:
     if isinstance(params, DCParams):
-        if args.E is not None and args.A is not None:
+        if _builds_dc_state_from_constants(args):
             return bounded_dc_state(params, args.E, args.A,
                                     r_frac=args.r_frac, u_frac=args.u_frac)
         chart = DC_CHART

@@ -4,17 +4,23 @@ The integrator is the adaptive 8th-order embedded explicit pair DOP853
 (Hairer, Norsett and Wanner, Solving ODEs I, II.5-II.6) with its step
 controller; symplecticity is not needed because runs are short and energy
 drift is monitored on every trajectory.  `integrate` runs its own DOP853
-stage loop on Python floats, up to a budget of _MAX_STEPS accepted steps,
-and keeps each step's stage derivatives that the dense output reads.  Once
-the loop has reached the end time, one pass computes every step's
-dense-output coefficients in blocks of steps, as array arithmetic that
-rounds as the scalar loop would; `StackedDense` evaluates the stacked
+step loop on Python floats, up to a budget of _MAX_STEPS accepted steps,
+and keeps each step's stage derivatives that the dense output reads.  The
+right-hand side is the system's Hamilton kernel (systems.hamilton_kernel),
+built once per integration with its constants folded.  The twelve stages,
+the 8th-order update and the error sums of a step are straight-line float
+code, generated from the tableau and compiled on the first integration;
+it adds the same products in the same order as a loop over the tableau
+would.  Once the loop has reached the end time, one pass computes every
+step's dense-output coefficients in blocks of steps, as array arithmetic
+that rounds as the scalar loop would; `StackedDense` evaluates the stacked
 interpolant at any array of times in one pass.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -26,10 +32,10 @@ from .errors import BranchError, DegenerateOrbitError, DomainError, IntegrationE
 from .systems import (
     DCParams,
     PhasePoint,
-    _energy,
-    _gradient,
     angular_invariant,
     discriminants,
+    energy_kernel,
+    hamilton_kernel,
     hamiltonian,
     radial_turning_points,
     validate_bounded,
@@ -146,7 +152,8 @@ def _nonzero(row):
     return tuple((j, c) for j, c in enumerate(row) if c != 0.0)
 
 
-# the same weights as (stage, weight) pairs without the zeros, as the stage loop reads them
+# the same weights as (stage, weight) pairs without the zeros, as the generated step
+# code and the dense-output pass read them
 _A_NZ = tuple(_nonzero(row) for row in _A)
 _B_NZ, _E3_NZ, _E5_NZ = _nonzero(_B), _nonzero(_E3), _nonzero(_E5)
 _D_NZ = tuple(_nonzero(row) for row in _D)
@@ -163,7 +170,67 @@ _DENSE_BLOCK = 512
 # initial step takes the same exponent.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
-_NAN4 = (math.nan,) * 4
+
+
+@functools.cache
+def _straight_line_stages():
+    """The arithmetic of one DOP853 step as straight-line float code, compiled once.
+
+    Returns bind(f, atol, rtol) -> stages(h, y0, y1, y2, y3, K0), which
+    gives ((z0, z1, z2, z3), n5, n3, ks) for the step of size h from y with
+    first-stage derivative K0: z is the 8th-order solution, n5 and n3 are
+    the squared scaled norms of the 5th- and 3rd-order error estimates, and
+    ks holds the derivatives of _DENSE_STAGES in that order (stage 12, the
+    derivative at z, last).
+
+    Stage s is one function of the derivatives its row of the tableau reads,
+    each a 4-tuple as f returns it; `finish` forms z, its derivative and
+    the error norms.  A single function for the whole step runs about 5%
+    faster, but under tracemalloc each traced allocation finds its line by
+    scanning the function's code from the start, and the memory test of a
+    long run took about fifteen times as long.
+
+    The source is written from _A_NZ, _B_NZ, _E5_NZ and _E3_NZ, so the
+    tableau stays the one copy of the coefficients.  Every sum adds the
+    same products in the same stage order from 0.0 as a loop over the
+    (stage, weight) pairs, so the values are that loop's to the last bit.
+    It is built on the first integration, so nothing else pays for it.
+    """
+    def weighted(pairs, c):
+        return "(0.0" + "".join(f" + {w!r} * k{j}_{c}" for j, w in pairs) + ")"
+
+    def function(name, reads, body):
+        args = ", ".join(f"K{j}" for j in reads)
+        return ([f"def {name}(h, y0, y1, y2, y3, {args}):"]
+                + [f"    k{j}_0, k{j}_1, k{j}_2, k{j}_3 = K{j}" for j in reads]
+                + [f"    {line}" for line in body])
+
+    source, calls = [], []
+    for s in range(1, 12):
+        reads = [j for j, _ in _A_NZ[s]]
+        inputs = ", ".join(f"y{c} + {weighted(_A_NZ[s], c)} * h" for c in range(4))
+        source += function(f"stage{s}", reads, [f"return f({inputs})"])
+        calls.append(f"K{s} = stage{s}(h, y0, y1, y2, y3, {', '.join(f'K{j}' for j in reads)})")
+    body = [f"z{c} = y{c} + h * {weighted(_B_NZ, c)}" for c in range(4)]
+    body += ["K12 = f(z0, z1, z2, z3)", "n5 = n3 = 0.0"]
+    for c in range(4):
+        # max(abs(y), abs(z)) written out, which spares three builtin calls
+        body += [f"a = y{c} if y{c} >= 0.0 else -y{c}", f"b = z{c} if z{c} >= 0.0 else -z{c}",
+                 "scale = atol + (b if b > a else a) * rtol",
+                 f"e5 = {weighted(_E5_NZ, c)} / scale",
+                 f"e3 = {weighted(_E3_NZ, c)} / scale",
+                 "n5 += e5 * e5",
+                 "n3 += e3 * e3"]
+    body.append(f"return (z0, z1, z2, z3), n5, n3, [{', '.join(f'*K{j}' for j in _DENSE_STAGES)}]")
+    reads = sorted({j for j, _ in _B_NZ + _E5_NZ + _E3_NZ} | set(_DENSE_STAGES[:-1]))
+    source += function("finish", reads, body)
+    calls.append(f"return finish(h, y0, y1, y2, y3, {', '.join(f'K{j}' for j in reads)})")
+    source += ["def stages(h, y0, y1, y2, y3, K0):"] + [f"    {line}" for line in calls]
+    source = ("def bind(f, atol, rtol):\n" + "".join(f"    {line}\n" for line in source)
+              + "    return stages\n")
+    namespace = {}
+    exec(compile(source, "<DOP853 stages>", "exec"), namespace)
+    return namespace["bind"]
 
 
 class StackedDense:
@@ -318,75 +385,50 @@ def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10) -> 
     t_end = float(t_end)
     rtol, atol = max(tol, 3e-14), tol  # DOP853 floor
 
-    def f(q1, q2, p1, p2):
-        try:
-            g = _gradient(params, q1, q2, p1, p2)
-        except (DomainError, ArithmeticError):
-            return _NAN4
-        return g[2], g[3], -g[0], -g[1]
+    f = hamilton_kernel(params)
+    stages = _straight_line_stages()(f, atol, rtol)
 
-    K = [_NAN4] * 16  # K[s]: the derivative of stage s
+    def step(t, y, k0, h_abs):
+        """(t_new, y_new, stage derivatives, next step size) of one accepted step, or None.
 
-    def combine(weights):
-        """sum_j w_j K[j] over the (j, w_j) pairs, per component."""
-        d0 = d1 = d2 = d3 = 0.0
-        for j, w in weights:
-            k0, k1, k2, k3 = K[j]
-            d0 += w * k0
-            d1 += w * k1
-            d2 += w * k2
-            d3 += w * k3
-        return d0, d1, d2, d3
-
-    def step(t, y, h_abs):
-        """(t_new, y_new, next step size) of one accepted step, or None if h gets too small."""
+        None means the step size fell below ten float spacings at t.
+        """
         nonlocal nfev, rejected
-        y0, y1, y2, y3 = y
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         was_rejected = False
         while h_abs >= min_step:  # False for a NaN step size too
             t_new = min(t + h_abs, t_end)
             h = t_new - t
-            for s in range(1, 12):
-                d0, d1, d2, d3 = combine(_A_NZ[s])
-                K[s] = f(y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
-            y_new = tuple(yi + h * bi for yi, bi in zip(y, combine(_B_NZ)))
-            K[12] = f(*y_new)
+            y_new, n5, n3, ks = stages(h, *y, k0)
             nfev += 12
-            n5 = n3 = 0.0
-            for yi, yni, e5, e3 in zip(y, y_new, combine(_E5_NZ), combine(_E3_NZ)):
-                scale = atol + max(abs(yi), abs(yni)) * rtol
-                e5, e3 = e5 / scale, e3 / scale
-                n5 += e5 * e5
-                n3 += e3 * e3
             err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 4.0)
             if err < 1.0:
                 factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR,
                                                             _SAFETY * err ** _ERROR_EXPONENT)
-                return t_new, y_new, h * (min(1.0, factor) if was_rejected else factor)
+                return t_new, y_new, ks, h * (min(1.0, factor) if was_rejected else factor)
             h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
             was_rejected = True
             rejected += 1
         return None
 
     t, y = 0.0, tuple(initial.as_array().tolist())
-    K[0] = f(*y)
-    h_abs = _initial_step(f, y, K[0], t_end, rtol, atol)
+    k0 = f(*y)
+    h_abs = _initial_step(f, y, k0, t_end, rtol, atol)
     nfev, rejected = 2, 0  # f at y and the initial-step probe
     # flat float buffers: a tuple per step would hold several times the memory;
     # Ks keeps each accepted step's derivatives of _DENSE_STAGES, in that order
     ts, ys, Ks = array("d", [t]), array("d", y), array("d")
     for _ in range(_MAX_STEPS):
-        accepted = step(t, y, h_abs)
+        accepted = step(t, y, k0, h_abs)
         if accepted is None:
             message = "step size fell below ten float spacings"
             break
-        t, y, h_abs = accepted
+        t, y, ks, h_abs = accepted
         ts.append(t)
         ys.extend(y)
-        Ks.fromlist([*K[0], *K[5], *K[6], *K[7], *K[8], *K[9], *K[10], *K[11], *K[12]])
-        K[0] = K[12]
+        Ks.fromlist(ks)
+        k0 = ks[-4:]  # stage 12, the derivative at the step's end
         if t >= t_end:
             break
     else:
@@ -400,7 +442,8 @@ def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10) -> 
     F = _dense_coefficients(f, t, y, np.frombuffer(Ks).reshape(steps, len(_DENSE_STAGES), 4))
     nfev += 3 * steps  # stages 13-15 of every step
     del Ks  # the stage buffer is the largest array; the drift pass below needs it no more
-    h = np.array([_energy(params, *row) for row in y.tolist()])
+    energy = energy_kernel(params)
+    h = np.array([energy(*row) for row in y.tolist()])
     scale = max(abs(h[0]), 1e-12)
     drift = float(np.max(np.abs(h - h[0])) / scale)
     return Trajectory(params=params, chart=chart, t=t, y=y.T, dense=StackedDense(t, y, F),

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import specfun
 from .errors import AccuracyError, DomainError
-from .systems import DCParams, RationalIndex, TTWParams, _barrier, _radial
+from .systems import DCParams, RationalIndex, TTWParams, _barrier_kernel, _radial_kernel
 
 
 # A coupling must exceed this for normalizable states: a(a - 1) = -1/4 at a = 1/2.
@@ -258,9 +258,10 @@ def dc_operator_residual(params: DCParams, E: float, psi, grid: GridSpec) -> flo
     hf = ff[1] - ff[0]
     phi = ff[None, :]
     ri = rr[1:-1]
-    # each potential kernel is evaluated once per axis node
-    V_r = np.array([_radial(params, r)[0] for r in ri])
-    B = np.array([_barrier(params, f)[0] for f in ff[1:-1]])
+    # each potential kernel is built once and evaluated once per axis node
+    radial, barrier = _radial_kernel(params), _barrier_kernel(params)
+    V_r = np.array([radial(r)[0] for r in ri])
+    B = np.array([barrier(f)[0] for f in ff[1:-1]])
     up = 1.0 / hr ** 2 + 1.0 / (2.0 * hr * ri)
     down = 1.0 / hr ** 2 - 1.0 / (2.0 * hr * ri)
     w = 1.0 / ri ** 2

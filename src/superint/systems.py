@@ -7,9 +7,13 @@ boundaries and are never crossed.
 
 The families share one angular barrier, B = K (alpha sec^2 u + beta csc^2 u),
 and differ only in the radial term V_r (-Q/r or omega^2 rho^2), so
-H = p1^2 + (p2^2 + B)/q1^2 + V_r.  The kernels _barrier and _radial are the
-only code that knows either term, the walls or the DC/TTW difference; the
-potential, Hamiltonian, angular invariant and gradient are built from them.
+H = p1^2 + (p2^2 + B)/q1^2 + V_r.  The kernels _barrier_kernel and
+_radial_kernel are the only code that knows either term, the walls or the
+DC/TTW difference.  Each builds, once per system, a closure with the
+system's constants folded; Hamilton's equations (hamilton_kernel), the
+energy (energy_kernel), the potential, the angular invariant and the
+gradient are built from those closures.  A parameter object keeps its
+closures, so point evaluations do not rebuild them.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +32,8 @@ TTW_CHART = "TTW-polar"
 
 # below this, a squared wall trig factor counts as "on the wall"
 WALL_EPS = 1e-14
+# Hamilton's equations off the domain: a step that reaches such a state is rejected
+_NAN4 = (math.nan,) * 4
 
 
 @dataclass(frozen=True)
@@ -63,8 +70,31 @@ class RationalIndex:
         return f"{self.c}/{self.d}" if self.d != 1 else str(self.c)
 
 
+class _KernelCache:
+    """Kernels of a parameter object for the per-call evaluators, built on first use.
+
+    The parameter classes are frozen, so the closures folded from their
+    fields stay valid for the object's life; a point evaluation then costs
+    no rebuild.  Each entry is (radial, barrier, energy), for real points
+    (math) or complex steps (cmath).
+    """
+
+    @cached_property
+    def _real_kernels(self):
+        return _radial_kernel(self), _barrier_kernel(self, math), energy_kernel(self, math)
+
+    @cached_property
+    def _complex_kernels(self):
+        return _radial_kernel(self), _barrier_kernel(self, cmath), energy_kernel(self, cmath)
+
+    def __getstate__(self):
+        # closures do not pickle; a copy builds its own on first use
+        return {k: v for k, v in self.__dict__.items() if k not in ("_real_kernels",
+                                                                    "_complex_kernels")}
+
+
 @dataclass(frozen=True)
-class DCParams:
+class DCParams(_KernelCache):
     """Coulomb strength Q plus two angular barrier couplings on a wedge.
 
     Bounded classical orbits need Q, alpha, beta > 0; the quantum module
@@ -78,7 +108,7 @@ class DCParams:
 
 
 @dataclass(frozen=True)
-class TTWParams:
+class TTWParams(_KernelCache):
     """Oscillator coupling omega^2 plus the same two barrier couplings."""
 
     omega2: float
@@ -107,41 +137,110 @@ def _require_chart(point: PhasePoint, params) -> None:
         raise UsageError(f"phase point chart {point.chart!r} does not match {type(params).__name__}")
 
 
-def _barrier(params, q2) -> tuple[float, float]:
-    """Angular barrier B = K (alpha sec^2 u + beta csc^2 u) and dB/dq2.
+def _radial_kernel(params):
+    """Radial term as a closure q1 -> (V_r, dV_r/dq1): -Q/r for DC, omega^2 rho^2 for TTW.
+
+    The coupling is read once.  Arithmetic only, so a complex step passes;
+    q1.real <= 0 raises SingularityError.
+    """
+    dc = isinstance(params, DCParams)
+    c = params.Q if dc else params.omega2
+    two_c = 2.0 * c
+
+    def radial(q1):
+        if q1.real <= 0.0:
+            raise SingularityError("radial coordinate must be positive")
+        if dc:
+            return -c / q1, c / (q1 * q1)
+        return c * q1 * q1, two_c * q1
+
+    return radial
+
+
+def _barrier_kernel(params, m=math):
+    """Angular barrier as a closure q2 -> (B, dB/dq2), B = K (alpha sec^2 u + beta csc^2 u).
 
     u = k phi / 2 with K = k^2 / 4 in the DC chart, u = k theta with K = k^2
-    in the TTW chart; the barrier is the same function of u in both.  A zero
-    coupling drops its term and with it its wall.  A complex q2 (a complex
-    step) takes cmath; a real one stays on math, bit for bit.
+    in the TTW chart; the barrier is the same function of u in both.  The
+    products of the constants are folded once, in the order the sums take
+    them.  A zero coupling drops its term and with it its wall; a point on
+    a wall raises SingularityError.  m is math for real q2 and cmath for a
+    complex step.
     """
     s = 0.5 * params.k.value if isinstance(params, DCParams) else params.k.value
     K = s * s
-    m = cmath if isinstance(q2, complex) else math
-    cu, su = m.cos(s * q2), m.sin(s * q2)
-    B = dB = 0.0
-    if params.alpha != 0.0:
-        c2 = cu * cu
-        if abs(c2) < WALL_EPS:
-            raise SingularityError("evaluation on a wall of the wedge cell")
-        B += params.alpha * K / c2
-        dB += 2.0 * s * params.alpha * K * su / (c2 * cu)
-    if params.beta != 0.0:
-        s2 = su * su
-        if abs(s2) < WALL_EPS:
-            raise SingularityError("evaluation on a wall of the wedge cell")
-        B += params.beta * K / s2
-        dB -= 2.0 * s * params.beta * K * cu / (s2 * su)
-    return B, dB
+    alpha, beta = params.alpha, params.beta
+    aK, bK = alpha * K, beta * K
+    daK, dbK = 2.0 * s * alpha * K, 2.0 * s * beta * K
+    cos, sin = m.cos, m.sin
+
+    def barrier(q2):
+        cu, su = cos(s * q2), sin(s * q2)
+        B = dB = 0.0
+        if alpha != 0.0:
+            c2 = cu * cu
+            if abs(c2) < WALL_EPS:
+                raise SingularityError("evaluation on a wall of the wedge cell")
+            B += aK / c2
+            dB += daK * su / (c2 * cu)
+        if beta != 0.0:
+            s2 = su * su
+            if abs(s2) < WALL_EPS:
+                raise SingularityError("evaluation on a wall of the wedge cell")
+            B += bK / s2
+            dB -= dbK * cu / (s2 * su)
+        return B, dB
+
+    return barrier
+
+
+def hamilton_kernel(params, m=math):
+    """Hamilton's equations of one system as a closure (q1, q2, p1, p2) -> (q1', q2', p1', p2').
+
+    Built once per integration from the radial and barrier kernels.  Off
+    the domain (q1 <= 0, a wall) or on an ArithmeticError it gives NaN in
+    all four components, so a step that reaches such a state is rejected.
+    """
+    radial, barrier = _radial_kernel(params), _barrier_kernel(params, m)
+
+    def rhs(q1, q2, p1, p2):
+        try:
+            _, dV_r = radial(q1)
+            B, dB = barrier(q2)
+            inv_q1_2 = 1.0 / (q1 * q1)
+            return (2.0 * p1, 2.0 * p2 * inv_q1_2,
+                    -(-2.0 * (p2 * p2 + B) * inv_q1_2 / q1 + dV_r), -(dB * inv_q1_2))
+        except (DomainError, ArithmeticError):
+            return _NAN4
+
+    return rhs
+
+
+def energy_kernel(params, m=math):
+    """H = p1^2 + (p2^2 + B)/q1^2 + V_r as a closure of (q1, q2, p1, p2), chart unchecked."""
+    radial, barrier = _radial_kernel(params), _barrier_kernel(params, m)
+
+    def energy(q1, q2, p1, p2):
+        V_r, _ = radial(q1)
+        B, _ = barrier(q2)
+        return p1 ** 2 + (p2 ** 2 + B) / (q1 * q1) + V_r
+
+    return energy
+
+
+def _kernels(params, q2):
+    """(radial, barrier, energy) of params, with cmath for a complex-step q2 and math for a real one."""
+    return params._complex_kernels if isinstance(q2, complex) else params._real_kernels
+
+
+def _barrier(params, q2) -> tuple[float, float]:
+    """B and dB/dq2 at one angle."""
+    return _kernels(params, q2)[1](q2)
 
 
 def _radial(params, q1) -> tuple[float, float]:
-    """Radial term V_r and dV_r/dq1: -Q/r for DC, omega^2 rho^2 for TTW."""
-    if q1.real <= 0.0:
-        raise SingularityError("radial coordinate must be positive")
-    if isinstance(params, DCParams):
-        return -params.Q / q1, params.Q / (q1 * q1)
-    return params.omega2 * q1 * q1, 2.0 * params.omega2 * q1
+    """V_r and dV_r/dq1 at one radius."""
+    return params._real_kernels[0](q1)
 
 
 def potential(params, q1, q2) -> float:
@@ -164,19 +263,21 @@ def angular_invariant(point: PhasePoint, params) -> float:
 
 
 def _energy(params, q1, q2, p1, p2) -> float:
-    """H = p1^2 + (p2^2 + B)/q1^2 + V_r at the coordinates of a point, its chart unchecked."""
-    V_r, _ = _radial(params, q1)
-    B, _ = _barrier(params, q2)
-    return p1 ** 2 + (p2 ** 2 + B) / (q1 * q1) + V_r
+    """H at the coordinates of a point, its chart unchecked."""
+    return _kernels(params, q2)[2](q1, q2, p1, p2)
 
 
 def _gradient(params, q1, q2, p1, p2) -> tuple[float, float, float, float]:
-    """(dH/dq1, dH/dq2, dH/dp1, dH/dp2) from the radial and barrier kernels."""
-    V_r, dV_r = _radial(params, q1)
-    B, dB = _barrier(params, q2)
-    inv_q1_2 = 1.0 / (q1 * q1)
-    return (-2.0 * (p2 * p2 + B) * inv_q1_2 / q1 + dV_r, dB * inv_q1_2,
-            2.0 * p1, 2.0 * p2 * inv_q1_2)
+    """(dH/dq1, dH/dq2, dH/dp1, dH/dp2): Hamilton's equations of the kernel read back.
+
+    Off the domain this raises, as the kernels do, where the Hamilton kernel
+    would give NaN.
+    """
+    _radial(params, q1)
+    _barrier(params, q2)
+    m = cmath if isinstance(q2, complex) else math
+    dq1, dq2, dp1, dp2 = hamilton_kernel(params, m)(q1, q2, p1, p2)
+    return -dp1, -dp2, dq1, dq2
 
 
 def hamiltonian_gradient(point: PhasePoint, params) -> np.ndarray:

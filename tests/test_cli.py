@@ -136,9 +136,11 @@ class TestContract:
         assert err.value.code == EXIT_USAGE
 
     def test_numerical_failure_exit_code(self, tmp_path):
-        # positive energy cannot produce a bounded orbit
-        code, _ = run(tmp_path, "closure", "--k", "1", "--Q", "1", "--alpha", "0.2",
-                      "--beta", "0.3", "--E", "0.5", "--A", "0.9")
+        # a radial plunge into the Coulomb centre: the step size collapses
+        # (constants of no bounded orbit are a usage error, see below)
+        code, _ = run(tmp_path, "trajectory", "--family", "dc", "--k", "1", "--Q", "1",
+                      "--alpha", "0", "--beta", "0", "--q1", "1", "--q2", "1",
+                      "--p1=-0.8", "--p2", "0", "--t-end", "10")
         assert code == EXIT_NUMERICAL
 
     def test_criterion_failure_exit_code(self, tmp_path):
@@ -296,6 +298,26 @@ def test_cli_import_leaves_the_integrator_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+def test_stage_code_is_generated_on_the_first_integration_only():
+    # importing the CLI and evaluating H compile no stage code; one integration
+    # compiles it once, and later integrations reuse it
+    probe = textwrap.dedent("""
+        import superint.cli
+        from superint import dynamics, systems
+        p = systems.DCParams(Q=1.0, alpha=0.0, beta=0.0, k=systems.RationalIndex(1))
+        pt = systems.PhasePoint(1.0, 1.0, 0.0, 0.7, systems.DC_CHART)
+        systems.hamiltonian(pt, p)
+        counts = [dynamics._straight_line_stages.cache_info().misses]
+        for _ in range(2):
+            dynamics.integrate(p, pt, 5.0)
+            counts.append(dynamics._straight_line_stages.cache_info().misses)
+        print(counts)
+    """)
+    result = _python(probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[0, 1, 1]"
+
+
 def test_readme_closure_runs_without_scipy(tmp_path):
     # scipy blocked from import: the integrating commands must not need it
     runner = "import sys; sys.modules['scipy'] = None; from superint.cli import main; sys.exit(main())"
@@ -417,3 +439,48 @@ def test_conserve_exit_code_contract(k, omega2, alpha, periods):
         assert code in {EXIT_PASS, EXIT_CRITERION, EXIT_USAGE, EXIT_NUMERICAL}
         summary = os.path.exists(os.path.join(out, "conserve_summary.json"))
         assert summary == (code in {EXIT_PASS, EXIT_CRITERION})
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.sampled_from(["2", "3/2", "0", "x"]), E=st.sampled_from(["-0.2", "0.1", "nan"]),
+       A=st.sampled_from(["1.1", "-1"]), alpha=st.sampled_from(["0.2", "-0.3"]))
+def test_orbit_residual_exit_code_contract(k, E, A, alpha):
+    # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a verdict
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["orbit-residual", "--k", k, "--Q", "1", f"--alpha={alpha}", "--beta", "0.3",
+                f"--E={E}", f"--A={A}", "--periods", "1", "--n-samples", "50", "--out-dir", out]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in {EXIT_PASS, EXIT_CRITERION, EXIT_USAGE, EXIT_NUMERICAL}
+        summary = os.path.exists(os.path.join(out, "orbit-residual_summary.json"))
+        assert summary == (code in {EXIT_PASS, EXIT_CRITERION})
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["closure", "--E", "0.1", "--A", "0.9"], ["E_negative"]),
+    (["closure", "--k", "1", "--E", "0.5", "--A", "0.9"], ["E_negative"]),
+    (["closure", "--alpha=-0.3", "--E=-0.2", "--A", "0.9"], ["alpha_positive"]),
+    (["orbit-residual", "--k", "2", "--E", "0.1", "--A", "1.1"], ["E_negative"]),
+    (["orbit-residual", "--k", "2", "--E=-0.2", "--A=-1"], ["A_positive", "angular_gap"]),
+    (["trajectory", "--family", "dc", "--k", "2", "--E", "0.1", "--A", "1.1"], ["E_negative"]),
+], ids=["closure-E", "closure-E-k1", "closure-alpha", "orbit-residual-E", "orbit-residual-A", "trajectory-E"])
+def test_constants_of_no_bounded_orbit_exit_usage(tmp_path, capsys, argv, rows):
+    # --E/--A that fail a bounded-motion row are an invalid argument, not a numerical failure
+    code, out = run(tmp_path, *argv)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: --E") and "--A" in err
+    assert all(f"'{row}'" in err for row in rows)
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("omega2", ["0", "-1"])
+def test_conserve_needs_a_positive_omega2(tmp_path, capsys, omega2):
+    # conserve counts periods of the oscillator, which has none unless omega^2 > 0
+    code, out = run(tmp_path, "conserve", f"--omega2={omega2}", "--q1", "1.1", "--q2", "0.3",
+                    "--p1", "0.4", "--p2", "0.7")
+    assert code == EXIT_USAGE
+    assert "error: --omega2 must be positive" in capsys.readouterr().err
+    assert not any(out.iterdir())

@@ -28,6 +28,7 @@ from superint.systems import (
     RationalIndex,
     _gradient,
     angular_invariant,
+    hamilton_kernel,
     hamiltonian,
     radial_turning_points,
 )
@@ -157,11 +158,16 @@ class TestStageLoop:
     def test_evaluation_count(self, monkeypatch):
         calls = []
 
-        def counted(*args):
-            calls.append(None)
-            return _gradient(*args)
+        def counted_kernel(params):
+            rhs = hamilton_kernel(params)
 
-        monkeypatch.setattr(dynamics, "_gradient", counted)
+            def counted(*args):
+                calls.append(None)
+                return rhs(*args)
+
+            return counted
+
+        monkeypatch.setattr(dynamics, "hamilton_kernel", counted_kernel)
         params, _, _, pt = dc_setup("3/2")
         for tol in (1e-8, 1e-12):
             calls.clear()
@@ -170,11 +176,77 @@ class TestStageLoop:
             assert traj.nfev == 2 + 12 * (traj.steps + traj.rejected) + 3 * traj.steps
         assert traj.rejected > 0
 
+    def test_one_kernel_per_integration(self, monkeypatch):
+        built = []
+
+        def recorded_kernel(params):
+            built.append(params)
+            return hamilton_kernel(params)
+
+        monkeypatch.setattr(dynamics, "hamilton_kernel", recorded_kernel)
+        params, _, _, pt = dc_setup("3/2")
+        integrate(params, pt, 10.0, tol=1e-10)
+        assert built == [params]
+
+    @pytest.mark.parametrize("case", ["smooth", "signed zeros", "nan"])
+    def test_generated_stages_match_the_combine_loop(self, case):
+        # every sum of the generated code starts from 0.0 and adds the tableau's
+        # products in its order, so even zero signs agree with the loop
+        def f(q1, q2, p1, p2):
+            if case == "signed zeros":
+                return -0.0, 0.0 * q1, -0.0 * p2, 0.0
+            return math.sin(q2) * p1, q1 - p2 * p2, math.cos(q1 * q2), q2 / (1.0 + p1 * p1)
+
+        stages = dynamics._straight_line_stages()(f, 1e-10, 1e-10)
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            y = rng.uniform(-2.0, 2.0, 4).tolist()
+            if case == "signed zeros":
+                y = [-0.0, 0.0, y[2], -0.0]
+            elif case == "nan":
+                y[rng.integers(4)] = math.nan
+            h = float(rng.uniform(1e-3, 0.5))
+            k0 = f(*y)
+            got = stages(h, *y, k0)
+            want = _combine_loop_step(f, h, y, k0, 1e-10, 1e-10)
+            assert np.array_equal(_bits(got[0]), _bits(want[0]))
+            assert np.array_equal(_bits(got[3]), _bits(want[3]))
+            for a, b in zip(got[1:3], want[1:3]):  # the error norms: NaN of either sign
+                assert (math.isnan(a) and math.isnan(b)) or _bits(a) == _bits(b)
+
     def test_first_step_matches_solve_ivp(self, orbit_and_reference):
         # the initial-step rule (exponent 1/8) is scipy's; later steps drift
         # apart by roundoff in the error estimate
         traj, sol, _ = orbit_and_reference
         assert traj.t[1] == pytest.approx(sol.t[1], rel=1e-14)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.uint64)
+
+
+def _combine_loop_step(f, h, y, k0, atol, rtol):
+    """((z0, .., z3), n5, n3, ks) of one step by loops over the (stage, weight) pairs."""
+    K = [k0] + [None] * 12
+
+    def combine(weights):
+        d = [0.0] * 4
+        for j, w in weights:
+            for c in range(4):
+                d[c] += w * K[j][c]
+        return d
+
+    for s in range(1, 12):
+        K[s] = f(*[yc + dc * h for yc, dc in zip(y, combine(dynamics._A_NZ[s]))])
+    z = [yc + h * bc for yc, bc in zip(y, combine(dynamics._B_NZ))]
+    K[12] = f(*z)
+    n5 = n3 = 0.0
+    for yc, zc, e5, e3 in zip(y, z, combine(dynamics._E5_NZ), combine(dynamics._E3_NZ)):
+        scale = atol + max(abs(yc), abs(zc)) * rtol
+        e5, e3 = e5 / scale, e3 / scale
+        n5 += e5 * e5
+        n3 += e3 * e3
+    return z, n5, n3, [v for s in dynamics._DENSE_STAGES for v in K[s]]
 
 
 def _scalar_coefficients(params, traj):
@@ -238,6 +310,15 @@ class TestDenseCoefficients:
     def test_match_the_scalar_stage_order(self, family, k_text):
         params, _, _, traj = _family_run(family, k_text)
         assert traj.rejected > 0  # the step controller rejected attempts on this run
+        assert np.array_equal(traj.dense._F, _scalar_coefficients(params, traj))
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.3), (0.0, 0.0)])
+    def test_zero_coupling_orbit_matches_the_scalar_stage_order(self, alpha, beta):
+        # a zero coupling drops its term and its wall: the straight-line stages
+        # and the scalar loop still agree to the last bit, y and F alike
+        params = DCParams(Q=1.0, alpha=alpha, beta=beta, k=RationalIndex(3, 2))
+        traj = integrate(params, PhasePoint(1.2, 0.9, 0.1, 0.5, DC_CHART), 15.0, tol=1e-10)
+        assert traj.steps > 20
         assert np.array_equal(traj.dense._F, _scalar_coefficients(params, traj))
 
     def test_any_block_size(self, monkeypatch):

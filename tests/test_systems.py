@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from superint.systems import (
     PhasePoint,
     RationalIndex,
     TTWParams,
+    _gradient,
     angular_invariant,
     angular_turning_points,
     bounded_dc_state,
+    hamilton_kernel,
     hamiltonian,
     hamiltonian_gradient,
     params_from_text,
@@ -246,6 +249,98 @@ def test_kernels_match_written_out_formulas(family, rng):
                 2 * pt.p1, 2 * pt.p2 / r ** 2]
         g = hamiltonian_gradient(pt, params)
         assert np.max(np.abs(g - grad)) <= 1e-14 * np.max(np.abs(grad))
+
+
+def _written_out_gradient(params, q1, q2, p1, p2):
+    """The gradient as it reads term by term, every constant taken from params per call.
+
+    The products run in the order the kernels fold them, so this oracle
+    agrees with them to the last bit, not only to roundoff.
+    """
+    s = 0.5 * params.k.value if isinstance(params, DCParams) else params.k.value
+    K = s * s
+    cu, su = math.cos(s * q2), math.sin(s * q2)
+    B = dB = 0.0
+    if params.alpha != 0.0:
+        c2 = cu * cu
+        B += params.alpha * K / c2
+        dB += 2.0 * s * params.alpha * K * su / (c2 * cu)
+    if params.beta != 0.0:
+        s2 = su * su
+        B += params.beta * K / s2
+        dB -= 2.0 * s * params.beta * K * cu / (s2 * su)
+    dV_r = params.Q / (q1 * q1) if isinstance(params, DCParams) else 2.0 * params.omega2 * q1
+    inv_q1_2 = 1.0 / (q1 * q1)
+    return (-2.0 * (p2 * p2 + B) * inv_q1_2 / q1 + dV_r, dB * inv_q1_2,
+            2.0 * p1, 2.0 * p2 * inv_q1_2)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.uint64)
+
+
+K_TEXTS = ["1", "2", "3", "1/2", "3/2", "2/3"]
+
+
+class TestHamiltonKernel:
+    @pytest.mark.parametrize("couplings", [(0.2, 0.3), (0.0, 0.3), (0.2, 0.0)],
+                             ids=["both", "alpha=0", "beta=0"])
+    @pytest.mark.parametrize("k_text", K_TEXTS)
+    @pytest.mark.parametrize("family", ["dc", "ttw"])
+    def test_is_hamiltons_equations_bit_for_bit(self, family, k_text, couplings, rng):
+        k = RationalIndex.from_string(k_text)
+        if family == "dc":
+            params = DCParams(Q=1.0, alpha=couplings[0], beta=couplings[1], k=k)
+            states = [random_dc_state(rng, params) for _ in range(2000)]
+        else:
+            params = TTWParams(omega2=1.0, alpha=couplings[0], beta=couplings[1], k=k)
+            states = [random_ttw_state(rng, params) for _ in range(2000)]
+        rhs = hamilton_kernel(params)
+        got, from_gradient, written_out = [], [], []
+        for pt in states:
+            x = (pt.q1, pt.q2, pt.p1, pt.p2)
+            got.append(rhs(*x))
+            g = _gradient(params, *x)
+            from_gradient.append((g[2], g[3], -g[0], -g[1]))
+            g = _written_out_gradient(params, *x)
+            written_out.append((g[2], g[3], -g[0], -g[1]))
+        assert np.array_equal(_bits(got), _bits(from_gradient))
+        assert np.array_equal(_bits(got), _bits(written_out))
+
+    @pytest.mark.parametrize("family", ["dc", "ttw"])
+    def test_nan_off_the_domain(self, family):
+        params, _, s = _family(family, 0.2, 0.3)
+        rhs = hamilton_kernel(params)
+        inside = 0.4 / s
+        off_domain = [
+            (0.0, inside, 0.3, 0.4),            # q1 = 0
+            (-1.2, inside, 0.3, 0.4),           # q1 < 0
+            (1.2, 0.5 * math.pi / s, 0.3, 0.4),  # the alpha wall, cos u = 0
+            (1.2, 0.0, 0.3, 0.4),               # the beta wall, sin u = 0
+            (1e-200, inside, 0.3, 0.4),         # q1 * q1 underflows: ZeroDivisionError
+        ]
+        for state in off_domain:
+            out = rhs(*state)
+            assert len(out) == 4 and all(math.isnan(v) for v in out), state
+        assert all(math.isfinite(v) for v in rhs(1.2, inside, 0.3, 0.4))
+
+    @pytest.mark.parametrize("family", ["dc", "ttw"])
+    def test_parameters_pickle_after_their_kernels_are_built(self, family):
+        # a parameter object keeps its point-evaluation closures, which do not pickle
+        params, chart, s = _family(family, 0.2, 0.3)
+        pt = PhasePoint(1.2, 0.4 / s, 0.3, 0.4, chart)
+        H = hamiltonian(pt, params)
+        angular_invariant(PhasePoint(1.2, 0.4 / s + 1e-20j, 0.3, 0.4, chart), params)
+        copy = pickle.loads(pickle.dumps(params))
+        assert copy == params and hamiltonian(pt, copy) == H
+
+    @pytest.mark.parametrize("wall", ["alpha", "beta"])
+    @pytest.mark.parametrize("family", ["dc", "ttw"])
+    def test_zero_coupling_drops_its_wall(self, family, wall):
+        params, _, s = _family(family, 0.0 if wall == "alpha" else 0.2,
+                               0.0 if wall == "beta" else 0.3)
+        q2 = 0.5 * math.pi / s if wall == "alpha" else 0.0
+        assert all(math.isfinite(v) for v in hamilton_kernel(params)(1.2, q2, 0.3, 0.4))
 
 
 class TestTurningPoints:
