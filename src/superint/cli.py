@@ -160,8 +160,11 @@ def _validate(args) -> None:
         raise DomainError(f"--omega2 must be positive: conserve counts oscillator periods, "
                           f"got {args.omega2}")
     if _builds_dc_state_from_constants(args):
-        report = validate_bounded(_dc_params(args), args.E, args.A)
-        if not report.all_passed:
+        try:
+            report = validate_bounded(_dc_params(args), args.E, args.A)
+        except ArithmeticError:  # constants too large for floats: the command fails numerically
+            report = None
+        if report is not None and not report.all_passed:
             raise DomainError(f"--E {args.E} and --A {args.A} describe no bounded orbit: "
                               f"they fail the rows {report.failed()}")
 

@@ -9,11 +9,11 @@ The families share one angular barrier, B = K (alpha sec^2 u + beta csc^2 u),
 and differ only in the radial term V_r (-Q/r or omega^2 rho^2), so
 H = p1^2 + (p2^2 + B)/q1^2 + V_r.  The kernels _barrier_kernel and
 _radial_kernel are the only code that knows either term, the walls or the
-DC/TTW difference.  Each builds, once per system, a closure with the
-system's constants folded; Hamilton's equations (hamilton_kernel), the
-energy (energy_kernel), the potential, the angular invariant and the
-gradient are built from those closures.  A parameter object keeps its
-closures, so point evaluations do not rebuild them.
+DC/TTW difference.  Each builds a closure with one system's constants
+folded; Hamilton's equations (hamilton_kernel), the energy
+(energy_kernel), the potential, the angular invariant and the gradient
+are built from those closures.  A loop builds its closures once; a point
+evaluation builds the ones it needs on each call.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -70,31 +69,8 @@ class RationalIndex:
         return f"{self.c}/{self.d}" if self.d != 1 else str(self.c)
 
 
-class _KernelCache:
-    """Kernels of a parameter object for the per-call evaluators, built on first use.
-
-    The parameter classes are frozen, so the closures folded from their
-    fields stay valid for the object's life; a point evaluation then costs
-    no rebuild.  Each entry is (radial, barrier, energy), for real points
-    (math) or complex steps (cmath).
-    """
-
-    @cached_property
-    def _real_kernels(self):
-        return _radial_kernel(self), _barrier_kernel(self, math), energy_kernel(self, math)
-
-    @cached_property
-    def _complex_kernels(self):
-        return _radial_kernel(self), _barrier_kernel(self, cmath), energy_kernel(self, cmath)
-
-    def __getstate__(self):
-        # closures do not pickle; a copy builds its own on first use
-        return {k: v for k, v in self.__dict__.items() if k not in ("_real_kernels",
-                                                                    "_complex_kernels")}
-
-
 @dataclass(frozen=True)
-class DCParams(_KernelCache):
+class DCParams:
     """Coulomb strength Q plus two angular barrier couplings on a wedge.
 
     Bounded classical orbits need Q, alpha, beta > 0; the quantum module
@@ -108,7 +84,7 @@ class DCParams(_KernelCache):
 
 
 @dataclass(frozen=True)
-class TTWParams(_KernelCache):
+class TTWParams:
     """Oscillator coupling omega^2 plus the same two barrier couplings."""
 
     omega2: float
@@ -194,12 +170,13 @@ def _barrier_kernel(params, m=math):
     return barrier
 
 
-def hamilton_kernel(params, m=math):
+def hamilton_kernel(params, m=math, raises=False):
     """Hamilton's equations of one system as a closure (q1, q2, p1, p2) -> (q1', q2', p1', p2').
 
     Built once per integration from the radial and barrier kernels.  Off
     the domain (q1 <= 0, a wall) or on an ArithmeticError it gives NaN in
-    all four components, so a step that reaches such a state is rejected.
+    all four components, so a step that reaches such a state is rejected;
+    with raises=True it raises instead.
     """
     radial, barrier = _radial_kernel(params), _barrier_kernel(params, m)
 
@@ -211,6 +188,8 @@ def hamilton_kernel(params, m=math):
             return (2.0 * p1, 2.0 * p2 * inv_q1_2,
                     -(-2.0 * (p2 * p2 + B) * inv_q1_2 / q1 + dV_r), -(dB * inv_q1_2))
         except (DomainError, ArithmeticError):
+            if raises:
+                raise
             return _NAN4
 
     return rhs
@@ -228,19 +207,19 @@ def energy_kernel(params, m=math):
     return energy
 
 
-def _kernels(params, q2):
-    """(radial, barrier, energy) of params, with cmath for a complex-step q2 and math for a real one."""
-    return params._complex_kernels if isinstance(q2, complex) else params._real_kernels
+def _math_of(q2):
+    """cmath for a complex-step q2, math for a real one."""
+    return cmath if isinstance(q2, complex) else math
 
 
 def _barrier(params, q2) -> tuple[float, float]:
     """B and dB/dq2 at one angle."""
-    return _kernels(params, q2)[1](q2)
+    return _barrier_kernel(params, _math_of(q2))(q2)
 
 
 def _radial(params, q1) -> tuple[float, float]:
     """V_r and dV_r/dq1 at one radius."""
-    return params._real_kernels[0](q1)
+    return _radial_kernel(params)(q1)
 
 
 def potential(params, q1, q2) -> float:
@@ -264,19 +243,12 @@ def angular_invariant(point: PhasePoint, params) -> float:
 
 def _energy(params, q1, q2, p1, p2) -> float:
     """H at the coordinates of a point, its chart unchecked."""
-    return _kernels(params, q2)[2](q1, q2, p1, p2)
+    return energy_kernel(params, _math_of(q2))(q1, q2, p1, p2)
 
 
 def _gradient(params, q1, q2, p1, p2) -> tuple[float, float, float, float]:
-    """(dH/dq1, dH/dq2, dH/dp1, dH/dp2): Hamilton's equations of the kernel read back.
-
-    Off the domain this raises, as the kernels do, where the Hamilton kernel
-    would give NaN.
-    """
-    _radial(params, q1)
-    _barrier(params, q2)
-    m = cmath if isinstance(q2, complex) else math
-    dq1, dq2, dp1, dp2 = hamilton_kernel(params, m)(q1, q2, p1, p2)
+    """(dH/dq1, dH/dq2, dH/dp1, dH/dp2): Hamilton's equations read back; raises off the domain."""
+    dq1, dq2, dp1, dp2 = hamilton_kernel(params, _math_of(q2), raises=True)(q1, q2, p1, p2)
     return -dp1, -dp2, dq1, dq2
 
 

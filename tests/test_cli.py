@@ -136,12 +136,16 @@ class TestContract:
         assert err.value.code == EXIT_USAGE
 
     def test_numerical_failure_exit_code(self, tmp_path):
-        # a radial plunge into the Coulomb centre: the step size collapses
-        # (constants of no bounded orbit are a usage error, see below)
-        code, _ = run(tmp_path, "trajectory", "--family", "dc", "--k", "1", "--Q", "1",
+        # a closure orbit whose outer radius (about 1e300) is too large for
+        # floats, and a radial plunge into the Coulomb centre, where the step
+        # size collapses (constants of no bounded orbit are a usage error, see below)
+        for argv in (["closure", "--k", "1", "--Q", "1", "--alpha", "0.2", "--beta", "0.3",
+                      "--E=-1e-300", "--A", "0.9"],
+                     ["trajectory", "--family", "dc", "--k", "1", "--Q", "1",
                       "--alpha", "0", "--beta", "0", "--q1", "1", "--q2", "1",
-                      "--p1=-0.8", "--p2", "0", "--t-end", "10")
-        assert code == EXIT_NUMERICAL
+                      "--p1=-0.8", "--p2", "0", "--t-end", "10"]):
+            code, _ = run(tmp_path, *argv)
+            assert code == EXIT_NUMERICAL, argv
 
     def test_criterion_failure_exit_code(self, tmp_path):
         # an impossibly tight closure tolerance must fail, not error
@@ -473,6 +477,15 @@ def test_constants_of_no_bounded_orbit_exit_usage(tmp_path, capsys, argv, rows):
     err = capsys.readouterr().err
     assert err.startswith("error: --E") and "--A" in err
     assert all(f"'{row}'" in err for row in rows)
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["closure", "orbit-residual"])
+def test_constants_that_overflow_fail_numerically(tmp_path, capsys, command):
+    # Q^2 overflows in the bounded-motion rows: a numerical failure, not a traceback
+    code, out = run(tmp_path, command, "--k", "1", "--Q", "1e200", "--E=-0.2", "--A", "0.9")
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure:")
     assert not any(out.iterdir())
 
 
