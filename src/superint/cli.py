@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, dynamics, invariants, quantum, stackel
-from .errors import AccuracyError, BranchError, DegenerateOrbitError, DomainError, IntegrationError
+from .errors import AccuracyError, DegenerateOrbitError, DomainError, IntegrationError
 from .systems import (
     DC_CHART,
     TTW_CHART,
@@ -125,11 +125,13 @@ def _parse_states(text: str) -> list[tuple[int, int]]:
 
 # Options that must be positive, and lowest values of the rest: below them a
 # run is undefined or would pass having checked nothing.
-_POSITIVE = ("q1", "t_end", "periods", "integrator_tol")
+_POSITIVE = ("q1", "t_end", "periods")
 _MINIMUM = {"tol": 0.0, "n_states": 1, "n_points": 1, "n_samples": 1, "max_periods": 1,
             "N_max": 0, "n_max": 0, "m_max": 0, "n": 0, "m": 0, "grid_r": 1, "grid_phi": 1}
 # Commands that build bound states, whose couplings must admit normalizable ones.
 _BOUND_STATE_COMMANDS = ("wavefunction-residual", "orthogonality")
+# Commands that need a bounded DC orbit; trajectory integrates any point.
+_BOUNDED_ORBIT_COMMANDS = ("closure", "orbit-residual")
 
 
 def _validate(args) -> None:
@@ -146,6 +148,12 @@ def _validate(args) -> None:
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise DomainError(f"{flag(name)} must be at least {low}, got {value}")
+    # the integrator's tolerance; trajectory integrates at its --tol
+    name = "tol" if args.command == "trajectory" else "integrator_tol"
+    tol = getattr(args, name, None)
+    if tol is not None and not dynamics.TOL_MIN <= tol <= dynamics.TOL_MAX:
+        raise DomainError(f"{flag(name)} must lie in [{dynamics.TOL_MIN}, {dynamics.TOL_MAX}] "
+                          f"for the integrator, got {tol}")
     if args.command in _BOUND_STATE_COMMANDS:
         for name in ("alpha", "beta"):
             value = getattr(args, name)
@@ -160,13 +168,26 @@ def _validate(args) -> None:
         raise DomainError(f"--omega2 must be positive: conserve counts oscillator periods, "
                           f"got {args.omega2}")
     if _builds_dc_state_from_constants(args):
-        try:
-            report = validate_bounded(_dc_params(args), args.E, args.A)
-        except ArithmeticError:  # constants too large for floats: the command fails numerically
-            report = None
-        if report is not None and not report.all_passed:
-            raise DomainError(f"--E {args.E} and --A {args.A} describe no bounded orbit: "
-                              f"they fail the rows {report.failed()}")
+        _require_bounded(args, lambda params: (args.E, args.A), f"--E {args.E} and --A {args.A}")
+    elif args.command in _BOUNDED_ORBIT_COMMANDS and None not in (args.q1, args.q2, args.p1, args.p2):
+        point = PhasePoint(args.q1, args.q2, args.p1, args.p2, DC_CHART)
+        _require_bounded(args, lambda params: (hamiltonian(point, params),
+                                               angular_invariant(point, params)),
+                         f"--q1 {args.q1} --q2 {args.q2} --p1 {args.p1} --p2 {args.p2}")
+
+
+def _require_bounded(args, constants, given: str) -> None:
+    """Raise DomainError, naming the flags and the failed rows, unless the
+    (E, A) that constants(params) returns fixes a bounded DC orbit."""
+    params = _dc_params(args)
+    try:
+        report = validate_bounded(params, *constants(params))
+    except ArithmeticError:  # values too large for floats: the command fails numerically
+        return
+    except DomainError as exc:  # a point on a wall or at r = 0 has no orbit
+        raise DomainError(f"{given}: {exc}") from exc
+    if not report.all_passed:
+        raise DomainError(f"{given} describe no bounded orbit: they fail the rows {report.failed()}")
 
 
 def _builds_dc_state_from_constants(args) -> bool:
@@ -610,8 +631,8 @@ def main(argv=None) -> int:
     try:
         criteria, data = COMMANDS[args.command](args, config)
         path = write_summary(config, criteria, data)
-    except (DomainError, AccuracyError, BranchError, DegenerateOrbitError,
-            IntegrationError, ArithmeticError) as exc:
+    except (DomainError, AccuracyError, DegenerateOrbitError, IntegrationError,
+            ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import BranchError, DegenerateOrbitError, DomainError, IntegrationError
+from .errors import DegenerateOrbitError, DomainError, IntegrationError
 from .systems import (
     DCParams,
     PhasePoint,
@@ -610,86 +610,59 @@ def _arcsin_arguments(params: DCParams, E, A, r, phi):
     return X_r, X_phi
 
 
-def orbit_residual(params: DCParams, consts: OrbitConstants, r, phi,
-                   branch: int | None = None, clamp_eps: float = 1e-9) -> float:
+def orbit_residual(params: DCParams, consts: OrbitConstants, r, phi) -> float:
     """Residual of the implicit orbit equation linking r and phi.
 
-    The square-root factor in the closed form carries a sign that flips at
-    every angular turning point (it tracks sign(p_phi) along the motion).
-    branch = +1 or -1 selects a half-oscillation arc explicitly; the
-    default resolves the sign to the branch of smaller magnitude, so the
-    residual vanishes along the whole orbit fixed by consts.  The function
-    is exactly periodic in phi with period 2 pi / k.
-
-    clamp_eps absorbs turning-point excursions of the arguments caused by
-    state error; genuinely off-annulus points still raise a domain error.
+    The square-root factor in the closed form carries the sign of p_phi,
+    which flips at every angular turning point; a position alone does not
+    fix it, so the residual takes the sign of smaller magnitude and
+    vanishes along the whole orbit fixed by consts.  The function is
+    exactly periodic in phi with period 2 pi / k.  Each argument is clamped
+    to [-1, 1] within 1e-9, which absorbs turning-point excursions caused
+    by state error; genuinely off-annulus points still raise a domain error.
     """
     c, d = params.k.c, params.k.d
     X_r, X_phi = _arcsin_arguments(params, consts.E, consts.A, r, phi)
     # one clamp per argument; the recurrence then takes them as they are
-    X_r = specfun.clamp_unit(X_r, eps=clamp_eps)
-    X_phi = specfun.clamp_unit(X_phi, eps=clamp_eps)
+    X_r = specfun.clamp_unit(X_r, eps=1e-9)
+    X_phi = specfun.clamp_unit(X_phi, eps=1e-9)
     cheb = specfun.chebyshev_recurrence
     base = -cheb(c, X_r) + math.cos(consts.C) * cheb(d, X_phi)
     wing = (math.sin(consts.C) * cheb(d - 1, X_phi, second_kind=True)
             * np.sqrt(1.0 - X_phi * X_phi))
-    if branch is not None:
-        out = base + branch * wing
-    else:
-        plus, minus = base + wing, base - wing
-        out = np.where(np.abs(plus) <= np.abs(minus), plus, minus)
+    plus, minus = base + wing, base - wing
+    out = np.where(np.abs(plus) <= np.abs(minus), plus, minus)
     return out if np.ndim(out) else float(out)
 
 
 def time_equation_residual(params: DCParams, consts: OrbitConstants, t: float,
-                           r: float, sign: int) -> float:
-    """Residual of the radial time law at (t, r) on the given p_r branch.
+                           r: float, p_r: float) -> float:
+    """Residual of the radial time law at the state (t, r, p_r).
 
-    sign is +1 on the p_r > 0 half oscillation and -1 on the other half.
+    The closed form's phase term 2 sqrt(-E) sqrt(W) / Q, with
+    W = E r^2 + Q r - A, carries the sign of p_r; on the energy shell
+    W = r^2 p_r^2, so the term is 2 sqrt(-E) r p_r / Q and needs no branch.
+    Off the shell the residual does not vanish.
     """
     E, Q = consts.E, params.Q
     D1 = Q * Q + 4.0 * consts.A * E
     if D1 <= 0.0:
         raise DomainError("time equation needs D1 > 0")
-    W = E * r * r + Q * r - consts.A
-    if W < -1e-9 * max(1.0, abs(consts.A)):
-        raise DomainError(f"radius {r} lies outside the radial annulus (W = {W})")
-    W = max(W, 0.0)
     nu = (-E) ** 1.5
-    phase = 4.0 * nu * (t + consts.delta1) / Q + 2.0 * sign * math.sqrt(-E) * math.sqrt(W) / Q
+    phase = 4.0 * nu * (t + consts.delta1) / Q + 2.0 * math.sqrt(-E) * r * p_r / Q
     return (-2.0 * E * r - Q) / math.sqrt(D1) + math.sin(phase)
 
 
-def _candidate_C(params: DCParams, E, A, point: PhasePoint):
-    X_r, X_phi = _arcsin_arguments(params, E, A, point.q1, point.q2)
-    th_r = math.acos(float(specfun.clamp_unit(X_r)))
-    th_phi = math.acos(float(specfun.clamp_unit(X_phi)))
-    c, d = params.k.c, params.k.d
-    return (c * th_r + d * th_phi, -c * th_r + d * th_phi)
+def orbit_constants_from_point(params: DCParams, point: PhasePoint) -> OrbitConstants:
+    """Read (E, A, delta1, delta2, C) off one phase point of a bounded orbit.
 
-
-def _candidate_delta1(params: DCParams, E, A, point: PhasePoint, t0=0.0):
-    Q = params.Q
-    D1 = Q * Q + 4.0 * A * E
-    X_t = (-2.0 * E * point.q1 - Q) / math.sqrt(D1)
-    W = max(E * point.q1 ** 2 + Q * point.q1 - A, 0.0)
-    sign = 1.0 if point.p1 >= 0.0 else -1.0
-    base = math.asin(float(specfun.clamp_unit(-X_t)))
-    nu = (-E) ** 1.5
-    out = []
-    for target in (base, math.pi - base):
-        out.append((target - 2.0 * sign * math.sqrt(-E) * math.sqrt(W) / Q) * Q / (4.0 * nu) - t0)
-    return tuple(out)
-
-
-def orbit_constants_from_point(params: DCParams, point: PhasePoint,
-                               validation_fraction: float = 0.06,
-                               integrator_tol: float = 1e-12) -> OrbitConstants:
-    """Extract (E, A, delta1, delta2, C) from one phase point of a bounded orbit.
-
-    Branches of the inverse trig constants are fixed by a two-candidate
-    trial at the point, validated against a second sample a short
-    integration step away.
+    E = H and A = p_phi^2 + B come from the point, and so does every square
+    root of the closed-form laws, as a momentum:
+    1 - X_phi^2 = A p_phi^2 sin^2(k phi) / D2, 1 - X_r^2 = 4 A p_r^2 / D1
+    and 1 - X_t^2 = -4 E r^2 p_r^2 / D1, where X_t = (-2 E r - Q) / sqrt(D1).
+    Each angle is then one atan2 of a cosine and a signed sine, so C and
+    delta1 hold on every momentum branch, with no integration and no
+    branch trial; delta2 follows from C.
     """
     E = hamiltonian(point, params)
     A = angular_invariant(point, params)
@@ -697,34 +670,15 @@ def orbit_constants_from_point(params: DCParams, point: PhasePoint,
     if not report.all_passed:
         raise DomainError(f"point fails bounded-motion rows: {report.failed()}")
 
-    T_r = radial_period_closed_form(params.Q, E)
-    tau = validation_fraction * T_r
-    probe = integrate(params, point, tau, tol=integrator_tol)
-    later = probe.point(probe.n_samples - 1)
-    t_later = float(probe.t[-1])
+    Q, k, c, d = params.Q, params.k.value, params.k.c, params.k.d
+    r, phi, p_r, p_phi = point.q1, point.q2, point.p1, point.p2
+    X_r, X_phi = _arcsin_arguments(params, E, A, r, phi)
+    sqrtA, sqrtD1, sqrtD2 = math.sqrt(A), math.sqrt(report.D1), math.sqrt(report.D2)
+    C = (d * math.atan2(sqrtA * p_phi * math.sin(k * phi) / sqrtD2, X_phi)
+         + c * math.atan2(2.0 * sqrtA * p_r / sqrtD1, X_r))
 
-    c, d = params.k.c, params.k.d
-    sqrtA = math.sqrt(A)
-
-    branch_later = 1 if later.p2 >= 0.0 else -1
-    best_C, best_res = None, math.inf
-    for cand in _candidate_C(params, E, A, point):
-        consts = OrbitConstants(E=E, A=A, delta1=0.0, delta2=0.0, C=cand)
-        res = abs(orbit_residual(params, consts, later.q1, later.q2, branch=branch_later))
-        if res < best_res:
-            best_C, best_res = cand, res
-    if best_res > 1e-4:
-        raise BranchError(f"no branch of C fits the orbit (best residual {best_res})")
-
-    sign_later = 1 if later.p1 >= 0.0 else -1
-    best_d1, best_res1 = None, math.inf
-    for cand in _candidate_delta1(params, E, A, point):
-        consts = OrbitConstants(E=E, A=A, delta1=cand, delta2=0.0, C=best_C)
-        res = abs(time_equation_residual(params, consts, t_later, later.q1, sign_later))
-        if res < best_res1:
-            best_d1, best_res1 = cand, res
-    if best_res1 > 1e-4:
-        raise BranchError(f"no branch of delta1 fits the orbit (best residual {best_res1})")
-
-    delta2 = ((c + d) * math.pi / 2.0 - best_C) / (2.0 * sqrtA * c)
-    return OrbitConstants(E=E, A=A, delta1=best_d1, delta2=delta2, C=best_C)
+    radial = 2.0 * math.sqrt(-E) * r * p_r
+    X_t = (-2.0 * E * r - Q) / sqrtD1
+    delta1 = Q / (4.0 * (-E) ** 1.5) * (math.atan2(-X_t, -radial / sqrtD1) - radial / Q)
+    delta2 = ((c + d) * math.pi / 2.0 - C) / (2.0 * sqrtA * c)
+    return OrbitConstants(E=E, A=A, delta1=delta1, delta2=delta2, C=C)

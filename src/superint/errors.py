@@ -13,10 +13,6 @@ class UsageError(TypeError):
     """A call mixed incompatible objects, e.g. a phase point from the wrong chart."""
 
 
-class BranchError(RuntimeError):
-    """Neither candidate branch of an inverse trig constant fits the orbit."""
-
-
 class DegenerateOrbitError(RuntimeError):
     """The requested measurement needs genuine radial oscillation."""
 

@@ -18,9 +18,10 @@ DC_SETUPS = {
 }
 
 
-def dc_setup(k_text):
+def dc_setup(k_text, sign_r=1, sign_phi=1):
     params, E, A = DC_SETUPS[k_text]
-    return params, E, A, bounded_dc_state(params, E, A, r_frac=0.35, u_frac=0.6)
+    return params, E, A, bounded_dc_state(params, E, A, r_frac=0.35, u_frac=0.6,
+                                          sign_r=sign_r, sign_phi=sign_phi)
 
 
 def ttw_params(k_text, omega2=1.0, alpha=0.3, beta=0.45):

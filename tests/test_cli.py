@@ -462,22 +462,106 @@ def test_orbit_residual_exit_code_contract(k, E, A, alpha):
         assert summary == (code in {EXIT_PASS, EXIT_CRITERION})
 
 
-@pytest.mark.parametrize("argv, rows", [
-    (["closure", "--E", "0.1", "--A", "0.9"], ["E_negative"]),
-    (["closure", "--k", "1", "--E", "0.5", "--A", "0.9"], ["E_negative"]),
-    (["closure", "--alpha=-0.3", "--E=-0.2", "--A", "0.9"], ["alpha_positive"]),
-    (["orbit-residual", "--k", "2", "--E", "0.1", "--A", "1.1"], ["E_negative"]),
-    (["orbit-residual", "--k", "2", "--E=-0.2", "--A=-1"], ["A_positive", "angular_gap"]),
-    (["trajectory", "--family", "dc", "--k", "2", "--E", "0.1", "--A", "1.1"], ["E_negative"]),
-], ids=["closure-E", "closure-E-k1", "closure-alpha", "orbit-residual-E", "orbit-residual-A", "trajectory-E"])
-def test_constants_of_no_bounded_orbit_exit_usage(tmp_path, capsys, argv, rows):
-    # --E/--A that fail a bounded-motion row are an invalid argument, not a numerical failure
+@settings(max_examples=30, deadline=None)
+@given(k=st.sampled_from(["1", "3/2", "0", "x"]), omega2=st.sampled_from(["1", "-1", "0"]),
+       alpha=st.sampled_from(["0.2", "-0.3", "nan"]), n_points=st.sampled_from(["3", "0", "-1"]))
+def test_stackel_verify_exit_code_contract(k, omega2, alpha, n_points):
+    # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a verdict
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["stackel-verify", "--k", k, f"--omega2={omega2}", f"--alpha={alpha}",
+                "--beta", "0.3", f"--n-points={n_points}", "--out-dir", out]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in {EXIT_PASS, EXIT_CRITERION, EXIT_USAGE, EXIT_NUMERICAL}
+        summary = os.path.exists(os.path.join(out, "stackel-verify_summary.json"))
+        assert summary == (code in {EXIT_PASS, EXIT_CRITERION})
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.sampled_from(["1", "3/2", "0", "x"]), Q=st.sampled_from(["1", "0", "-1"]),
+       a=st.sampled_from(["1", "0.5", "0", "-1"]), n_max=st.sampled_from(["1", "0", "-1"]),
+       m_max=st.sampled_from(["1", "-1"]))
+def test_spectrum_exit_code_contract(k, Q, a, n_max, m_max):
+    # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a verdict
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["spectrum", "--k", k, f"--Q={Q}", f"--a={a}", "--b", "1.5",
+                f"--n-max={n_max}", f"--m-max={m_max}", "--out-dir", out]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in {EXIT_PASS, EXIT_CRITERION, EXIT_USAGE, EXIT_NUMERICAL}
+        summary = os.path.exists(os.path.join(out, "spectrum_summary.json"))
+        assert summary == (code in {EXIT_PASS, EXIT_CRITERION})
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.sampled_from(["2", "3/2", "1", "0", "x"]), N_max=st.sampled_from(["5", "0", "-1", "x"]))
+def test_degeneracy_exit_code_contract(k, N_max):
+    # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a verdict
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["degeneracy", "--k", k, f"--N-max={N_max}", "--out-dir", out]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in {EXIT_PASS, EXIT_CRITERION, EXIT_USAGE, EXIT_NUMERICAL}
+        summary = os.path.exists(os.path.join(out, "degeneracy_summary.json"))
+        assert summary == (code in {EXIT_PASS, EXIT_CRITERION})
+
+
+_POINT_OF_NO_BOUNDED_ORBIT = ["--k", "1", "--Q", "1", "--alpha", "0.2", "--beta", "0.3",
+                              "--q1", "1", "--q2", "1", "--p1", "0.9", "--p2", "0.5"]
+
+
+@pytest.mark.parametrize("argv, flags, rows", [
+    (["closure", "--E", "0.1", "--A", "0.9"], ["--E", "--A"], ["E_negative"]),
+    (["closure", "--k", "1", "--E", "0.5", "--A", "0.9"], ["--E", "--A"], ["E_negative"]),
+    (["closure", "--alpha=-0.3", "--E=-0.2", "--A", "0.9"], ["--E", "--A"], ["alpha_positive"]),
+    (["orbit-residual", "--k", "2", "--E", "0.1", "--A", "1.1"], ["--E", "--A"], ["E_negative"]),
+    (["orbit-residual", "--k", "2", "--E=-0.2", "--A=-1"], ["--E", "--A"],
+     ["A_positive", "angular_gap"]),
+    (["trajectory", "--family", "dc", "--k", "2", "--E", "0.1", "--A", "1.1"], ["--E", "--A"],
+     ["E_negative"]),
+    (["closure", *_POINT_OF_NO_BOUNDED_ORBIT], ["--q1", "--q2", "--p1", "--p2"], ["E_negative"]),
+    (["orbit-residual", "--alpha=-0.3", "--q1", "1", "--q2", "1", "--p1", "0.1", "--p2", "0.5"],
+     ["--q1", "--q2", "--p1", "--p2"], ["alpha_positive"]),
+    (["closure", "--integrator-tol", "1e-15"], ["--integrator-tol"], []),
+    (["orbit-residual", "--integrator-tol", "0.01"], ["--integrator-tol"], []),
+    (["trajectory", "--tol", "1e-15", "--q1", "1", "--q2", "1", "--p1", "0.1", "--p2", "0.5"],
+     ["--tol"], []),
+], ids=["closure-E", "closure-E-k1", "closure-alpha", "orbit-residual-E", "orbit-residual-A",
+        "trajectory-E", "closure-point", "orbit-residual-point", "closure-integrator-tol",
+        "orbit-residual-integrator-tol", "trajectory-tol"])
+def test_constants_of_no_bounded_orbit_exit_usage(tmp_path, capsys, argv, flags, rows):
+    # --E/--A or a closure/orbit-residual phase point that fail a bounded-motion
+    # row, and an integrator tolerance outside the integrator's range, are
+    # invalid arguments, not numerical failures
     code, out = run(tmp_path, *argv)
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error: --E") and "--A" in err
+    assert err.startswith(f"error: {flags[0]}") and all(flag in err for flag in flags)
     assert all(f"'{row}'" in err for row in rows)
     assert not any(out.iterdir())
+
+
+def test_trajectory_integrates_a_point_of_no_bounded_orbit(tmp_path):
+    # the bounded-motion rows guard the orbit commands only
+    code, out = run(tmp_path, "trajectory", *_POINT_OF_NO_BOUNDED_ORBIT, "--t-end", "1")
+    assert code == EXIT_PASS
+    assert read_summary(out, "trajectory")["passed"]
+
+
+def test_orbit_residual_from_a_negative_p_phi_start(tmp_path):
+    # the orbit constants hold on every momentum branch, p_phi < 0 included
+    for p2 in ("0.2138", "-0.2138"):
+        code, out = run(tmp_path, "orbit-residual", "--k", "1", "--Q", "0.7", "--alpha", "0.2",
+                        "--beta", "0.3", "--q1", "1.42", "--q2", "1.48", "--p1", "0.206",
+                        f"--p2={p2}")
+        assert code == EXIT_PASS, p2
+        assert read_summary(out, "orbit-residual")["passed"]
 
 
 @pytest.mark.parametrize("command", ["closure", "orbit-residual"])

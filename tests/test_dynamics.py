@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from superint.dynamics import (
     time_equation_residual,
 )
 from superint.errors import DegenerateOrbitError, DomainError, IntegrationError
+from superint.invariants import _phase_difference, ab_quantities
+from superint.stackel import dc_to_ttw, pullback_phase
 from superint.systems import (
     DC_CHART,
     TTW_CHART,
@@ -28,9 +31,11 @@ from superint.systems import (
     RationalIndex,
     _gradient,
     angular_invariant,
+    bounded_dc_state,
     hamilton_kernel,
     hamiltonian,
     radial_turning_points,
+    validate_bounded,
 )
 
 
@@ -568,6 +573,15 @@ class TestClosure:
             closure_check(p, pt, 2, tol=1e-6)
 
 
+MOMENTUM_SIGNS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+
+def _branch_case(k_text, sign_r, sign_phi):
+    """One start per momentum branch; the p_r, p_phi > 0 start keeps the plain k id."""
+    negative = [name for name, sign in (("p_r<0", sign_r), ("p_phi<0", sign_phi)) if sign < 0]
+    return pytest.param(k_text, sign_r, sign_phi, id="-".join([k_text, *negative]))
+
+
 class TestOrbitConstants:
     def test_energy_is_hamiltonian(self):
         params, E, A, pt = dc_setup("3/2")
@@ -599,11 +613,50 @@ class TestOrbitConstants:
             X = (2 * A - params.Q * r) / (r * math.sqrt(D1))
             assert X == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("k_text, sign_r, sign_phi",
+                             [_branch_case(k, *signs) for k in ["1", "3/2", "2/3", "2"]
+                              for signs in MOMENTUM_SIGNS])
+    def test_phases_read_anywhere_on_the_orbit_agree(self, k_text, sign_r, sign_phi):
+        # C is conserved, and the point at time t reads delta1 + t (mod T_r)
+        params, E, A, pt = dc_setup(k_text, sign_r, sign_phi)
+        consts = orbit_constants_from_point(params, pt)
+        T = radial_period_closed_form(params.Q, E)
+        traj = integrate(params, pt, 2.5 * T, tol=1e-12)
+        dC, d1 = [], []
+        for i in range(traj.n_samples):
+            later = orbit_constants_from_point(params, traj.point(i))
+            dC.append(math.remainder(later.C - consts.C, 2 * math.pi))
+            d1.append(math.remainder(later.delta1 - consts.delta1 - traj.t[i], T) / T)
+        assert np.max(np.abs(dC)) < 1e-9 and np.max(np.abs(d1)) < 1e-9
 
-@pytest.mark.parametrize("k_text", ["1", "2", "3", "1/2", "3/2", "2/3"])
+    @pytest.mark.parametrize("k_text", ["1", "3/2", "2/3", "2"])
+    def test_phase_is_the_transformed_integral_phase(self, k_text, rng):
+        # C(x) + the phase of the oscillator integrals at the pulled-back
+        # state = (c + d) pi / 2 (mod 2 pi), with omega^2 = -H(x)
+        k = RationalIndex.from_string(k_text)
+        deviations = []
+        while len(deviations) < 400:
+            params = DCParams(Q=rng.uniform(0.5, 2.0), alpha=rng.uniform(0.05, 0.5),
+                              beta=rng.uniform(0.05, 0.5), k=k)
+            E, A = rng.uniform(-0.5, -0.05), rng.uniform(0.1, 4.0)
+            if not validate_bounded(params, E, A).all_passed:
+                continue
+            x = bounded_dc_state(params, E, A, r_frac=rng.uniform(0.02, 0.98),
+                                 u_frac=rng.uniform(0.02, 0.98),
+                                 sign_r=rng.choice([-1, 1]), sign_phi=rng.choice([-1, 1]))
+            C = orbit_constants_from_point(params, x).C
+            ttw, _ = dc_to_ttw(params, hamiltonian(x, params))
+            phase = _phase_difference(ttw, ab_quantities(ttw, pullback_phase(x)))
+            deviations.append(math.remainder(phase + C - (k.c + k.d) * math.pi / 2, 2 * math.pi))
+        assert np.max(np.abs(deviations)) < 1e-12
+
+
+@pytest.mark.parametrize("k_text, sign_r, sign_phi",
+                         [_branch_case(k, *signs) for k in ["1", "2", "3", "1/2", "3/2", "2/3"]
+                          for signs in MOMENTUM_SIGNS])
 class TestOrbitEquation:
-    def test_residual_vanishes_along_orbit(self, k_text):
-        params, E, A, pt = dc_setup(k_text)
+    def test_residual_vanishes_along_orbit(self, k_text, sign_r, sign_phi):
+        params, E, A, pt = dc_setup(k_text, sign_r, sign_phi)
         consts = orbit_constants_from_point(params, pt)
         T = radial_period_closed_form(params.Q, E)
         traj = integrate(params, pt, (2 * params.k.c * params.k.d + 0.2) * T, tol=1e-12)
@@ -613,14 +666,13 @@ class TestOrbitEquation:
             worst = max(worst, abs(orbit_residual(params, consts, s.q1, s.q2)))
         assert worst < 1e-6
 
-    def test_residual_vanishes_at_anchor(self, k_text):
-        params, E, A, pt = dc_setup(k_text)
+    def test_residual_vanishes_at_anchor(self, k_text, sign_r, sign_phi):
+        params, E, A, pt = dc_setup(k_text, sign_r, sign_phi)
         consts = orbit_constants_from_point(params, pt)
-        branch = 1 if pt.p2 >= 0 else -1
-        assert abs(orbit_residual(params, consts, pt.q1, pt.q2, branch=branch)) < 1e-10
+        assert abs(orbit_residual(params, consts, pt.q1, pt.q2)) < 1e-10
 
-    def test_off_orbit_point_detected(self, k_text):
-        params, E, A, pt = dc_setup(k_text)
+    def test_off_orbit_point_detected(self, k_text, sign_r, sign_phi):
+        params, E, A, pt = dc_setup(k_text, sign_r, sign_phi)
         consts = orbit_constants_from_point(params, pt)
         T = radial_period_closed_form(params.Q, E)
         traj = integrate(params, pt, T, tol=1e-12)
@@ -629,54 +681,66 @@ class TestOrbitEquation:
         r_pert = s.q1 * 1.05 if s.q1 * 1.05 < r2 else s.q1 * 0.95
         assert abs(orbit_residual(params, consts, r_pert, s.q2)) > 1e-3
 
-    def test_angular_periodicity(self, k_text):
-        params, E, A, pt = dc_setup(k_text)
+    def test_angular_periodicity(self, k_text, sign_r, sign_phi):
+        params, E, A, pt = dc_setup(k_text, sign_r, sign_phi)
         consts = orbit_constants_from_point(params, pt)
         period = 2 * math.pi / params.k.value
-        base = orbit_residual(params, consts, pt.q1, pt.q2, branch=1)
-        shifted = orbit_residual(params, consts, pt.q1, pt.q2 + period, branch=1)
+        base = orbit_residual(params, consts, pt.q1, pt.q2)
+        shifted = orbit_residual(params, consts, pt.q1, pt.q2 + period)
         assert shifted == pytest.approx(base, abs=1e-10)
 
 
 class TestTimeEquation:
+    # the time-law tests run every momentum branch in one test each
     def test_residual_with_branch_tracking(self):
-        params, E, A, pt = dc_setup("3/2")
-        consts = orbit_constants_from_point(params, pt)
-        T = radial_period_closed_form(params.Q, E)
-        traj = integrate(params, pt, 5 * T, tol=1e-12)
-        worst = 0.0
-        for t in np.linspace(0.0, traj.t[-1], 1200):
-            q1, _, p1, _ = traj.dense(t)
-            sign = 1 if p1 >= 0 else -1
-            worst = max(worst, abs(time_equation_residual(params, consts, t, q1, sign)))
-        assert worst < 1e-6
+        for sign_r, sign_phi in MOMENTUM_SIGNS:
+            params, E, A, pt = dc_setup("3/2", sign_r, sign_phi)
+            consts = orbit_constants_from_point(params, pt)
+            T = radial_period_closed_form(params.Q, E)
+            traj = integrate(params, pt, 5 * T, tol=1e-12)
+            worst = 0.0
+            for t in np.linspace(0.0, traj.t[-1], 1200):
+                q1, _, p1, _ = traj.dense(t)
+                worst = max(worst, abs(time_equation_residual(params, consts, t, q1, p1)))
+            assert worst < 1e-6, (sign_r, sign_phi)
 
     def test_turning_point_phase_alignment(self):
         # at the outer turning radius the X term is +1 and the sine is -1
-        params, E, A, pt = dc_setup("1")
-        consts = orbit_constants_from_point(params, pt)
-        T = radial_period_closed_form(params.Q, E)
-        traj = integrate(params, pt, 3 * T, tol=1e-12)
-        t_peak = radial_maxima_times(traj)[1]
-        r_peak = float(traj.dense(t_peak)[0])
-        D1 = params.Q ** 2 + 4 * A * E
-        X = (-2 * E * r_peak - params.Q) / math.sqrt(D1)
-        assert X == pytest.approx(1.0, abs=1e-9)
-        assert abs(time_equation_residual(params, consts, t_peak, r_peak, 1)) < 1e-6
+        for sign_r, sign_phi in MOMENTUM_SIGNS:
+            params, E, A, pt = dc_setup("1", sign_r, sign_phi)
+            consts = orbit_constants_from_point(params, pt)
+            T = radial_period_closed_form(params.Q, E)
+            traj = integrate(params, pt, 3 * T, tol=1e-12)
+            t_peak = radial_maxima_times(traj)[1]
+            r_peak, _, p_peak, _ = traj.dense(t_peak)
+            D1 = params.Q ** 2 + 4 * A * E
+            X = (-2 * E * r_peak - params.Q) / math.sqrt(D1)
+            assert X == pytest.approx(1.0, abs=1e-9)
+            assert abs(time_equation_residual(params, consts, t_peak, r_peak, p_peak)) < 1e-6, \
+                (sign_r, sign_phi)
 
     def test_period_shift_invariance(self):
         params, E, A, pt = dc_setup("1")
         consts = orbit_constants_from_point(params, pt)
         T = radial_period_closed_form(params.Q, E)
-        base = time_equation_residual(params, consts, 0.37, 2.2, 1)
-        shifted = time_equation_residual(params, consts, 0.37 + T, 2.2, 1)
+        base = time_equation_residual(params, consts, 0.37, 2.2, 0.3)
+        shifted = time_equation_residual(params, consts, 0.37 + T, 2.2, 0.3)
         assert shifted == pytest.approx(base, abs=1e-12)
 
-    def test_outside_annulus_rejected(self):
+    def test_off_shell_state_detected(self):
+        # negative control: the law holds at the start, and moving r off the
+        # energy shell at the same p_r, inside the annulus or far outside it, breaks it
         params, E, A, pt = dc_setup("1")
         consts = orbit_constants_from_point(params, pt)
-        with pytest.raises(DomainError):
-            time_equation_residual(params, consts, 0.0, 100.0, 1)
+        assert abs(time_equation_residual(params, consts, 0.0, pt.q1, pt.p1)) < 1e-12
+        for r in (1.05 * pt.q1, 100.0):
+            assert abs(time_equation_residual(params, consts, 0.0, r, pt.p1)) > 1e-3
+
+    def test_no_radial_turning_points_rejected(self):
+        params, E, A, pt = dc_setup("1")
+        consts = orbit_constants_from_point(params, pt)
+        with pytest.raises(DomainError):  # Q^2 + 4 A E = 1 - 1.6 < 0
+            time_equation_residual(params, replace(consts, A=2.0), 0.0, pt.q1, pt.p1)
 
 
 class TestTrajectoryExport:
