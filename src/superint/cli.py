@@ -123,77 +123,89 @@ def _parse_states(text: str) -> list[tuple[int, int]]:
     return states
 
 
-# Options that must be positive, and lowest values of the rest: below them a
-# run is undefined or would pass having checked nothing.
-_POSITIVE = ("q1", "t_end", "periods")
-_MINIMUM = {"tol": 0.0, "n_states": 1, "n_points": 1, "n_samples": 1, "max_periods": 1,
-            "N_max": 0, "n_max": 0, "m_max": 0, "n": 0, "m": 0, "grid_r": 1, "grid_phi": 1}
-# Commands that build bound states, whose couplings must admit normalizable ones.
-_BOUND_STATE_COMMANDS = ("wavefunction-residual", "orthogonality")
+# The lowest value of each option, as (flags, lowest, strict, commands, reason)
+# rows: a value below the lowest, or at it when strict, is a usage error for
+# the commands listed, or for every command with the flag when none are.
+# Past these a run is undefined, leaves the paper's bound or normalizable
+# states, or would pass having checked nothing.
+_RANGES = (
+    ("q1 t_end periods", 0, True, (), ""),
+    ("tol", 0.0, False, (), ""),
+    ("n_states n_points n_samples max_periods grid_r grid_phi", 1, False, (), ""),
+    ("N_max n_max m_max n m", 0, False, (), ""),
+    ("alpha beta", quantum.COUPLING_FLOOR, True, ("wavefunction-residual", "orthogonality"),
+     " for normalizable states"),
+    ("alpha beta", 0.0, False, ("conserve",),
+     ": a negative coupling draws every orbit into its wall"),
+    ("omega2", 0, True, ("conserve",), ": conserve counts oscillator periods"),
+    ("Q", 0, True, ("spectrum",), " for a bound spectrum"),
+    ("a b", 0.5, True, ("spectrum",), " on the normalizable branch"),
+)
 # Commands that need a bounded DC orbit; trajectory integrates any point.
 _BOUNDED_ORBIT_COMMANDS = ("closure", "orbit-residual")
 
 
 def _validate(args) -> None:
-    """Reject a configuration no command can run on; raises DomainError."""
+    """Reject a configuration no command can run on, raising DomainError, and
+    resolve the start point of a command that integrates one."""
     flag = lambda name: "--" + name.replace("_", "-")
     for name, value in sorted(vars(args).items()):
         if isinstance(value, float) and not math.isfinite(value):
             raise DomainError(f"{flag(name)} must be finite, got {value}")
-    for name in _POSITIVE:
-        value = getattr(args, name, None)
-        if value is not None and not value > 0:
-            raise DomainError(f"{flag(name)} must be positive, got {value}")
-    for name, low in _MINIMUM.items():
-        value = getattr(args, name, None)
-        if value is not None and value < low:
-            raise DomainError(f"{flag(name)} must be at least {low}, got {value}")
+    for names, low, strict, commands, reason in _RANGES:
+        for name in names.split():
+            value = getattr(args, name, None)
+            if value is None or commands and args.command not in commands:
+                continue
+            if not (value > low if strict else value >= low):
+                bound = ("be positive" if low == 0 else f"exceed {low}") if strict \
+                    else f"be at least {low}"
+                raise DomainError(f"{flag(name)} must {bound}{reason}, got {value}")
     # the integrator's tolerance; trajectory integrates at its --tol
     name = "tol" if args.command == "trajectory" else "integrator_tol"
     tol = getattr(args, name, None)
     if tol is not None and not dynamics.TOL_MIN <= tol <= dynamics.TOL_MAX:
         raise DomainError(f"{flag(name)} must lie in [{dynamics.TOL_MIN}, {dynamics.TOL_MAX}] "
                           f"for the integrator, got {tol}")
-    if args.command in _BOUND_STATE_COMMANDS:
-        for name in ("alpha", "beta"):
-            value = getattr(args, name)
-            if not value > quantum.COUPLING_FLOOR:
-                raise DomainError(f"{flag(name)} must exceed {quantum.COUPLING_FLOOR} for "
-                                  f"normalizable states, got {value}")
     if hasattr(args, "k"):
         _parse_k(args.k)
     if hasattr(args, "states"):
         _parse_states(args.states)
-    if args.command == "conserve" and not args.omega2 > 0:
-        raise DomainError(f"--omega2 must be positive: conserve counts oscillator periods, "
-                          f"got {args.omega2}")
-    if _builds_dc_state_from_constants(args):
-        _require_bounded(args, lambda params: (args.E, args.A), f"--E {args.E} and --A {args.A}")
-    elif args.command in _BOUNDED_ORBIT_COMMANDS and None not in (args.q1, args.q2, args.p1, args.p2):
-        point = PhasePoint(args.q1, args.q2, args.p1, args.p2, DC_CHART)
-        _require_bounded(args, lambda params: (hamiltonian(point, params),
-                                               angular_invariant(point, params)),
-                         f"--q1 {args.q1} --q2 {args.q2} --p1 {args.p1} --p2 {args.p2}")
+    if hasattr(args, "q1"):
+        _resolve_start(args)
 
 
-def _require_bounded(args, constants, given: str) -> None:
-    """Raise DomainError, naming the flags and the failed rows, unless the
-    (E, A) that constants(params) returns fixes a bounded DC orbit."""
-    params = _dc_params(args)
+def _resolve_start(args) -> None:
+    """Set args.params and args.initial, the start of an integrating command.
+
+    The start is --E/--A on the Coulomb side, placed on the shell by --r-frac
+    and --u-frac, or else all four point flags.  Constants, and a closure or
+    orbit-residual point, must fix a bounded orbit, or DomainError names the
+    flags given; values too large for floats raise an ArithmeticError.
+    """
+    dc = hasattr(args, "Q") and getattr(args, "family", "dc") == "dc"  # conserve has no --Q
+    args.params = _dc_params(args) if dc else _ttw_params(args)
+    point = (args.q1, args.q2, args.p1, args.p2)
+    from_constants = dc and None not in (args.E, args.A)
+    if from_constants:
+        given = f"--E {args.E} and --A {args.A}"
+    elif None in point:
+        raise DomainError(f"provide {'either --E/--A or ' if dc else ''}all of --q1 --q2 --p1 --p2")
+    else:
+        given = f"--q1 {args.q1} --q2 {args.q2} --p1 {args.p1} --p2 {args.p2}"
+        args.initial = PhasePoint(*point, DC_CHART if dc else TTW_CHART)
+        if args.command not in _BOUNDED_ORBIT_COMMANDS:
+            return
     try:
-        report = validate_bounded(params, *constants(params))
-    except ArithmeticError:  # values too large for floats: the command fails numerically
-        return
+        E, A = (args.E, args.A) if from_constants else \
+            (hamiltonian(args.initial, args.params), angular_invariant(args.initial, args.params))
+        report = validate_bounded(args.params, E, A)
     except DomainError as exc:  # a point on a wall or at r = 0 has no orbit
         raise DomainError(f"{given}: {exc}") from exc
     if not report.all_passed:
         raise DomainError(f"{given} describe no bounded orbit: they fail the rows {report.failed()}")
-
-
-def _builds_dc_state_from_constants(args) -> bool:
-    """Whether the command starts from a DC phase point built from --E and --A."""
-    return (hasattr(args, "Q") and getattr(args, "family", "dc") == "dc"
-            and getattr(args, "E", None) is not None and getattr(args, "A", None) is not None)
+    if from_constants:
+        args.initial = bounded_dc_state(args.params, E, A, r_frac=args.r_frac, u_frac=args.u_frac)
 
 
 def _load_config_file(path: str) -> dict:
@@ -256,19 +268,6 @@ def _ttw_params(args) -> TTWParams:
     return TTWParams(omega2=args.omega2, alpha=args.alpha, beta=args.beta, k=_parse_k(args.k))
 
 
-def _initial_point(args, params) -> PhasePoint:
-    if isinstance(params, DCParams):
-        if _builds_dc_state_from_constants(args):
-            return bounded_dc_state(params, args.E, args.A,
-                                    r_frac=args.r_frac, u_frac=args.u_frac)
-        chart = DC_CHART
-    else:
-        chart = TTW_CHART
-    if None in (args.q1, args.q2, args.p1, args.p2):
-        raise DomainError("provide either --E/--A or all of --q1 --q2 --p1 --p2")
-    return PhasePoint(args.q1, args.q2, args.p1, args.p2, chart)
-
-
 def _state_labels(states) -> list[str]:
     """The n:m label of each state, for a CSV states cell joined by ';'."""
     return [f"{n}:{m}" for n, m in states]
@@ -282,14 +281,14 @@ def _write_params(config: ExperimentConfig, params) -> None:
 # --- command bodies ---------------------------------------------------------
 
 # A command returns its criteria and the other values it measured (the
-# summary's "data"); it writes its own CSV files through _write_csv.
+# summary's "data"); it writes its own CSV files through _write_csv.  One that
+# integrates from a start finds it in args.params and args.initial.
 Outcome = tuple[list[dict], dict]
 
 
 def cmd_trajectory(args, config: ExperimentConfig) -> Outcome:
-    params = _dc_params(args) if args.family == "dc" else _ttw_params(args)
-    initial = _initial_point(args, params)
-    traj = dynamics.integrate(params, initial, args.t_end, tol=config.tol)
+    params = args.params
+    traj = dynamics.integrate(params, args.initial, args.t_end, tol=config.tol)
     rows = []
     for i, t in enumerate(traj.t.tolist()):
         pt = traj.point(i)
@@ -302,11 +301,9 @@ def cmd_trajectory(args, config: ExperimentConfig) -> Outcome:
 
 
 def cmd_closure(args, config: ExperimentConfig) -> Outcome:
-    params = _dc_params(args)
-    initial = _initial_point(args, params)
-    max_periods = args.max_periods or 2 * params.k.c * params.k.d
-    report = dynamics.closure_check(params, initial, max_periods, config.tol,
-                                    integrator_tol=args.integrator_tol)
+    k = args.params.k
+    report = dynamics.closure_check(args.params, args.initial, args.max_periods or 2 * k.c * k.d,
+                                    config.tol, integrator_tol=args.integrator_tol)
     _write_csv(config, "closure.csv", "n_radial,closed,return_distance,period_total",
                [(report.n_radial, report.closed, report.return_distance, report.period_total)])
     return ([_criterion("return_distance", report.return_distance, config.tol,
@@ -315,10 +312,9 @@ def cmd_closure(args, config: ExperimentConfig) -> Outcome:
 
 
 def cmd_conserve(args, config: ExperimentConfig) -> Outcome:
-    params = _ttw_params(args)
-    initial = _initial_point(args, params)
-    period = math.pi / (2.0 * math.sqrt(params.omega2))
-    traj = dynamics.integrate(params, initial, args.periods * period, tol=args.integrator_tol)
+    period = math.pi / (2.0 * math.sqrt(args.omega2))
+    traj = dynamics.integrate(args.params, args.initial, args.periods * period,
+                              tol=args.integrator_tol)
     rows = invariants.conservation_rows(traj)
     _write_csv(config, "conserve.csv",
                "t,H,L1,L2sin,L2cos,drift_H,drift_L1,drift_L2sin,drift_L2cos", rows)
@@ -351,11 +347,10 @@ def cmd_bracket(args, config: ExperimentConfig) -> Outcome:
 
 
 def cmd_orbit_residual(args, config: ExperimentConfig) -> Outcome:
-    params = _dc_params(args)
-    initial = _initial_point(args, params)
-    consts = dynamics.orbit_constants_from_point(params, initial)
+    params = args.params
+    consts = dynamics.orbit_constants_from_point(params, args.initial)
     T = dynamics.radial_period_closed_form(params.Q, consts.E)
-    traj = dynamics.integrate(params, initial, args.periods * T, tol=args.integrator_tol)
+    traj = dynamics.integrate(params, args.initial, args.periods * T, tol=args.integrator_tol)
     tt = np.linspace(0.0, traj.t[-1], args.n_samples)
     rows = [(t, r, phi, dynamics.orbit_residual(params, consts, r, phi))
             for t, (r, phi) in zip(tt.tolist(), traj.dense(tt)[:2].T.tolist())]
@@ -622,6 +617,9 @@ def main(argv=None) -> int:
     except (OSError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:  # a start point's values too large for floats
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
     out_dir = args.out_dir or os.environ.get("SUPERINT_OUTDIR", ".")
     os.makedirs(out_dir, exist_ok=True)

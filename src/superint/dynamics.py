@@ -307,9 +307,11 @@ class Trajectory:
     dense: object
     steps: int
     max_energy_drift: float
-    tol: float
-    nfev: int
     rejected: int
+
+    @property
+    def nfev(self) -> int:  # f(y0), the initial-step probe, 12 per try, 3 dense stages per step
+        return 2 + 15 * self.steps + 12 * self.rejected
 
     @property
     def n_samples(self) -> int:
@@ -393,7 +395,7 @@ def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10) -> 
 
         None means the step size fell below ten float spacings at t.
         """
-        nonlocal nfev, rejected
+        nonlocal rejected
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         was_rejected = False
@@ -401,7 +403,6 @@ def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10) -> 
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             y_new, n5, n3, ks = stages(h, *y, k0)
-            nfev += 12
             err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 4.0)
             if err < 1.0:
                 factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR,
@@ -415,7 +416,7 @@ def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10) -> 
     t, y = 0.0, tuple(initial.as_array().tolist())
     k0 = f(*y)
     h_abs = _initial_step(f, y, k0, t_end, rtol, atol)
-    nfev, rejected = 2, 0  # f at y and the initial-step probe
+    rejected = 0
     # flat float buffers: a tuple per step would hold several times the memory;
     # Ks keeps each accepted step's derivatives of _DENSE_STAGES, in that order
     ts, ys, Ks = array("d", [t]), array("d", y), array("d")
@@ -440,15 +441,13 @@ def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10) -> 
     steps = len(ts) - 1
     t, y = np.frombuffer(ts), np.frombuffer(ys).reshape(steps + 1, 4)
     F = _dense_coefficients(f, t, y, np.frombuffer(Ks).reshape(steps, len(_DENSE_STAGES), 4))
-    nfev += 3 * steps  # stages 13-15 of every step
     del Ks  # the stage buffer is the largest array; the drift pass below needs it no more
     energy = energy_kernel(params)
     h = np.array([energy(*row) for row in y.tolist()])
     scale = max(abs(h[0]), 1e-12)
     drift = float(np.max(np.abs(h - h[0])) / scale)
     return Trajectory(params=params, chart=chart, t=t, y=y.T, dense=StackedDense(t, y, F),
-                      steps=steps, max_energy_drift=drift, tol=tol, nfev=nfev,
-                      rejected=rejected)
+                      steps=steps, max_energy_drift=drift, rejected=rejected)
 
 
 def _dense_coefficients(f, t, y, K):
@@ -497,12 +496,12 @@ def radial_period_closed_form(Q: float, E: float) -> float:
     return Q * math.pi / (2.0 * (-E) ** 1.5)
 
 
-def _refine_maxima(f, t0, t1, t2, iterations=40):
+def _refine_maxima(f, t0, t1, t2):
     """Successive three-point parabolic interpolation on arrays of brackets t0 < t1 < t2.
 
     f(t, rows) is the objective of brackets rows at times t.  A bracket takes
-    the steps it would take alone and stops as it would alone; the best time
-    of each bracket is returned.
+    the steps it would take alone, at most 40, and stops as it would alone;
+    the best time of each bracket is returned.
     """
     ts = np.stack([t0, t1, t2], axis=1).astype(float)
     m = ts.shape[0]
@@ -510,7 +509,7 @@ def _refine_maxima(f, t0, t1, t2, iterations=40):
         return np.empty(0)
     fs = f(ts.ravel(), np.repeat(np.arange(m), 3)).reshape(m, 3)
     active = np.arange(m)
-    for _ in range(iterations):
+    for _ in range(40):
         t, v = ts[active], fs[active]
         (a, b, c), (fa, fb, fc) = t.T, v.T
         denom = (b - a) * (fb - fc) - (b - c) * (fb - fa)
@@ -532,9 +531,10 @@ def _refine_maxima(f, t0, t1, t2, iterations=40):
     return ts[np.arange(m), np.argmax(fs, axis=1)]
 
 
-def radial_maxima_times(traj: Trajectory, samples_per_unit: float = 400.0) -> np.ndarray:
-    """Times of the local maxima of q1(t), parabolic-refined on dense output."""
-    n = max(int(samples_per_unit * (traj.t[-1] - traj.t[0])), 200)
+def radial_maxima_times(traj: Trajectory) -> np.ndarray:
+    """Times of the local maxima of q1(t), scanned at 400 dense samples per unit
+    time (at least 200) and parabolic-refined on dense output."""
+    n = max(int(400.0 * (traj.t[-1] - traj.t[0])), 200)
     tt = np.linspace(traj.t[0], traj.t[-1], n)
     rr = traj.dense(tt)[0]
     rel_span = (rr.max() - rr.min()) / max(abs(rr.max()), 1e-300)

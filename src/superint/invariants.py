@@ -201,10 +201,10 @@ def dc_integral(p_dc: DCParams, state_dc: PhasePoint, variant: str = "sin") -> f
     return l2_poly(ttw, mapped) if variant == "sin" else l2_cos(ttw, mapped)
 
 
-def conservation_rows(traj, n_samples: int = 400):
-    """Sample t, H, L1, L2sin, L2cos and their running relative drifts."""
+def conservation_rows(traj):
+    """Sample t, H, L1, L2sin, L2cos and their running relative drifts at 400 times."""
     p = traj.params
-    tt = np.linspace(traj.t[0], traj.t[-1], n_samples)
+    tt = np.linspace(traj.t[0], traj.t[-1], 400)
     rows = []
     first = None
     for t, y in zip(tt.tolist(), traj.dense(tt).T.tolist()):

@@ -214,9 +214,9 @@ class GridSpec:
         nf = max(int(round((f1 - f0) / hf)) + 1, 5)
         return np.linspace(r0, r1, nr), np.linspace(f0, f1, nf)
 
-    def refined(self, factor: float = 2.0) -> "GridSpec":
+    def refined(self) -> "GridSpec":
         hr, hf = self.spacing
-        return GridSpec(self.r_range, self.phi_range, (hr / factor, hf / factor))
+        return GridSpec(self.r_range, self.phi_range, (hr / 2.0, hf / 2.0))
 
 
 # Bytes in one row-block array of the streamed residual.  The time is flat
@@ -316,8 +316,8 @@ def default_grid(spec: WavefunctionSpec, n_r: int = 380, n_phi: int = 260) -> Gr
 
 
 def residual_with_refinement(params: DCParams, E: float, psi, grid: GridSpec,
-                             target: float = 1e-5, max_refinements: int = 3):
-    """Halve the spacings until the residual meets the target.
+                             target: float = 1e-5):
+    """Halve the spacings, at most three times, until the residual meets the target.
 
     Returns (residual, convergence_ratio, grid) from the finest level
     reached; the ratio between consecutive levels certifies the O(h^2)
@@ -326,7 +326,7 @@ def residual_with_refinement(params: DCParams, E: float, psi, grid: GridSpec,
     res_prev = dc_operator_residual(params, E, psi, grid)
     ratio = math.nan
     res = res_prev
-    for _ in range(max_refinements):
+    for _ in range(3):
         grid = grid.refined()
         res = dc_operator_residual(params, E, psi, grid)
         ratio = res_prev / res if res > 0.0 else math.inf
@@ -336,14 +336,13 @@ def residual_with_refinement(params: DCParams, E: float, psi, grid: GridSpec,
     return res, ratio, grid
 
 
-def _radial_cutoff(spec1: WavefunctionSpec, spec2: WavefunctionSpec,
-                   relative: float = 1e-12) -> float:
-    """Radius beyond which the slower envelope is below relative * peak."""
+def _radial_cutoff(spec1: WavefunctionSpec, spec2: WavefunctionSpec) -> float:
+    """Radius beyond which the slower envelope is twelve decades below its peak."""
     s = max(math.sqrt(spec1.A) + spec1.qn.n, math.sqrt(spec2.A) + spec2.qn.n)
     kappa = min(math.sqrt(-spec1.E), math.sqrt(-spec2.E))
     log_env = lambda r: s * math.log(r) - kappa * r
     r_peak = max(s / kappa, 1.0 / kappa)
-    target = log_env(r_peak) + math.log(relative)
+    target = log_env(r_peak) + math.log(1e-12)
     hi = r_peak
     while log_env(hi) > target:
         hi *= 2.0
@@ -364,8 +363,7 @@ def _panel_rule(n: int, cuts) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def orthogonality_check(spec1: WavefunctionSpec, spec2: WavefunctionSpec,
-                        n_radial: int = 140, n_angular: int = 120) -> float:
+def orthogonality_check(spec1: WavefunctionSpec, spec2: WavefunctionSpec) -> float:
     """Normalized overlap of two states of the same system under r dr dphi.
 
     Quadrature runs over the wedge cell with the radial range truncated
@@ -374,8 +372,8 @@ def orthogonality_check(spec1: WavefunctionSpec, spec2: WavefunctionSpec,
     the r = 0 and wall endpoints.  Both states separate, psi = R(r) Phi(phi),
     so the tensor-product rule on those panels factors: every overlap and
     norm is (sum of w r R_1 R_2 over the r nodes) times (sum of w Phi_1
-    Phi_2 over the phi nodes), O(n_radial + n_angular) work per state.
-    Convergence is confirmed against a rule 1.4 times finer on each axis.
+    Phi_2 over the phi nodes), O(n_r + n_phi) work per state.  The 140 x 120
+    point rule is confirmed against a 196 x 168 one, 1.4 times finer on each axis.
     """
     if spec1.params != spec2.params:
         raise DomainError("overlap needs two states of the same system")
@@ -395,8 +393,8 @@ def orthogonality_check(spec1: WavefunctionSpec, spec2: WavefunctionSpec,
         norm2 = (rw @ (R2 * R2)) * (fw @ (F2 * F2))
         return float(overlap / math.sqrt(norm1 * norm2))
 
-    coarse = inner(n_radial, n_angular)
-    fine = inner(int(1.4 * n_radial), int(1.4 * n_angular))
+    coarse = inner(140, 120)
+    fine = inner(196, 168)
     if abs(fine - coarse) > 1e-8 + 1e-8 * abs(fine):
         raise AccuracyError(f"overlap quadrature not converged: {coarse} vs {fine}")
     return fine

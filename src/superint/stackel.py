@@ -115,17 +115,14 @@ def dc_to_ttw(dc: DCParams, E_tilde: float) -> tuple[TTWParams, float]:
 
 
 def stackel_identity_residual(pt: PhasePoint, ttw: TTWParams, E: float,
-                              dc: DCParams | None = None,
-                              E_tilde: float | None = None) -> float:
+                              dc: DCParams | None = None) -> float:
     """(H~(image point) - E~) - rho^-2 (H(pt) - E); identically zero.
 
-    Passing an inconsistent dc or E_tilde turns this into a negative
-    control that measures the violation.
+    Passing an inconsistent dc turns this into a negative control that
+    measures the violation.
     """
-    if dc is None or E_tilde is None:
-        dc_auto, et_auto = ttw_to_dc(ttw, E)
-        dc = dc if dc is not None else dc_auto
-        E_tilde = E_tilde if E_tilde is not None else et_auto
+    dc_auto, E_tilde = ttw_to_dc(ttw, E)
+    dc = dc if dc is not None else dc_auto
     image = pushforward_phase(pt)
     H_dc = hamiltonian(image, dc)
     H_ttw = hamiltonian(pt, ttw)
@@ -190,14 +187,13 @@ def _min_distance_to_dense(points: np.ndarray, dense, t_grid: np.ndarray,
     return float(np.sqrt(np.max(best)))
 
 
-def mapped_orbit_hausdorff(ttw_traj, dc_traj, n_probe: int = 250,
-                           n_dense: int = 4000) -> float:
+def mapped_orbit_hausdorff(ttw_traj, dc_traj) -> float:
     """Scaled Hausdorff distance between a mapped TTW orbit and a DC orbit.
 
-    Both curves are compared in the (r, phi) configuration plane; each
-    probe point on one curve is matched against a dense parametric
-    sampling of the other, refined in the curve parameter, so the result
-    measures geometric disagreement rather than sampling gaps.
+    Both curves are compared in the (r, phi) configuration plane; each of
+    250 probe points on one curve is matched against a dense parametric
+    sampling of the other (4000 samples), refined in the curve parameter, so
+    the result measures geometric disagreement rather than sampling gaps.
     """
     if ttw_traj.chart != TTW_CHART or dc_traj.chart != DC_CHART:
         raise DomainError("need one TTW trajectory and one DC trajectory")
@@ -211,12 +207,12 @@ def mapped_orbit_hausdorff(ttw_traj, dc_traj, n_probe: int = 250,
         max(np.max(np.abs(mapped[:, 1])), np.max(np.abs(dc_traj.y[1]))),
     ])
 
-    probes_a = ttw_config(np.linspace(ttw_traj.t[0], ttw_traj.t[-1], n_probe)).T
-    probes_b = dc_traj.dense(np.linspace(dc_traj.t[0], dc_traj.t[-1], n_probe))[:2].T
+    probes_a = ttw_config(np.linspace(ttw_traj.t[0], ttw_traj.t[-1], 250)).T
+    probes_b = dc_traj.dense(np.linspace(dc_traj.t[0], dc_traj.t[-1], 250))[:2].T
 
-    grid_b = np.linspace(dc_traj.t[0], dc_traj.t[-1], n_dense)
+    grid_b = np.linspace(dc_traj.t[0], dc_traj.t[-1], 4000)
     d_ab = _min_distance_to_dense(probes_a, dc_traj.dense, grid_b, scales)
 
-    grid_a = np.linspace(ttw_traj.t[0], ttw_traj.t[-1], n_dense)
+    grid_a = np.linspace(ttw_traj.t[0], ttw_traj.t[-1], 4000)
     d_ba = _min_distance_to_dense(probes_b, ttw_config, grid_a, scales)
     return max(d_ab, d_ba)

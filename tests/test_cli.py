@@ -193,6 +193,14 @@ class TestContract:
     ["orthogonality", "--states", "0,0"],
     ["orthogonality", "--k", "3/2", "--Q", "1", "--alpha=-0.3", "--beta", "0.3"],
     ["wavefunction-residual", "--k", "1", "--Q", "1", "--alpha=-0.3", "--beta", "0.3"],
+    ["closure"],
+    ["closure", "--E=-0.2"],
+    ["conserve", "--q1", "1.1", "--q2", "0.3", "--p1", "0.4"],
+    ["trajectory", "--family", "ttw", "--E=-0.2", "--A", "0.9"],
+    ["spectrum", "--Q", "0"],
+    ["spectrum", "--a", "0.5"],
+    ["spectrum", "--a", "0"],
+    ["conserve", "--alpha=-0.3", "--q1", "1.1", "--q2", "0.3", "--p1", "0.4", "--p2", "0.7"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_configuration_exits_usage(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)
@@ -431,7 +439,8 @@ def test_closure_exit_code_contract(k, E, alpha, max_periods):
        alpha=st.sampled_from(["0.3", "-0.3", "nan"]),
        periods=st.sampled_from(["2", "0", "-1", "inf"]))
 def test_conserve_exit_code_contract(k, omega2, alpha, periods):
-    # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a verdict
+    # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a
+    # verdict; no input of this space fails numerically
     with tempfile.TemporaryDirectory() as out:
         argv = ["conserve", "--k", k, f"--omega2={omega2}", f"--alpha={alpha}", "--beta", "0.45",
                 "--q1", "1.1", "--q2", "0.3", "--p1", "0.4", "--p2", "0.7",
@@ -441,6 +450,7 @@ def test_conserve_exit_code_contract(k, omega2, alpha, periods):
         except SystemExit as exc:
             code = exc.code
         assert code in {EXIT_PASS, EXIT_CRITERION, EXIT_USAGE, EXIT_NUMERICAL}
+        assert code != EXIT_NUMERICAL
         summary = os.path.exists(os.path.join(out, "conserve_summary.json"))
         assert summary == (code in {EXIT_PASS, EXIT_CRITERION})
 
@@ -484,7 +494,8 @@ def test_stackel_verify_exit_code_contract(k, omega2, alpha, n_points):
        a=st.sampled_from(["1", "0.5", "0", "-1"]), n_max=st.sampled_from(["1", "0", "-1"]),
        m_max=st.sampled_from(["1", "-1"]))
 def test_spectrum_exit_code_contract(k, Q, a, n_max, m_max):
-    # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a verdict
+    # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a
+    # verdict; no input of this space fails numerically
     with tempfile.TemporaryDirectory() as out:
         argv = ["spectrum", "--k", k, f"--Q={Q}", f"--a={a}", "--b", "1.5",
                 f"--n-max={n_max}", f"--m-max={m_max}", "--out-dir", out]
@@ -493,8 +504,22 @@ def test_spectrum_exit_code_contract(k, Q, a, n_max, m_max):
         except SystemExit as exc:
             code = exc.code
         assert code in {EXIT_PASS, EXIT_CRITERION, EXIT_USAGE, EXIT_NUMERICAL}
+        assert code != EXIT_NUMERICAL
         summary = os.path.exists(os.path.join(out, "spectrum_summary.json"))
         assert summary == (code in {EXIT_PASS, EXIT_CRITERION})
+
+
+@pytest.mark.parametrize("a, b", [("0.6", "1"), ("1", "1"), ("1.5", "0.75"), ("2", "3")])
+def test_spectrum_ground_energy_matches_the_csv(tmp_path, a, b):
+    # the summary's E_0_0 and the N = 0 line of spectrum.csv use the same
+    # exponents; the CSV recovers them from a(a - 1), so they agree to roundoff
+    code, out = run(tmp_path, "spectrum", "--k", "3/2", "--a", a, "--b", b)
+    assert code == EXIT_PASS
+    header, first = (out / "spectrum.csv").read_text().splitlines()[:2]
+    row = dict(zip(header.split(","), first.split(",")))
+    assert row["N"] == "0"
+    E_0_0 = read_summary(out, "spectrum")["data"]["E_0_0"]
+    assert float(row["E"]) == pytest.approx(E_0_0, rel=1e-14, abs=0.0)
 
 
 @settings(max_examples=30, deadline=None)
