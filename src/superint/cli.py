@@ -137,6 +137,8 @@ _RANGES = (
      " for normalizable states"),
     ("alpha beta", 0.0, False, ("conserve",),
      ": a negative coupling draws every orbit into its wall"),
+    ("alpha beta", 0.0, False, ("bracket",),
+     ": a negative coupling leaves states with L1 < 0, where the integrals are undefined"),
     ("omega2", 0, True, ("conserve",), ": conserve counts oscillator periods"),
     ("Q", 0, True, ("spectrum",), " for a bound spectrum"),
     ("a b", 0.5, True, ("spectrum",), " on the normalizable branch"),
@@ -179,9 +181,10 @@ def _resolve_start(args) -> None:
     """Set args.params and args.initial, the start of an integrating command.
 
     The start is --E/--A on the Coulomb side, placed on the shell by --r-frac
-    and --u-frac, or else all four point flags.  Constants, and a closure or
-    orbit-residual point, must fix a bounded orbit, or DomainError names the
-    flags given; values too large for floats raise an ArithmeticError.
+    and --u-frac, or else all four point flags.  A point must have an energy
+    (not on a wall), and constants, or a closure or orbit-residual point,
+    must fix a bounded orbit, or DomainError names the flags given; values
+    too large for floats raise an ArithmeticError.
     """
     dc = hasattr(args, "Q") and getattr(args, "family", "dc") == "dc"  # conserve has no --Q
     args.params = _dc_params(args) if dc else _ttw_params(args)
@@ -194,13 +197,13 @@ def _resolve_start(args) -> None:
     else:
         given = f"--q1 {args.q1} --q2 {args.q2} --p1 {args.p1} --p2 {args.p2}"
         args.initial = PhasePoint(*point, DC_CHART if dc else TTW_CHART)
-        if args.command not in _BOUNDED_ORBIT_COMMANDS:
-            return
     try:
         E, A = (args.E, args.A) if from_constants else \
             (hamiltonian(args.initial, args.params), angular_invariant(args.initial, args.params))
+        if not from_constants and args.command not in _BOUNDED_ORBIT_COMMANDS:
+            return
         report = validate_bounded(args.params, E, A)
-    except DomainError as exc:  # a point on a wall or at r = 0 has no orbit
+    except DomainError as exc:  # a point on a wall or at r = 0 has no energy, nor an orbit
         raise DomainError(f"{given}: {exc}") from exc
     if not report.all_passed:
         raise DomainError(f"{given} describe no bounded orbit: they fail the rows {report.failed()}")

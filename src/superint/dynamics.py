@@ -313,10 +313,6 @@ class Trajectory:
     def nfev(self) -> int:  # f(y0), the initial-step probe, 12 per try, 3 dense stages per step
         return 2 + 15 * self.steps + 12 * self.rejected
 
-    @property
-    def n_samples(self) -> int:
-        return self.t.size
-
     def point(self, i: int) -> PhasePoint:
         q1, q2, p1, p2 = self.y[:, i]
         return PhasePoint(float(q1), float(q2), float(p1), float(p2), self.chart)

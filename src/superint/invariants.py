@@ -14,7 +14,6 @@ perturbed state; that is what makes the Poisson brackets exact.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -27,6 +26,7 @@ from .systems import (
     DCParams,
     PhasePoint,
     TTWParams,
+    _math_of,
     angular_invariant,
     hamiltonian,
 )
@@ -74,7 +74,7 @@ def ab_quantities(p: TTWParams, state: PhasePoint) -> ABQuad:
     k = p.k.value
     rho, theta = state.q1, state.q2
     # theta can be complex while L1 is real: with no barrier, L1 = p2^2
-    m = cmath if isinstance(L1, complex) or isinstance(theta, complex) else math
+    m = _math_of(L1, theta)
     H = hamiltonian(state, p)
     sqrtL1 = m.sqrt(L1)
     two_kt = 2.0 * k * theta

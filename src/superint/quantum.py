@@ -296,12 +296,6 @@ def dc_operator_residual(params: DCParams, E: float, psi, grid: GridSpec) -> flo
     return float(np.max(worst)) / scale
 
 
-def schrodinger_residual(spec: WavefunctionSpec, grid: GridSpec) -> float:
-    """Grid residual of the separated bound state under its own Hamiltonian."""
-    return dc_operator_residual(spec.params, spec.E,
-                                lambda r, phi: wavefunction(spec, r, phi), grid)
-
-
 def default_grid(spec: WavefunctionSpec, n_r: int = 380, n_phi: int = 260) -> GridSpec:
     """A window holding the bulk of the state, clear of walls and origin."""
     kappa = math.sqrt(-spec.E)

@@ -45,18 +45,6 @@ def chebyshev_recurrence(n, x, second_kind=False):
     return cur
 
 
-def chebyshev_T(n, x):
-    """First-kind Chebyshev value T_n(x) for x in [-1, 1]."""
-    _check_degree(n)
-    return chebyshev_recurrence(n, clamp_unit(x))
-
-
-def chebyshev_U(n, x):
-    """Second-kind Chebyshev value U_n(x) for x in [-1, 1]."""
-    _check_degree(n)
-    return chebyshev_recurrence(n, clamp_unit(x), second_kind=True)
-
-
 def laguerre(n, alpha, x):
     """Generalized Laguerre value L_n^alpha(x), alpha > -1, x >= 0."""
     _check_degree(n)

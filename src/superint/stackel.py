@@ -8,7 +8,6 @@ exchange is exact pointwise: (H~ - E~) = rho^-2 (H - E).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -23,6 +22,7 @@ from .systems import (
     DCParams,
     PhasePoint,
     TTWParams,
+    _math_of,
     hamiltonian,
 )
 
@@ -32,7 +32,9 @@ class SeparableOscillatorSystem:
     """Polar-separable Hamiltonian with an isotropic oscillator term.
 
     H = p_rho^2 + p_theta^2/rho^2 - coupling * rho^2 + f1(rho) + f2(theta)/rho^2,
-    where f1 and f2 take no coupling argument by construction.
+    where f1 and f2 take no coupling argument by construction.  With the two
+    names below it states the paper's theorem that every oscillator-term
+    Hamiltonian maps to a Coulomb-term one; only the tests call the three.
     """
 
     f1: Callable[[float], float]
@@ -48,7 +50,7 @@ class SeparableOscillatorSystem:
 
 @dataclass(frozen=True)
 class TransformedSystem:
-    """Image of a SeparableOscillatorSystem at source energy E."""
+    """Image of a SeparableOscillatorSystem at source energy E (the theorem's; tests only)."""
 
     E: float
     f1: Callable[[float], float]
@@ -64,7 +66,7 @@ class TransformedSystem:
 
 
 def transform_hamiltonian(sys: SeparableOscillatorSystem, E: float) -> TransformedSystem:
-    """Exchange the oscillator coupling of sys with the fixed energy E."""
+    """Exchange the oscillator coupling of sys with the fixed energy E (the theorem; tests only)."""
     return TransformedSystem(E=E, f1=sys.f1, f2=sys.f2)
 
 
@@ -93,7 +95,7 @@ def pullback_phase(pt: PhasePoint) -> PhasePoint:
         raise DomainError("pullback expects a DC-chart point")
     if pt.q1.real <= 0.0:
         raise DomainError("pullback needs r > 0")
-    rho = (cmath if isinstance(pt.q1, complex) else math).sqrt(2.0 * pt.q1)
+    rho = _math_of(pt.q1).sqrt(2.0 * pt.q1)
     return PhasePoint(rho, 0.5 * pt.q2, rho * pt.p1, 2.0 * pt.p2, TTW_CHART)
 
 
@@ -106,12 +108,6 @@ def ttw_to_dc(ttw: TTWParams, E_source: float) -> tuple[DCParams, float]:
     """
     dc = DCParams(Q=0.5 * E_source, alpha=ttw.alpha, beta=ttw.beta, k=ttw.k)
     return dc, -ttw.omega2
-
-
-def dc_to_ttw(dc: DCParams, E_tilde: float) -> tuple[TTWParams, float]:
-    """Inverse identification: omega^2 = -E~ and E_source = 2Q."""
-    ttw = TTWParams(omega2=-E_tilde, alpha=dc.alpha, beta=dc.beta, k=dc.k)
-    return ttw, 2.0 * dc.Q
 
 
 def stackel_identity_residual(pt: PhasePoint, ttw: TTWParams, E: float,

@@ -1,4 +1,4 @@
-"""The two Hamiltonian families, their parameters, gradients, and bound-motion algebra.
+"""The two Hamiltonian families, their parameters, and bound-motion algebra.
 
 Both systems use the convention H = p^2 + V (no 1/2 on the kinetic term),
 so Hamilton's equations carry a factor 2: qdot = 2p etc.  All dynamics are
@@ -11,9 +11,9 @@ H = p1^2 + (p2^2 + B)/q1^2 + V_r.  The kernels _barrier_kernel and
 _radial_kernel are the only code that knows either term, the walls or the
 DC/TTW difference.  Each builds a closure with one system's constants
 folded; Hamilton's equations (hamilton_kernel), the energy
-(energy_kernel), the potential, the angular invariant and the gradient
-are built from those closures.  A loop builds its closures once; a point
-evaluation builds the ones it needs on each call.
+(energy_kernel) and the angular invariant are built from those closures.
+A loop builds its closures once; a point evaluation builds the ones it
+needs on each call.
 """
 
 from __future__ import annotations
@@ -170,15 +170,14 @@ def _barrier_kernel(params, m=math):
     return barrier
 
 
-def hamilton_kernel(params, m=math, raises=False):
+def hamilton_kernel(params):
     """Hamilton's equations of one system as a closure (q1, q2, p1, p2) -> (q1', q2', p1', p2').
 
     Built once per integration from the radial and barrier kernels.  Off
     the domain (q1 <= 0, a wall) or on an ArithmeticError it gives NaN in
-    all four components, so a step that reaches such a state is rejected;
-    with raises=True it raises instead.
+    all four components, so a step that reaches such a state is rejected.
     """
-    radial, barrier = _radial_kernel(params), _barrier_kernel(params, m)
+    radial, barrier = _radial_kernel(params), _barrier_kernel(params)
 
     def rhs(q1, q2, p1, p2):
         try:
@@ -188,8 +187,6 @@ def hamilton_kernel(params, m=math, raises=False):
             return (2.0 * p1, 2.0 * p2 * inv_q1_2,
                     -(-2.0 * (p2 * p2 + B) * inv_q1_2 / q1 + dV_r), -(dB * inv_q1_2))
         except (DomainError, ArithmeticError):
-            if raises:
-                raise
             return _NAN4
 
     return rhs
@@ -207,9 +204,12 @@ def energy_kernel(params, m=math):
     return energy
 
 
-def _math_of(q2):
-    """cmath for a complex-step q2, math for a real one."""
-    return cmath if isinstance(q2, complex) else math
+def _math_of(*values):
+    """cmath if any value is complex (a complex step), else math."""
+    for value in values:
+        if isinstance(value, complex):
+            return cmath
+    return math
 
 
 def _barrier(params, q2) -> tuple[float, float]:
@@ -217,45 +217,16 @@ def _barrier(params, q2) -> tuple[float, float]:
     return _barrier_kernel(params, _math_of(q2))(q2)
 
 
-def _radial(params, q1) -> tuple[float, float]:
-    """V_r and dV_r/dq1 at one radius."""
-    return _radial_kernel(params)(q1)
-
-
-def potential(params, q1, q2) -> float:
-    """V = V_r(q1) + B(q2)/q1^2, valid strictly inside the wedge cell."""
-    V_r, _ = _radial(params, q1)
-    B, _ = _barrier(params, q2)
-    return V_r + B / (q1 * q1)
-
-
 def hamiltonian(point: PhasePoint, params) -> float:
     """H = p1^2 + (p2^2 + B)/q1^2 + V_r in the matching chart."""
     _require_chart(point, params)
-    return _energy(params, point.q1, point.q2, point.p1, point.p2)
+    return energy_kernel(params, _math_of(point.q2))(point.q1, point.q2, point.p1, point.p2)
 
 
 def angular_invariant(point: PhasePoint, params) -> float:
     """Separation constant p2^2 + B of the angular motion: A for DC, L1 for TTW."""
     _require_chart(point, params)
     return point.p2 ** 2 + _barrier(params, point.q2)[0]
-
-
-def _energy(params, q1, q2, p1, p2) -> float:
-    """H at the coordinates of a point, its chart unchecked."""
-    return energy_kernel(params, _math_of(q2))(q1, q2, p1, p2)
-
-
-def _gradient(params, q1, q2, p1, p2) -> tuple[float, float, float, float]:
-    """(dH/dq1, dH/dq2, dH/dp1, dH/dp2): Hamilton's equations read back; raises off the domain."""
-    dq1, dq2, dp1, dp2 = hamilton_kernel(params, _math_of(q2), raises=True)(q1, q2, p1, p2)
-    return -dp1, -dp2, dq1, dq2
-
-
-def hamiltonian_gradient(point: PhasePoint, params) -> np.ndarray:
-    """Analytic (dH/dq1, dH/dq2, dH/dp1, dH/dp2) at an interior point."""
-    _require_chart(point, params)
-    return np.array(_gradient(params, point.q1, point.q2, point.p1, point.p2))
 
 
 @dataclass(frozen=True)
@@ -340,11 +311,11 @@ def validate_bounded(p: DCParams, E: float, A: float) -> BoundednessReport:
 
 
 def bounded_dc_state(p: DCParams, E: float, A: float, r_frac: float = 0.5,
-                     u_frac: float = 0.5, sign_r: int = 1, sign_phi: int = 1) -> PhasePoint:
+                     u_frac: float = 0.5) -> PhasePoint:
     """Construct a phase point on the (E, A) shell of a bounded orbit.
 
     r_frac and u_frac place the point inside the radial annulus and the
-    angular band; the signs pick the momentum branch.
+    angular band; both momenta are non-negative.
     """
     report = validate_bounded(p, E, A)
     if not report.all_passed:
@@ -357,8 +328,7 @@ def bounded_dc_state(p: DCParams, E: float, A: float, r_frac: float = 0.5,
     pr2 = (E * r * r + p.Q * r - A) / (r * r)
     if pphi2 < -1e-12 or pr2 < -1e-12:
         raise DomainError("shell construction produced a negative momentum square")
-    return PhasePoint(r, phi, sign_r * math.sqrt(max(pr2, 0.0)),
-                      sign_phi * math.sqrt(max(pphi2, 0.0)), DC_CHART)
+    return PhasePoint(r, phi, math.sqrt(max(pr2, 0.0)), math.sqrt(max(pphi2, 0.0)), DC_CHART)
 
 
 def random_ttw_state(rng: np.random.Generator, p: TTWParams,
@@ -402,28 +372,3 @@ def params_to_text(params) -> str:
         f"k_den={params.k.d}",
     ]
     return "\n".join(lines) + "\n"
-
-
-def params_from_text(text: str):
-    """Parse the flat key-value document written by params_to_text."""
-    fields = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DomainError(f"malformed parameter line {line!r}")
-        key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
-    try:
-        family = fields["family"].lower()
-        k = RationalIndex(int(fields["k_num"]), int(fields["k_den"]))
-        alpha = float(fields["alpha"])
-        beta = float(fields["beta"])
-        if family == "dc":
-            return DCParams(Q=float(fields["Q"]), alpha=alpha, beta=beta, k=k)
-        if family == "ttw":
-            return TTWParams(omega2=float(fields["omega2"]), alpha=alpha, beta=beta, k=k)
-    except KeyError as missing:
-        raise DomainError(f"parameter document missing key {missing}") from None
-    raise DomainError(f"unknown family {fields['family']!r}")

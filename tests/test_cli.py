@@ -201,6 +201,9 @@ class TestContract:
     ["spectrum", "--a", "0.5"],
     ["spectrum", "--a", "0"],
     ["conserve", "--alpha=-0.3", "--q1", "1.1", "--q2", "0.3", "--p1", "0.4", "--p2", "0.7"],
+    ["trajectory", "--q1", "1", "--q2", "0", "--p1", "0.1", "--p2", "0.5"],
+    ["conserve", "--q1", "1.1", "--q2", "0", "--p1", "0.4", "--p2", "0.7"],
+    ["bracket", "--family", "ttw", "--beta=-0.3"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_configuration_exits_usage(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)
@@ -344,7 +347,8 @@ def test_readme_closure_runs_without_scipy(tmp_path):
        n_states=st.integers(1, 3), alpha=st.sampled_from(["-0.3", "0", "0.2", "nan"]),
        beta=st.sampled_from(["-0.3", "0", "0.2", "nan"]))
 def test_bracket_exit_code_contract(family, k, n_states, alpha, beta):
-    # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a verdict
+    # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a
+    # verdict; no input of this space fails numerically
     with tempfile.TemporaryDirectory() as out:
         argv = ["bracket", "--family", family, "--k", k, "--n-states", str(n_states),
                 f"--alpha={alpha}", f"--beta={beta}", "--out-dir", out]
@@ -353,25 +357,29 @@ def test_bracket_exit_code_contract(family, k, n_states, alpha, beta):
         except SystemExit as exc:
             code = exc.code
         assert code in {EXIT_PASS, EXIT_CRITERION, EXIT_USAGE, EXIT_NUMERICAL}
+        assert code != EXIT_NUMERICAL
         summary = os.path.exists(os.path.join(out, "bracket_summary.json"))
         assert summary == (code in {EXIT_PASS, EXIT_CRITERION})
 
 
 @settings(max_examples=30, deadline=None)
 @given(family=st.sampled_from(["dc", "ttw"]), k=st.sampled_from(["1", "3/2", "0", "x"]),
-       q1=st.sampled_from(["1", "0", "-1", "nan"]),
+       q1=st.sampled_from(["1", "0", "-1", "nan"]), q2=st.sampled_from(["1", "0"]),
        t_end=st.sampled_from(["0.5", "5", "0", "-1", "inf"]))
-def test_trajectory_exit_code_contract(family, k, q1, t_end):
-    # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a verdict
+def test_trajectory_exit_code_contract(family, k, q1, q2, t_end):
+    # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a
+    # verdict; no input of this space, a start on a wall (q2 = 0) among them,
+    # fails numerically
     with tempfile.TemporaryDirectory() as out:
         argv = ["trajectory", "--family", family, "--k", k, "--Q", "1", "--alpha", "0.2",
-                "--beta", "0.3", f"--q1={q1}", "--q2", "1", "--p1", "0.1", "--p2", "0.5",
+                "--beta", "0.3", f"--q1={q1}", f"--q2={q2}", "--p1", "0.1", "--p2", "0.5",
                 f"--t-end={t_end}", "--out-dir", out]
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
         assert code in {EXIT_PASS, EXIT_CRITERION, EXIT_USAGE, EXIT_NUMERICAL}
+        assert code != EXIT_NUMERICAL
         summary = os.path.exists(os.path.join(out, "trajectory_summary.json"))
         assert summary == (code in {EXIT_PASS, EXIT_CRITERION})
 
@@ -437,13 +445,14 @@ def test_closure_exit_code_contract(k, E, alpha, max_periods):
 @settings(max_examples=30, deadline=None)
 @given(k=st.sampled_from(["1", "3/2", "0", "x"]), omega2=st.sampled_from(["1", "-1"]),
        alpha=st.sampled_from(["0.3", "-0.3", "nan"]),
-       periods=st.sampled_from(["2", "0", "-1", "inf"]))
-def test_conserve_exit_code_contract(k, omega2, alpha, periods):
+       q2=st.sampled_from(["0.3", "0"]), periods=st.sampled_from(["2", "0", "-1", "inf"]))
+def test_conserve_exit_code_contract(k, omega2, alpha, q2, periods):
     # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a
-    # verdict; no input of this space fails numerically
+    # verdict; no input of this space, a start on a wall (q2 = 0) among them,
+    # fails numerically
     with tempfile.TemporaryDirectory() as out:
         argv = ["conserve", "--k", k, f"--omega2={omega2}", f"--alpha={alpha}", "--beta", "0.45",
-                "--q1", "1.1", "--q2", "0.3", "--p1", "0.4", "--p2", "0.7",
+                "--q1", "1.1", f"--q2={q2}", "--p1", "0.4", "--p2", "0.7",
                 f"--periods={periods}", "--out-dir", out]
         try:
             code = main(argv)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import dc_setup, ttw_params, ttw_radial_period
+from conftest import dc_setup, hamiltonian_gradient, ttw_params, ttw_radial_period
 from superint.cli import EXIT_PASS, main
 from superint.dynamics import integrate, radial_period_closed_form
 from superint.errors import DomainError
@@ -26,7 +26,6 @@ from superint.systems import (
     RationalIndex,
     angular_invariant,
     hamiltonian,
-    hamiltonian_gradient,
     random_dc_state,
     random_ttw_state,
 )

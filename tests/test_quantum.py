@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import potential
 from superint import quantum, specfun
 from superint.cli import EXIT_PASS, main
 from superint.errors import DomainError
@@ -23,14 +24,13 @@ from superint.quantum import (
     level_states,
     orthogonality_check,
     residual_with_refinement,
-    schrodinger_residual,
     separation_constant,
     spectral_line,
     ttw_bound_state,
     wavefunction,
 )
 from superint.stackel import map_wavefunction, ttw_to_dc
-from superint.systems import DCParams, RationalIndex, TTWParams, _barrier, _radial
+from superint.systems import DCParams, RationalIndex, TTWParams, _barrier, _radial_kernel
 
 
 class TestExponents:
@@ -226,6 +226,11 @@ GRID_CASES = [
 ]
 
 
+def schrodinger_residual(spec, grid):
+    """Grid residual of the separated bound state under its own Hamiltonian."""
+    return dc_operator_residual(spec.params, spec.E, lambda r, phi: wavefunction(spec, r, phi), grid)
+
+
 class TestSchrodingerResidual:
     @pytest.mark.parametrize("k_text,alpha,beta,n,m", GRID_CASES)
     def test_second_order_convergence(self, k_text, alpha, beta, n, m):
@@ -284,7 +289,7 @@ def _full_grid_residual(params, E, psi, grid):
     d1r = (psi_grid[2:, 1:-1] - psi_grid[:-2, 1:-1]) / (2.0 * hr)
     d2f = (psi_grid[1:-1, 2:] - 2.0 * interior + psi_grid[1:-1, :-2]) / hf ** 2
     ri = rr[1:-1, None]
-    V_r = np.array([_radial(params, r)[0] for r in rr[1:-1]])[:, None]
+    V_r = np.array([_radial_kernel(params)(r)[0] for r in rr[1:-1]])[:, None]
     B = np.array([_barrier(params, f)[0] for f in ff[1:-1]])
     V = V_r + B / ri ** 2
     residual = -(d2r + d1r / ri + d2f / ri ** 2) + (V - E) * interior
@@ -304,7 +309,7 @@ def _roundoff_bound(params, E, grid):
     hr = rr[1] - rr[0]
     hf = ff[1] - ff[0]
     ri = rr[1:-1, None]
-    V_r = np.array([_radial(params, r)[0] for r in rr[1:-1]])[:, None]
+    V_r = np.array([_radial_kernel(params)(r)[0] for r in rr[1:-1]])[:, None]
     B = np.array([_barrier(params, f)[0] for f in ff[1:-1]])
     radial = 2.0 / hr ** 2 + np.abs(1.0 / hr ** 2 + 1.0 / (2.0 * hr * ri)) \
         + np.abs(1.0 / hr ** 2 - 1.0 / (2.0 * hr * ri))
@@ -499,7 +504,6 @@ class TestOscillatorBoundState:
         # covered elsewhere; here verify the separated radial equation
         ttw = TTWParams(omega2=0.25, alpha=0.2, beta=0.3, k=RationalIndex(3, 2))
         psi, E = ttw_bound_state(ttw, 1, 1)
-        from superint.systems import potential
         h = 1e-4
         worst = 0.0
         for rho, theta in [(1.0, 0.5), (1.6, 0.7), (2.2, 0.4)]:

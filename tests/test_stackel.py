@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import ttw_radial_period
+from conftest import potential, ttw_radial_period
 from superint.dynamics import (
     integrate,
     orbit_constants_from_point,
@@ -16,7 +16,6 @@ from superint.invariants import poisson_bracket_numeric
 from superint.quantum import bound_state, dc_operator_residual, default_grid, ttw_bound_state
 from superint.stackel import (
     SeparableOscillatorSystem,
-    dc_to_ttw,
     map_trajectory,
     map_wavefunction,
     mapped_orbit_hausdorff,
@@ -34,7 +33,6 @@ from superint.systems import (
     RationalIndex,
     TTWParams,
     hamiltonian,
-    potential,
     random_ttw_state,
 )
 
@@ -175,8 +173,9 @@ class TestParameterExchange:
         p = TTWParams(omega2=0.37, alpha=0.2, beta=0.3, k=RationalIndex(3, 2))
         E = 2.2
         dc, E_tilde = ttw_to_dc(p, E)
-        back, E_back = dc_to_ttw(dc, E_tilde)
-        assert back.omega2 == pytest.approx(p.omega2, rel=1e-12)
+        # the inverse identification: omega^2 = -E~ and E = 2 Q
+        omega2_back, E_back = -E_tilde, 2.0 * dc.Q
+        assert omega2_back == pytest.approx(p.omega2, rel=1e-12)
         assert E_back == pytest.approx(E, rel=1e-12)
 
     def test_nonpositive_energy_flagged_downstream(self):
@@ -214,14 +213,14 @@ class TestTrajectoryMap:
         ttw = TTWParams(omega2=0.25, alpha=0.2, beta=0.3, k=RationalIndex(3, 2))
         traj = integrate(ttw, ttw_orbit_start(ttw), 3 * ttw_radial_period(ttw.omega2), tol=1e-12)
         rho, theta, p_rho, p_theta = traj.y
-        expected = np.empty((traj.n_samples, 4))
+        expected = np.empty((traj.t.size, 4))
         expected[:, 0] = 0.5 * rho * rho
         expected[:, 1] = 2.0 * theta
         expected[:, 2] = p_rho / rho
         expected[:, 3] = 0.5 * p_theta
         assert np.array_equal(map_trajectory(traj), expected)
         # each row is also the scalar pushforward of its sample
-        for i in range(0, traj.n_samples, 7):
+        for i in range(0, traj.t.size, 7):
             image = pushforward_phase(traj.point(i))
             assert [image.q1, image.q2, image.p1, image.p2] == expected[i].tolist()
 
