@@ -331,17 +331,15 @@ def cmd_bracket(args, config: ExperimentConfig) -> Outcome:
     rng = np.random.default_rng(config.seed)
     if args.family == "ttw":
         params = _ttw_params(args)
-        F = lambda s: hamiltonian(s, params)
-        G = lambda s: invariants.l2_poly(params, s) if args.variant == "sin" \
-            else invariants.l2_cos(params, s)
         draw = lambda: random_ttw_state(rng, params, rho_range=(1.0, 1.4),
                                         p_max=0.8, margin=0.3)
     else:
         params = _dc_params(args)
-        F = lambda s: hamiltonian(s, params)
-        G = lambda s: invariants.dc_integral(params, s, variant=args.variant)
         draw = lambda: random_dc_state(rng, params, r_range=(0.8, 1.6),
                                        p_max=0.6, margin=0.3)
+    F = lambda s: hamiltonian(s, params)
+    G = lambda s: invariants.l2_poly(params, s) if args.variant == "sin" \
+        else invariants.l2_cos(params, s)
     rows = [(i, invariants.poisson_bracket_numeric(F, G, draw()).value)
             for i in range(args.n_states)]
     _write_csv(config, "bracket.csv", "index,value", rows)

@@ -1,11 +1,14 @@
 """Conserved quantities beyond the energy: the angular integral, the
-higher-order polynomial integrals of the oscillator family, their pullback
-to the Coulomb family, and a numerical Poisson bracket estimator.
+higher-order polynomial integrals of both families, and a numerical
+Poisson bracket estimator.
 
-The polynomial form of the higher-order integral is assembled directly
-from four explicit binomial sums; the trigonometric form (phase angles
-recovered atan2-style from the auxiliary pairs) serves as an independent
-oracle for it.
+One auxiliary quadruple serves both families: the oscillator pairs of
+Tremblay, Turbiner and Winternitz, and on the Coulomb side, with L1 = 4A,
+the paper's explicit pairs (4 sqrt(A) p_phi sin k phi,
+4A cos k phi - k^2 (alpha - beta)) and (4 sqrt(A) p_r, 4A/r - 2Q).  The
+polynomial form of the higher-order integral is assembled from four
+explicit binomial sums; the trigonometric form (phase angles recovered
+atan2-style from the auxiliary pairs) serves as an independent oracle.
 
 Every kernel here except the trigonometric form is built from arithmetic
 and cmath-or-math picks on its input, so it also takes a complex-step
@@ -25,7 +28,6 @@ from .systems import (
     TTW_CHART,
     DCParams,
     PhasePoint,
-    TTWParams,
     _math_of,
     angular_invariant,
     hamiltonian,
@@ -50,44 +52,46 @@ class ABQuad:
     B_y: float
     sqrt_L1: float
 
-    @property
-    def norm_A(self) -> float:
-        return math.hypot(self.A_x, self.A_y)
-
-    @property
-    def norm_B(self) -> float:
-        return math.hypot(self.B_x, self.B_y)
-
 
 @dataclass(frozen=True)
 class BracketEstimate:
     value: float
 
 
-def ab_quantities(p: TTWParams, state: PhasePoint) -> ABQuad:
-    """The four auxiliary quantities, and sqrt(L1), at a state with L1 > 0."""
-    if state.chart != TTW_CHART:
-        raise DomainError("ab_quantities needs a TTW-chart state")
+def ab_quantities(p, state: PhasePoint) -> ABQuad:
+    """The four auxiliary quantities, and sqrt(L1), at a state with L1 > 0.
+
+    The parameter type picks the chart.  On the Coulomb side L1 = 4A, and
+    the pairs are the paper's (4 sqrt(A) p_phi sin k phi,
+    4A cos k phi - k^2 (alpha - beta)) and (4 sqrt(A) p_r, 4A/r - 2Q).
+    """
+    dc = isinstance(p, DCParams)
+    chart = DC_CHART if dc else TTW_CHART
+    if state.chart != chart:
+        raise DomainError(f"ab_quantities needs a {chart} state, got {state.chart}")
     L1 = angular_invariant(state, p)
+    if dc:
+        L1 = 4.0 * L1
     if L1.real <= 0.0:
         raise DomainError(f"auxiliary quantities need L1 > 0, got {L1}")
     k = p.k.value
-    rho, theta = state.q1, state.q2
-    # theta can be complex while L1 is real: with no barrier, L1 = p2^2
-    m = _math_of(L1, theta)
-    H = hamiltonian(state, p)
+    q1, q2 = state.q1, state.q2
+    # the angle can be complex while L1 is real: with no barrier, L1 = p2^2
+    m = _math_of(L1, q2)
     sqrtL1 = m.sqrt(L1)
-    two_kt = 2.0 * k * theta
-    # exponential radial variable: exp(-2R) = rho^-2, p_R = rho p_rho
-    inv_rho2 = 1.0 / (rho * rho)
-    p_R = rho * state.p1
-    return ABQuad(
-        A_x=sqrtL1 * m.sin(two_kt) * state.p2,
-        A_y=L1 * m.cos(two_kt) - p.alpha * k * k + p.beta * k * k,
-        B_x=2.0 * sqrtL1 * inv_rho2 * p_R,
-        B_y=2.0 * L1 * inv_rho2 - H,
-        sqrt_L1=sqrtL1,
-    )
+    if dc:
+        angle, p_angle = k * q2, 2.0 * state.p2
+        B_x, B_y = 2.0 * sqrtL1 * state.p1, L1 / q1 - 2.0 * p.Q
+    else:
+        H = hamiltonian(state, p)
+        angle, p_angle = 2.0 * k * q2, state.p2
+        # exponential radial variable: exp(-2R) = rho^-2, p_R = rho p_rho
+        inv_rho2 = 1.0 / (q1 * q1)
+        p_R = q1 * state.p1
+        B_x, B_y = 2.0 * sqrtL1 * inv_rho2 * p_R, 2.0 * L1 * inv_rho2 - H
+    return ABQuad(A_x=sqrtL1 * m.sin(angle) * p_angle,
+                  A_y=L1 * m.cos(angle) - p.alpha * k * k + p.beta * k * k,
+                  B_x=B_x, B_y=B_y, sqrt_L1=sqrtL1)
 
 
 def _binomial_re_im(x: float, y: float, n: int) -> tuple[float, float]:
@@ -101,7 +105,7 @@ def _binomial_re_im(x: float, y: float, n: int) -> tuple[float, float]:
     return re, im
 
 
-def _phase_difference(p: TTWParams, ab: ABQuad) -> float:
+def _phase_difference(p, ab: ABQuad) -> float:
     """4 c sqrt(L1) (M - N): the combined phase entering both trig forms.
 
     M and N are arccos phases of the B and A pairs; the quadrant lost by
@@ -113,25 +117,30 @@ def _phase_difference(p: TTWParams, ab: ABQuad) -> float:
     return 4.0 * p.k.c * sqrtL1 * (M - N)
 
 
-def l2_trig(p: TTWParams, state: PhasePoint) -> float:
+def _trig_form(p, state: PhasePoint, wave, shift: int) -> float:
+    """|B|^c |A|^d wave(angle) / sqrt(L1)^((c + d + shift) % 2).
+
+    (sin, 1) is the sine variant, (cos, 0) the cosine one; wave = None
+    leaves the variant's conserved amplitude, which |L2| never exceeds.
+    """
+    ab = ab_quantities(p, state)
+    c, d = p.k.c, p.k.d
+    phase = 1.0 if wave is None else wave(_phase_difference(p, ab))
+    return (math.hypot(ab.B_x, ab.B_y) ** c * math.hypot(ab.A_x, ab.A_y) ** d * phase
+            / ab.sqrt_L1 ** ((c + d + shift) % 2))
+
+
+def l2_trig(p, state: PhasePoint) -> float:
     """Sine-variant higher integral in its trigonometric form."""
-    ab = ab_quantities(p, state)
-    c, d = p.k.c, p.k.d
-    angle = _phase_difference(p, ab)
-    return (ab.norm_B ** c * ab.norm_A ** d * math.sin(angle)
-            / ab.sqrt_L1 ** ((c + d - 1) % 2))
+    return _trig_form(p, state, math.sin, 1)
 
 
-def l2_cos_trig(p: TTWParams, state: PhasePoint) -> float:
+def l2_cos_trig(p, state: PhasePoint) -> float:
     """Cosine-variant higher integral in its trigonometric form."""
-    ab = ab_quantities(p, state)
-    c, d = p.k.c, p.k.d
-    angle = _phase_difference(p, ab)
-    return (ab.norm_B ** c * ab.norm_A ** d * math.cos(angle)
-            / ab.sqrt_L1 ** ((c + d) % 2))
+    return _trig_form(p, state, math.cos, 0)
 
 
-def l2_poly(p: TTWParams, state: PhasePoint) -> float:
+def l2_poly(p, state: PhasePoint) -> float:
     """Sine-variant higher integral assembled from the binomial sums."""
     ab = ab_quantities(p, state)
     c, d = p.k.c, p.k.d
@@ -140,7 +149,7 @@ def l2_poly(p: TTWParams, state: PhasePoint) -> float:
     return (im_B * re_A - im_A * re_B) / ab.sqrt_L1 ** ((c + d - 1) % 2)
 
 
-def l2_cos(p: TTWParams, state: PhasePoint) -> float:
+def l2_cos(p, state: PhasePoint) -> float:
     """Cosine-variant higher integral assembled from the binomial sums."""
     ab = ab_quantities(p, state)
     c, d = p.k.c, p.k.d
@@ -185,24 +194,21 @@ def poisson_bracket_numeric(F, G, state: PhasePoint) -> BracketEstimate:
 def dc_integral(p_dc: DCParams, state_dc: PhasePoint, variant: str = "sin") -> float:
     """Higher-order integral of the Coulomb family at a DC phase point.
 
-    The state is carried to the oscillator chart through the inverse
-    variable map, the oscillator coupling is set to minus the local DC
-    energy, and the polynomial-form integral is evaluated there.
+    The polynomial form on the paper's explicit Coulomb-side pairs (see
+    ab_quantities); variant picks the sine or the cosine form.
     """
-    from .stackel import pullback_phase  # local import keeps the module DAG acyclic
-
-    if state_dc.chart != DC_CHART:
-        raise DomainError("dc_integral needs a DC-chart state")
     if variant not in ("sin", "cos"):
         raise DomainError(f"unknown variant {variant!r}")
-    H_dc = hamiltonian(state_dc, p_dc)
-    ttw = TTWParams(omega2=-H_dc, alpha=p_dc.alpha, beta=p_dc.beta, k=p_dc.k)
-    mapped = pullback_phase(state_dc)
-    return l2_poly(ttw, mapped) if variant == "sin" else l2_cos(ttw, mapped)
+    return l2_poly(p_dc, state_dc) if variant == "sin" else l2_cos(p_dc, state_dc)
 
 
 def conservation_rows(traj):
-    """Sample t, H, L1, L2sin, L2cos and their running relative drifts at 400 times."""
+    """Sample t, H, L1, L2sin, L2cos and their running relative drifts at 400 times.
+
+    H and L1 drift relative to their start values, each L2 variant relative
+    to its conserved amplitude, which a start where L2 is zero keeps; all
+    scales are floored at 1e-12.
+    """
     p = traj.params
     tt = np.linspace(traj.t[0], traj.t[-1], 400)
     rows = []
@@ -212,6 +218,9 @@ def conservation_rows(traj):
         vals = (hamiltonian(s, p), angular_invariant(s, p), l2_poly(p, s), l2_cos(p, s))
         if first is None:
             first = vals
-        drifts = tuple(abs(v - v0) / max(abs(v0), 1e-12) for v, v0 in zip(vals, first))
+            scales = [max(v, 1e-12) for v in (abs(vals[0]), abs(vals[1]),
+                                               _trig_form(p, s, None, 1),
+                                               _trig_form(p, s, None, 0))]
+        drifts = tuple(abs(v - v0) / w for v, v0, w in zip(vals, first, scales))
         rows.append((t,) + vals + drifts)
     return rows

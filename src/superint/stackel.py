@@ -22,7 +22,6 @@ from .systems import (
     DCParams,
     PhasePoint,
     TTWParams,
-    _math_of,
     hamiltonian,
 )
 
@@ -87,16 +86,6 @@ def pushforward_phase(pt: PhasePoint) -> PhasePoint:
     if pt.q1.real <= 0.0:
         raise DomainError("pushforward needs rho > 0")
     return PhasePoint(*_exchange_map(pt.q1, pt.q2, pt.p1, pt.p2), DC_CHART)
-
-
-def pullback_phase(pt: PhasePoint) -> PhasePoint:
-    """Coulomb chart to oscillator chart, inverse of pushforward_phase."""
-    if pt.chart != DC_CHART:
-        raise DomainError("pullback expects a DC-chart point")
-    if pt.q1.real <= 0.0:
-        raise DomainError("pullback needs r > 0")
-    rho = _math_of(pt.q1).sqrt(2.0 * pt.q1)
-    return PhasePoint(rho, 0.5 * pt.q2, rho * pt.p1, 2.0 * pt.p2, TTW_CHART)
 
 
 def ttw_to_dc(ttw: TTWParams, E_source: float) -> tuple[DCParams, float]:

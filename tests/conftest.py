@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from superint.invariants import l2_cos, l2_poly
 from superint.systems import (
     DC_CHART,
     TTW_CHART,
@@ -46,6 +47,27 @@ def hamiltonian_gradient(point, params):
     """(dH/dq1, dH/dq2, dH/dp1, dH/dp2) read off Hamilton's equations; NaN off the domain."""
     dq1, dq2, dp1, dp2 = hamilton_kernel(params)(point.q1, point.q2, point.p1, point.p2)
     return np.array([-dp1, -dp2, dq1, dq2])
+
+
+def pullback_phase(pt):
+    """Coulomb chart to oscillator chart, the inverse of stackel.pushforward_phase.
+
+    rho = sqrt(2 r), theta = phi / 2, p_rho = rho p_r, p_theta = 2 p_phi.
+    """
+    rho = math.sqrt(2.0 * pt.q1)
+    return PhasePoint(rho, 0.5 * pt.q2, rho * pt.p1, 2.0 * pt.p2, TTW_CHART)
+
+
+def dc_integral_by_pullback(params, state, variant="sin"):
+    """The Coulomb-side integral through the exchange, the oracle for dc_integral.
+
+    The oscillator integral at the pulled-back state, with the oscillator
+    coupling set to minus the local energy, omega^2 = -H(state).
+    """
+    ttw = TTWParams(omega2=-hamiltonian(state, params), alpha=params.alpha,
+                    beta=params.beta, k=params.k)
+    mapped = pullback_phase(state)
+    return l2_poly(ttw, mapped) if variant == "sin" else l2_cos(ttw, mapped)
 
 
 def ttw_params(k_text, omega2=1.0, alpha=0.3, beta=0.45):

@@ -262,6 +262,17 @@ def test_conserve_summary_reads_the_csv_rows(tmp_path):
     assert {c["name"]: c["value"] for c in summary["criteria"]} == worst
 
 
+@pytest.mark.parametrize("k", ["1", "2"])
+def test_conserve_passes_from_rest(tmp_path, k):
+    # at p = 0 the sine variant (k = 1) or the cosine variant (k = 2) of L2
+    # starts at zero; its drift is scaled by the conserved amplitude instead
+    code, out = run(tmp_path, "conserve", "--k", k, "--omega2", "1", "--alpha", "0.3",
+                    "--beta", "0.45", "--q1", "1.1", "--q2", "0.3", "--p1", "0", "--p2", "0",
+                    "--periods", "5")
+    assert code == EXIT_PASS
+    assert read_summary(out, "conserve")["passed"]
+
+
 def test_config_file_value_gets_the_flag_type(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("Q=abc\n")

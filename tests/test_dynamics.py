@@ -22,14 +22,12 @@ from superint.dynamics import (
 )
 from superint.errors import DegenerateOrbitError, DomainError, IntegrationError
 from superint.invariants import _phase_difference, ab_quantities
-from superint.stackel import pullback_phase
 from superint.systems import (
     DC_CHART,
     TTW_CHART,
     DCParams,
     PhasePoint,
     RationalIndex,
-    TTWParams,
     angular_invariant,
     bounded_dc_state,
     hamilton_kernel,
@@ -550,6 +548,20 @@ class TestClosure:
         report = closure_check(params, pt, 2 * 2 * 1, tol=1e-6)
         assert report.closed and report.n_radial <= 4
 
+    @pytest.mark.parametrize("k_text", ["1", "2", "3", "1/2", "3/2", "2/3"])
+    def test_first_return_at_exactly_d_radial_periods(self, k_text):
+        # C is conserved and theta_r gains 2 pi per radial period, so with
+        # gcd(c, d) = 1 the orbit first returns after d periods, at d T_r
+        params, E, A, pt = dc_setup(k_text)
+        d = params.k.d
+        T_r = radial_period_closed_form(params.Q, E)
+        report = closure_check(params, pt, 2 * params.k.c * d, tol=1e-6)
+        assert report.closed and report.n_radial == d
+        assert abs(report.period_total - d * T_r) / (d * T_r) < 1e-10
+        if d > 1:
+            early = closure_check(params, pt, d - 1, tol=1e-6)
+            assert not early.closed and early.return_distance > 0.1
+
     def test_vacuous_search(self):
         params, E, A, pt = dc_setup("1")
         report = closure_check(params, pt, 0, tol=1e-6)
@@ -620,8 +632,8 @@ class TestOrbitConstants:
 
     @pytest.mark.parametrize("k_text", ["1", "3/2", "2/3", "2"])
     def test_phase_is_the_transformed_integral_phase(self, k_text, rng):
-        # C(x) + the phase of the oscillator integrals at the pulled-back
-        # state = (c + d) pi / 2 (mod 2 pi), with omega^2 = -H(x)
+        # C(x) + the phase of the Coulomb-side integrals at x = (c + d) pi / 2
+        # (mod 2 pi)
         k = RationalIndex.from_string(k_text)
         deviations = []
         while len(deviations) < 400:
@@ -634,10 +646,7 @@ class TestOrbitConstants:
                                  u_frac=rng.uniform(0.02, 0.98))
             x = replace(x, p1=rng.choice([-1, 1]) * x.p1, p2=rng.choice([-1, 1]) * x.p2)
             C = orbit_constants_from_point(params, x).C
-            # the oscillator partner at the point's energy: omega^2 = -H(x)
-            ttw = TTWParams(omega2=-hamiltonian(x, params), alpha=params.alpha,
-                            beta=params.beta, k=params.k)
-            phase = _phase_difference(ttw, ab_quantities(ttw, pullback_phase(x)))
+            phase = _phase_difference(params, ab_quantities(params, x))
             deviations.append(math.remainder(phase + C - (k.c + k.d) * math.pi / 2, 2 * math.pi))
         assert np.max(np.abs(deviations)) < 1e-12
 

@@ -4,11 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import dc_setup, hamiltonian_gradient, ttw_params, ttw_radial_period
+from conftest import (
+    dc_integral_by_pullback,
+    dc_setup,
+    hamiltonian_gradient,
+    ttw_params,
+    ttw_radial_period,
+)
 from superint.cli import EXIT_PASS, main
 from superint.dynamics import integrate, radial_period_closed_form
 from superint.errors import DomainError
 from superint.invariants import (
+    _trig_form,
     ab_quantities,
     dc_integral,
     l2_cos,
@@ -22,6 +29,7 @@ from superint.invariants import (
 from superint.stackel import pushforward_phase
 from superint.systems import (
     TTW_CHART,
+    DCParams,
     PhasePoint,
     RationalIndex,
     angular_invariant,
@@ -114,6 +122,19 @@ class TestAuxiliaryQuadruple:
             lhs_b = ab.B_x ** 2 + ab.B_y ** 2
             rhs_b = H * H - 4 * p.omega2 * L1
             assert lhs_b == pytest.approx(rhs_b, rel=1e-10)
+        # the Coulomb-side pairs, with L1 = 4A
+        params, _, _, _ = dc_setup(k_text)
+        for _ in range(200):
+            s = random_dc_state(rng, params)
+            ab = ab_quantities(params, s)
+            A = angular_invariant(s, params)
+            H = hamiltonian(s, params)
+            lhs_a = ab.A_x ** 2 + ab.A_y ** 2
+            rhs_a = ((4 * A - (params.alpha + params.beta) * k2) ** 2
+                     - 4 * k2 * k2 * params.alpha * params.beta)
+            assert lhs_a == pytest.approx(rhs_a, rel=1e-10)
+            assert ab.B_x ** 2 + ab.B_y ** 2 == pytest.approx(16 * A * H + 4 * params.Q ** 2,
+                                                              rel=1e-10)
 
     def test_radial_component_vanishes_at_turning(self):
         p = ttw_params("2")
@@ -142,6 +163,9 @@ class TestHigherIntegralForms:
             assert t == pytest.approx(q, rel=1e-9, abs=1e-9 * max(1.0, abs(q)))
             tc, qc = l2_cos_trig(p, s), l2_cos(p, s)
             assert tc == pytest.approx(qc, rel=1e-9, abs=1e-9 * max(1.0, abs(qc)))
+            # the conserved amplitude |B|^c |A|^d / sqrt(L1)^parity bounds |L2|
+            assert abs(q) <= _trig_form(p, s, None, 1) * (1 + 1e-12)
+            assert abs(qc) <= _trig_form(p, s, None, 0) * (1 + 1e-12)
 
     def test_k1_reduction(self, rng):
         # c = d = 1 collapses the sums to a single cross term over sqrt(L1)
@@ -340,8 +364,36 @@ class TestCoulombPullback:
             est = poisson_bracket_numeric(H, G, s)
             assert abs(est.value) < 1e-6
 
+    @pytest.mark.parametrize("k_text", ["1", "2", "3", "1/2", "3/2", "2/3", "5/3"])
+    def test_agrees_with_the_pullback_route(self, k_text, rng):
+        # the direct form against the mapped system: the oscillator integral at
+        # the pulled-back state, with omega^2 = -H
+        params = DCParams(Q=1.0, alpha=0.2, beta=0.3, k=RationalIndex.from_string(k_text))
+        for _ in range(200):
+            s = random_dc_state(rng, params)
+            for variant in ("sin", "cos"):
+                expected = dc_integral_by_pullback(params, s, variant)
+                assert abs(dc_integral(params, s, variant) - expected) \
+                    <= 1e-12 * max(1.0, abs(expected))
+
+    def test_k1_laplace_runge_lenz(self, rng):
+        # k = 1, no barrier: H = p^2 - Q/r, L = p_phi, and the Runge-Lenz vector
+        # A = p x L - (Q/2) r_hat gives L2sin = 8 L A_y and L2cos = 16 L^2 A_x
+        params = DCParams(Q=1.3, alpha=0.0, beta=0.0, k=RationalIndex(1))
+        for _ in range(100):
+            s = random_dc_state(rng, params)
+            r, phi, p_r, L = s.q1, s.q2, s.p1, s.p2
+            p_x = p_r * math.cos(phi) - L / r * math.sin(phi)
+            p_y = p_r * math.sin(phi) + L / r * math.cos(phi)
+            A_x = L * p_y - 0.5 * params.Q * math.cos(phi)
+            A_y = -L * p_x - 0.5 * params.Q * math.sin(phi)
+            assert dc_integral(params, s, "sin") == pytest.approx(8 * L * A_y, rel=1e-12,
+                                                                  abs=1e-12)
+            assert dc_integral(params, s, "cos") == pytest.approx(16 * L * L * A_x, rel=1e-12,
+                                                                  abs=1e-12)
+
     def test_k1_symbolic_expansion(self, rng):
-        # at c = d = 1 the pullback reduces to an explicit cubic expression
+        # at c = d = 1 the explicit pairs reduce to a cubic expression
         params, _, _, _ = dc_setup("1")
         for _ in range(40):
             s = random_dc_state(rng, params)
@@ -356,6 +408,9 @@ class TestCoulombPullback:
         params, _, _, _ = dc_setup("1")
         with pytest.raises(DomainError):
             dc_integral(params, PhasePoint(1.0, 0.3, 0.1, 0.2, TTW_CHART))
+        # the parameter type picks the chart, so a DC point fails oscillator params
+        with pytest.raises(DomainError):
+            ab_quantities(ttw_params("1"), dc_setup("1")[3])
 
     def test_unknown_variant(self):
         params, _, _, pt = dc_setup("1")
