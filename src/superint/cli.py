@@ -181,13 +181,18 @@ def _resolve_start(args) -> None:
     """Set args.params and args.initial, the start of an integrating command.
 
     The start is --E/--A on the Coulomb side, placed on the shell by --r-frac
-    and --u-frac, or else all four point flags.  A point must have an energy
+    and --u-frac, or else all four point flags; an oscillator start given
+    --E or --A is rejected naming them.  A point must have an energy
     (not on a wall), and constants, or a closure or orbit-residual point,
     must fix a bounded orbit, or DomainError names the flags given; values
     too large for floats raise an ArithmeticError.
     """
     dc = hasattr(args, "Q") and getattr(args, "family", "dc") == "dc"  # conserve has no --Q
     args.params = _dc_params(args) if dc else _ttw_params(args)
+    constants = [f"--{name}" for name in ("E", "A") if getattr(args, name, None) is not None]
+    if constants and not dc:
+        raise DomainError(f"{' and '.join(constants)} fix a Coulomb start only; "
+                          "an oscillator start takes all of --q1 --q2 --p1 --p2")
     point = (args.q1, args.q2, args.p1, args.p2)
     from_constants = dc and None not in (args.E, args.A)
     if from_constants:
@@ -498,14 +503,14 @@ def _add_dc_args(sp, with_point=True):
     sp.add_argument("--alpha", type=float, default=0.2)
     sp.add_argument("--beta", type=float, default=0.3)
     if with_point:
+        sp.add_argument("--E", type=float, default=None, help="orbit energy (with --A)")
+        sp.add_argument("--A", type=float, default=None, help="angular constant (with --E)")
+        sp.add_argument("--r-frac", dest="r_frac", type=float, default=0.35)
+        sp.add_argument("--u-frac", dest="u_frac", type=float, default=0.6)
         _add_point_args(sp)
 
 
 def _add_point_args(sp):
-    sp.add_argument("--E", type=float, default=None, help="orbit energy (with --A)")
-    sp.add_argument("--A", type=float, default=None, help="angular constant (with --E)")
-    sp.add_argument("--r-frac", dest="r_frac", type=float, default=0.35)
-    sp.add_argument("--u-frac", dest="u_frac", type=float, default=0.6)
     sp.add_argument("--q1", type=float, default=None)
     sp.add_argument("--q2", type=float, default=None)
     sp.add_argument("--p1", type=float, default=None)

@@ -1,10 +1,15 @@
 """Exact spectrum, degeneracies, bound-state wavefunctions, and grid residuals.
 
-The radial gauge uses the decaying exponent exp(-sqrt(-E) r): together
-with the Laguerre argument 2 r sqrt(-E) it is the combination under which
-the separated radial equation has polynomial solutions at the quantized
-energies (the grid residual check is decisive on this point, and the
-growing-exponent alternative fails it by construction).
+Both families have one state kernel.  A state is
+q1^sqrt(A) exp(-x/2) L_n^nu(x) cos^a u sin^b u P_m^(a-1/2, b-1/2)(-cos 2u)
+in the barrier's angle u and a Laguerre variable x: on the Coulomb side
+u = k phi / 2, x = 2 sqrt(-E) r and nu = 2 sqrt(A); on the oscillator side
+u = k theta, x = omega rho^2 and nu = sqrt(A) (A = L1 = sigma^2).  The
+radial gauge uses the decaying exponent exp(-x/2): with that Laguerre
+argument it is the combination under which the separated radial equation
+has polynomial solutions at the quantized energies (the grid residual
+check is decisive on this point, and the growing-exponent alternative
+fails it by construction).
 
 The energy depends on n + k m alone, so with k = c/d the level
 N = d n + c m is one line of lattice points.  ``level_states`` walks that
@@ -63,33 +68,42 @@ def energy_level_from_A(Q: float, n: int, A: float) -> float:
 
 
 @dataclass(frozen=True)
-class QuantumNumbers:
+class WavefunctionSpec:
+    """Everything fixing one bound state of either family.
+
+    A is the family's angular invariant (A on the Coulomb side, L1 = sigma^2
+    on the oscillator side), so sqrt(A) is the radial exponent of both.
+    """
+
+    params: DCParams | TTWParams
     n: int
     m: int
-
-    def __post_init__(self):
-        if self.n < 0 or self.m < 0:
-            raise DomainError("quantum numbers must be non-negative")
-
-
-@dataclass(frozen=True)
-class WavefunctionSpec:
-    """Everything fixing one bound state of the Coulomb-family system."""
-
-    params: DCParams
-    qn: QuantumNumbers
     a: float
     b: float
     A: float
     E: float
 
 
-def bound_state(params: DCParams, n: int, m: int) -> WavefunctionSpec:
-    """Assemble the spec of the (n, m) bound state from the couplings."""
+def bound_state(params: DCParams | TTWParams, n: int, m: int) -> WavefunctionSpec:
+    """Assemble the spec of the (n, m) bound state; the parameter type picks the family.
+
+    Coulomb: A = k^2 (2m + a + b)^2 / 4 and E = ``energy_level``.
+    Oscillator (needs omega^2 > 0): A = sigma^2 with sigma = k (2m + a + b)
+    and E = 2 omega (2n + 1 + sigma).
+    """
+    if n < 0 or m < 0:
+        raise DomainError("quantum numbers must be non-negative")
     a, b = exponents_from_couplings(params.alpha, params.beta)
-    A = separation_constant(params.k, a, b, m)
-    E = energy_level(params.Q, params.k, a, b, n, m)
-    return WavefunctionSpec(params=params, qn=QuantumNumbers(n, m), a=a, b=b, A=A, E=E)
+    if isinstance(params, DCParams):
+        A = separation_constant(params.k, a, b, m)
+        E = energy_level(params.Q, params.k, a, b, n, m)
+    else:
+        if params.omega2 <= 0.0:
+            raise DomainError("oscillator bound states need omega^2 > 0")
+        sigma = params.k.value * (2 * m + a + b)
+        A = sigma * sigma
+        E = 2.0 * math.sqrt(params.omega2) * (2 * n + 1 + sigma)
+    return WavefunctionSpec(params=params, n=n, m=m, a=a, b=b, A=A, E=E)
 
 
 def _level_m_range(k: RationalIndex, N: int) -> range:
@@ -163,39 +177,39 @@ def degeneracy_report(k: RationalIndex, N_max: int):
     return rows, mismatches
 
 
-def _radial_factor(spec: WavefunctionSpec, r):
-    """r^sqrt(A) exp(-kappa r) L_n^{2 sqrt(A)}(2 kappa r), kappa = sqrt(-E), on r > 0."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise DomainError("wavefunction needs r > 0")
-    kappa = math.sqrt(-spec.E)
+def _radial_factor(spec: WavefunctionSpec, q1):
+    """q1^sqrt(A) exp(-x/2) L_n^nu(x) on q1 > 0, in the family's x and nu (module docstring)."""
+    q1 = np.asarray(q1, dtype=float)
+    if np.any(q1 <= 0.0):
+        raise DomainError("wavefunction needs q1 > 0")
     sqrtA = math.sqrt(spec.A)
-    return (r ** sqrtA * np.exp(-kappa * r)
-            * specfun.laguerre(spec.qn.n, 2.0 * sqrtA, 2.0 * kappa * r))
+    x, nu = (2.0 * math.sqrt(-spec.E) * q1, 2.0 * sqrtA) if isinstance(spec.params, DCParams) \
+        else (math.sqrt(spec.params.omega2) * q1 ** 2, sqrtA)
+    return q1 ** sqrtA * np.exp(-0.5 * x) * specfun.laguerre(spec.n, nu, x)
 
 
-def _angular_factor(spec: WavefunctionSpec, phi):
-    """cos^a sin^b of k phi / 2 times P_m^{(a-1/2, b-1/2)}(-cos k phi), inside the cell."""
-    phi = np.asarray(phi, dtype=float)
+def _angular_factor(spec: WavefunctionSpec, q2):
+    """cos^a u sin^b u P_m^{(a-1/2, b-1/2)}(-cos 2u) inside the cell, u = k phi/2 or k theta."""
     k = spec.params.k.value
-    half = 0.5 * k * phi
-    cosw = np.cos(half)
-    sinw = np.sin(half)
-    if np.any(cosw <= 0.0) or np.any(sinw <= 0.0):
-        raise DomainError("wavefunction evaluated on or beyond a wedge wall")
-    return (cosw ** spec.a * sinw ** spec.b
-            * specfun.jacobi(spec.qn.m, spec.a - 0.5, spec.b - 0.5, -np.cos(k * phi)))
+    u = (0.5 * k if isinstance(spec.params, DCParams) else k) * np.asarray(q2, dtype=float)
+    cosu = np.cos(u)
+    sinu = np.sin(u)
+    if np.any(cosu <= 0.0) or np.any(sinu <= 0.0):
+        raise DomainError("wavefunction evaluated on or beyond a wall of the cell")
+    return (cosu ** spec.a * sinu ** spec.b
+            * specfun.jacobi(spec.m, spec.a - 0.5, spec.b - 0.5, -np.cos(2.0 * u)))
 
 
-def wavefunction(spec: WavefunctionSpec, r, phi):
-    """Gauge factors times the Laguerre-Jacobi polynomial pair.
+def wavefunction(spec: WavefunctionSpec, q1, q2):
+    """Gauge factors times the Laguerre-Jacobi polynomial pair, for either family.
 
-    Real-valued on r > 0, 0 < phi < pi/k (the cell where both gauge
-    factors are positive).  The state is the product of its radial and
-    angular factors, so on an (n_r, 1) column and a (1, n_phi) row it
-    costs O(n_r + n_phi) kernel work and one outer product.
+    Real-valued on q1 > 0 inside the cell (0 < phi < pi/k, or
+    0 < theta < pi/(2k), where both gauge factors are positive).  The
+    state is the product of its radial and angular factors, so on an
+    (n_1, 1) column and a (1, n_2) row it costs O(n_1 + n_2) kernel work
+    and one outer product.
     """
-    out = _radial_factor(spec, r) * _angular_factor(spec, phi)
+    out = _radial_factor(spec, q1) * _angular_factor(spec, q2)
     return out if np.ndim(out) else float(out)
 
 
@@ -230,7 +244,7 @@ def _abs_max(x):
 
 
 def dc_operator_residual(params: DCParams, E: float, psi, grid: GridSpec) -> float:
-    """Max of |(-Laplacian + V - E) psi| / (|E| max|psi|) over the grid interior.
+    """Max of |(-Laplacian + V - E) psi| / (|E| max|psi|) over a Coulomb-side grid interior.
 
     The polar Laplacian (including the (1/r) d_r term) is applied by
     second-order central differences, so the result converges as O(h^2).
@@ -297,12 +311,12 @@ def dc_operator_residual(params: DCParams, E: float, psi, grid: GridSpec) -> flo
 
 
 def default_grid(spec: WavefunctionSpec, n_r: int = 380, n_phi: int = 260) -> GridSpec:
-    """A window holding the bulk of the state, clear of walls and origin."""
+    """A window holding the bulk of a Coulomb-side state, clear of walls and origin."""
     kappa = math.sqrt(-spec.E)
     sqrtA = math.sqrt(spec.A)
-    r_peak = (sqrtA + 2.0 * spec.qn.n + 1.0) / kappa
-    r_lo = 0.25 * r_peak / (1.0 + spec.qn.n)
-    r_hi = r_peak + (3.0 + 2.0 * spec.qn.n) / kappa
+    r_peak = (sqrtA + 2.0 * spec.n + 1.0) / kappa
+    r_lo = 0.25 * r_peak / (1.0 + spec.n)
+    r_hi = r_peak + (3.0 + 2.0 * spec.n) / kappa
     cell = math.pi / spec.params.k.value
     f_lo, f_hi = 0.12 * cell, 0.88 * cell
     return GridSpec((r_lo, r_hi), (f_lo, f_hi),
@@ -332,7 +346,7 @@ def residual_with_refinement(params: DCParams, E: float, psi, grid: GridSpec,
 
 def _radial_cutoff(spec1: WavefunctionSpec, spec2: WavefunctionSpec) -> float:
     """Radius beyond which the slower envelope is twelve decades below its peak."""
-    s = max(math.sqrt(spec1.A) + spec1.qn.n, math.sqrt(spec2.A) + spec2.qn.n)
+    s = max(math.sqrt(spec1.A) + spec1.n, math.sqrt(spec2.A) + spec2.n)
     kappa = min(math.sqrt(-spec1.E), math.sqrt(-spec2.E))
     log_env = lambda r: s * math.log(r) - kappa * r
     r_peak = max(s / kappa, 1.0 / kappa)
@@ -358,7 +372,7 @@ def _panel_rule(n: int, cuts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def orthogonality_check(spec1: WavefunctionSpec, spec2: WavefunctionSpec) -> float:
-    """Normalized overlap of two states of the same system under r dr dphi.
+    """Normalized overlap of two Coulomb-side states of the same system under r dr dphi.
 
     Quadrature runs over the wedge cell with the radial range truncated
     where the envelope falls twelve decades below its peak; each axis is
@@ -395,33 +409,6 @@ def orthogonality_check(spec1: WavefunctionSpec, spec2: WavefunctionSpec) -> flo
 
 
 def ttw_bound_state(params: TTWParams, n: int, m: int):
-    """Closed-form separable bound state of the oscillator family.
-
-    Returns (psi, E) with psi a callable of (rho, theta); needs
-    omega^2 > 0.
-    """
-    if params.omega2 <= 0.0:
-        raise DomainError("oscillator bound states need omega^2 > 0")
-    omega = math.sqrt(params.omega2)
-    a, b = exponents_from_couplings(params.alpha, params.beta)
-    k = params.k.value
-    sigma = k * (2 * m + a + b)
-    E = 2.0 * omega * (2 * n + 1 + sigma)
-
-    def psi(rho, theta):
-        rho = np.asarray(rho, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        if np.any(rho <= 0.0):
-            raise DomainError("oscillator state needs rho > 0")
-        cosw = np.cos(k * theta)
-        sinw = np.sin(k * theta)
-        if np.any(cosw <= 0.0) or np.any(sinw <= 0.0):
-            raise DomainError("oscillator state evaluated on or beyond a wall")
-        radial = (rho ** sigma * np.exp(-0.5 * omega * rho ** 2)
-                  * specfun.laguerre(n, sigma, omega * rho ** 2))
-        angular = (cosw ** a * sinw ** b
-                   * specfun.jacobi(m, a - 0.5, b - 0.5, -np.cos(2.0 * k * theta)))
-        out = radial * angular
-        return out if np.ndim(out) else float(out)
-
-    return psi, E
+    """The oscillator state of ``bound_state`` as (psi, E), psi a callable of (rho, theta)."""
+    spec = bound_state(params, n, m)
+    return (lambda rho, theta: wavefunction(spec, rho, theta)), spec.E

@@ -204,9 +204,17 @@ class TestContract:
     ["trajectory", "--q1", "1", "--q2", "0", "--p1", "0.1", "--p2", "0.5"],
     ["conserve", "--q1", "1.1", "--q2", "0", "--p1", "0.4", "--p2", "0.7"],
     ["bracket", "--family", "ttw", "--beta=-0.3"],
+    # conserve starts from a point only; the Coulomb-side constants are no flags of it
+    ["conserve", "--E", "5", "--A", "-3", "--r-frac", "7", "--q1", "1.1", "--q2", "0.3",
+     "--p1", "0.4", "--p2", "0.7"],
+    ["trajectory", "--family", "ttw", "--E=-0.2", "--A", "0.9", "--q1", "1", "--q2", "0.3",
+     "--p1", "0.1", "--p2", "0.2"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_configuration_exits_usage(tmp_path, capsys, argv):
-    code, out = run(tmp_path, *argv)
+    try:
+        code, out = run(tmp_path, *argv)
+    except SystemExit as exc:  # argparse itself rejects an unknown flag
+        code, out = exc.code, tmp_path / "out"
     assert code == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
     assert not any(out.iterdir())  # rejected before the command ran
@@ -577,13 +585,19 @@ _POINT_OF_NO_BOUNDED_ORBIT = ["--k", "1", "--Q", "1", "--alpha", "0.2", "--beta"
     (["orbit-residual", "--integrator-tol", "0.01"], ["--integrator-tol"], []),
     (["trajectory", "--tol", "1e-15", "--q1", "1", "--q2", "1", "--p1", "0.1", "--p2", "0.5"],
      ["--tol"], []),
+    (["trajectory", "--family", "ttw", "--E=-0.2", "--A", "0.9", "--q1", "1", "--q2", "0.3",
+      "--p1", "0.1", "--p2", "0.2"], ["--E", "--A"], []),
+    (["trajectory", "--family", "ttw", "--A", "0.9", "--q1", "1", "--q2", "0.3",
+      "--p1", "0.1", "--p2", "0.2"], ["--A"], []),
 ], ids=["closure-E", "closure-E-k1", "closure-alpha", "orbit-residual-E", "orbit-residual-A",
         "trajectory-E", "closure-point", "orbit-residual-point", "closure-integrator-tol",
-        "orbit-residual-integrator-tol", "trajectory-tol"])
+        "orbit-residual-integrator-tol", "trajectory-tol", "trajectory-ttw-E-A",
+        "trajectory-ttw-A"])
 def test_constants_of_no_bounded_orbit_exit_usage(tmp_path, capsys, argv, flags, rows):
     # --E/--A or a closure/orbit-residual phase point that fail a bounded-motion
-    # row, and an integrator tolerance outside the integrator's range, are
-    # invalid arguments, not numerical failures
+    # row, an integrator tolerance outside the integrator's range, and --E/--A
+    # on an oscillator start (which would ignore them) are invalid arguments,
+    # not numerical failures
     code, out = run(tmp_path, *argv)
     assert code == EXIT_USAGE
     err = capsys.readouterr().err

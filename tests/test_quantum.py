@@ -217,6 +217,23 @@ class TestWavefunction:
         with pytest.raises(DomainError):
             wavefunction(spec, 1.0, math.pi + 1e-3)  # beyond the cos wall for k = 1
 
+    def test_oscillator_state_rejects_wall_and_origin(self):
+        ttw = TTWParams(omega2=0.25, alpha=0.2, beta=0.3, k=RationalIndex(1))
+        spec = bound_state(ttw, 0, 0)
+        with pytest.raises(DomainError):
+            wavefunction(spec, 0.0, 0.5)
+        with pytest.raises(DomainError):
+            wavefunction(spec, 1.0, 0.5 * math.pi + 1e-3)  # the cell is theta < pi/(2k)
+
+    @pytest.mark.parametrize("params", [
+        DCParams(Q=1.0, alpha=0.2, beta=0.3, k=RationalIndex(3, 2)),
+        TTWParams(omega2=0.25, alpha=0.2, beta=0.3, k=RationalIndex(3, 2)),
+    ], ids=["dc", "ttw"])
+    @pytest.mark.parametrize("n,m", [(-1, 0), (0, -3), (-2, -1)])
+    def test_bound_state_rejects_negative_quantum_numbers(self, params, n, m):
+        with pytest.raises(DomainError, match="non-negative"):
+            bound_state(params, n, m)
+
 
 GRID_CASES = [
     ("1", 0.0, 0.0, 0, 0),
@@ -519,6 +536,37 @@ class TestOscillatorBoundState:
         ttw = TTWParams(omega2=-1.0, alpha=0.2, beta=0.3, k=RationalIndex(1))
         with pytest.raises(DomainError):
             ttw_bound_state(ttw, 0, 0)
+
+    @pytest.mark.parametrize("omega2", [0.0, -1.0])
+    def test_bound_state_needs_positive_omega2(self, omega2):
+        ttw = TTWParams(omega2=omega2, alpha=0.2, beta=0.3, k=RationalIndex(3, 2))
+        with pytest.raises(DomainError, match="omega"):
+            bound_state(ttw, 0, 0)
+
+    @pytest.mark.parametrize("k_text,n,m", [("3/2", 1, 1), ("2", 0, 1), ("2/3", 2, 1)])
+    def test_mapped_state_is_the_coulomb_state_pointwise(self, k_text, n, m):
+        # the oscillator state carried by the exchange map is the Coulomb state
+        # of the image system (Q = E/2) up to a constant factor; the two sides
+        # come from independent closed forms of E, so the ratio tests them both
+        ttw = TTWParams(omega2=0.25, alpha=0.2, beta=0.3, k=RationalIndex.from_string(k_text))
+        psi, E_ttw = ttw_bound_state(ttw, n, m)
+        dc, _ = ttw_to_dc(ttw, E_ttw)
+        rr, ff = default_grid(bound_state(dc, n, m), 60, 40).axes()
+        r, phi = rr[:, None], ff[None, :]
+        mapped = map_wavefunction(psi)(r, phi)
+
+        def spread(nm):
+            direct = wavefunction(bound_state(dc, *nm), r, phi)
+            # away from the nodes of either state
+            keep = ((np.abs(mapped) > 1e-8 * np.abs(mapped).max())
+                    & (np.abs(direct) > 1e-8 * np.abs(direct).max()))
+            ratio = mapped[keep] / direct[keep]
+            return np.ptp(ratio) / abs(np.median(ratio))
+
+        assert spread((n, m)) < 1e-12
+        # negative controls: a neighbouring state of the image system
+        assert spread((n + 1, m)) > 1.0
+        assert spread((n, m + 1)) > 1.0
 
 
 class TestWavefunctionExport:
