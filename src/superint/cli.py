@@ -19,7 +19,6 @@ import sys
 import tempfile
 import traceback
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,19 +46,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-@dataclass
-class ExperimentConfig:
-    """One command invocation: command, output directory, seed, tolerance."""
-
-    command: str
-    out_dir: str
-    seed: int
-    tol: float
-
-    def echo(self) -> dict:
-        return {"command": self.command, "seed": self.seed, "tol": self.tol}
-
-
 def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
     """Write a str, or str pieces in order, via a temporary file and rename.
 
@@ -78,24 +64,24 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
         raise
 
 
-def _write_csv(config: ExperimentConfig, name: str, header: str, rows) -> None:
+def _write_csv(args, name: str, header: str, rows) -> None:
     """Stream rows under a header line; a str cell is written as is, any other by repr."""
     cell = lambda v: v if isinstance(v, str) else repr(v)
     lines = (",".join(cell(v) for v in row) + "\n" for row in rows)
-    atomic_write_text(os.path.join(config.out_dir, name), itertools.chain([header + "\n"], lines))
+    atomic_write_text(os.path.join(args.out_dir, name), itertools.chain([header + "\n"], lines))
 
 
-def write_summary(config: ExperimentConfig, criteria: list[dict], data: dict) -> str:
+def write_summary(args, criteria: list[dict], data: dict) -> str:
     """Write the summary: echoed config, criteria, verdict and measured data."""
     summary = {
         "tool_version": __version__,
-        "config": config.echo(),
-        "tolerance": config.tol,
+        "config": {"command": args.command, "seed": args.seed, "tol": args.tol},
+        "tolerance": args.tol,
         "criteria": criteria,
         "passed": all(c["passed"] for c in criteria),
         "data": data,
     }
-    path = os.path.join(config.out_dir, f"{config.command}_summary.json")
+    path = os.path.join(args.out_dir, f"{args.command}_summary.json")
     atomic_write_text(path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return path
 
@@ -104,10 +90,6 @@ def _criterion(name: str, value: float, threshold: float, passed: bool | None = 
     if passed is None:
         passed = bool(value <= threshold)
     return {"name": name, "value": value, "threshold": threshold, "passed": bool(passed)}
-
-
-def _parse_k(text: str) -> RationalIndex:
-    return RationalIndex.from_string(text)
 
 
 def _parse_states(text: str) -> list[tuple[int, int]]:
@@ -140,20 +122,27 @@ _RANGES = (
     ("alpha beta", 0.0, False, ("bracket",),
      ": a negative coupling leaves states with L1 < 0, where the integrals are undefined"),
     ("omega2", 0, True, ("conserve",), ": conserve counts oscillator periods"),
-    ("Q", 0, True, ("spectrum",), " for a bound spectrum"),
+    ("Q", 0, True, ("spectrum", "wavefunction-residual", "orthogonality"),
+     " for a bound spectrum"),
     ("a b", 0.5, True, ("spectrum",), " on the normalizable branch"),
 )
 # Commands that need a bounded DC orbit; trajectory integrates any point.
 _BOUNDED_ORBIT_COMMANDS = ("closure", "orbit-residual")
+# Each family's parameter type and coupling flag; the coupling defaults to 1.
+_FAMILIES = {"dc": (DCParams, "Q"), "ttw": (TTWParams, "omega2")}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _validate(args) -> None:
     """Reject a configuration no command can run on, raising DomainError, and
-    resolve the start point of a command that integrates one."""
-    flag = lambda name: "--" + name.replace("_", "-")
+    resolve the system of a command with a family and the start point of a
+    command that integrates one."""
     for name, value in sorted(vars(args).items()):
         if isinstance(value, float) and not math.isfinite(value):
-            raise DomainError(f"{flag(name)} must be finite, got {value}")
+            raise DomainError(f"{_flag(name)} must be finite, got {value}")
     for names, low, strict, commands, reason in _RANGES:
         for name in names.split():
             value = getattr(args, name, None)
@@ -162,46 +151,63 @@ def _validate(args) -> None:
             if not (value > low if strict else value >= low):
                 bound = ("be positive" if low == 0 else f"exceed {low}") if strict \
                     else f"be at least {low}"
-                raise DomainError(f"{flag(name)} must {bound}{reason}, got {value}")
-    # the integrator's tolerance; trajectory integrates at its --tol
-    name = "tol" if args.command == "trajectory" else "integrator_tol"
-    tol = getattr(args, name, None)
-    if tol is not None and not dynamics.TOL_MIN <= tol <= dynamics.TOL_MAX:
-        raise DomainError(f"{flag(name)} must lie in [{dynamics.TOL_MIN}, {dynamics.TOL_MAX}] "
-                          f"for the integrator, got {tol}")
+                raise DomainError(f"{_flag(name)} must {bound}{reason}, got {value}")
+    # the integrator's tolerance (trajectory integrates at its --tol), and the
+    # place of an --E/--A start between the turning points of its shell
+    tol = "tol" if args.command == "trajectory" else "integrator_tol"
+    intervals = ((tol, dynamics.TOL_MIN, dynamics.TOL_MAX, " for the integrator"),
+                 ("r_frac", 0, 1, " (its place in the radial annulus)"),
+                 ("u_frac", 0, 1, " (its place in the angular band)"))
+    for name, low, high, reason in intervals:
+        value = getattr(args, name, None)
+        if value is not None and not low <= value <= high:
+            raise DomainError(f"{_flag(name)} must lie in [{low}, {high}]{reason}, got {value}")
     if hasattr(args, "k"):
-        _parse_k(args.k)
+        args.k = RationalIndex.from_string(args.k)
     if hasattr(args, "states"):
         _parse_states(args.states)
+    if hasattr(args, "family"):
+        args.params = _params(args)
     if hasattr(args, "q1"):
         _resolve_start(args)
 
 
+def _params(args):
+    """The system of args.family; the other family's coupling would go unread
+    and is rejected naming its flag."""
+    for family, (_, name) in _FAMILIES.items():
+        if family != args.family and getattr(args, name, None) is not None:
+            raise DomainError(f"{_flag(name)} is a coupling of --family {family}; "
+                              f"--family {args.family} would not read it")
+    kind, name = _FAMILIES[args.family]
+    coupling = getattr(args, name)
+    return kind(1.0 if coupling is None else coupling, alpha=args.alpha, beta=args.beta, k=args.k)
+
+
 def _resolve_start(args) -> None:
-    """Set args.params and args.initial, the start of an integrating command.
+    """Set args.initial, the start of an integrating command.
 
     The start is --E/--A on the Coulomb side, placed on the shell by --r-frac
-    and --u-frac, or else all four point flags; an oscillator start given
-    --E or --A is rejected naming them.  A point must have an energy
-    (not on a wall), and constants, or a closure or orbit-residual point,
-    must fix a bounded orbit, or DomainError names the flags given; values
-    too large for floats raise an ArithmeticError.
+    and --u-frac (0.35 and 0.6 by default), or else all four point flags.  A
+    start flag the chosen start would not read is rejected naming it.  A
+    point must have an energy (not on a wall), and constants, or a closure
+    or orbit-residual point, must fix a bounded orbit, or DomainError names
+    the flags given; values too large for floats raise an ArithmeticError.
     """
-    dc = hasattr(args, "Q") and getattr(args, "family", "dc") == "dc"  # conserve has no --Q
-    args.params = _dc_params(args) if dc else _ttw_params(args)
-    constants = [f"--{name}" for name in ("E", "A") if getattr(args, name, None) is not None]
-    if constants and not dc:
-        raise DomainError(f"{' and '.join(constants)} fix a Coulomb start only; "
-                          "an oscillator start takes all of --q1 --q2 --p1 --p2")
-    point = (args.q1, args.q2, args.p1, args.p2)
-    from_constants = dc and None not in (args.E, args.A)
+    dc = args.family == "dc"
+    given = lambda *names: [name for name in names if getattr(args, name, None) is not None]
+    constants, point = given("E", "A"), given("q1", "q2", "p1", "p2")
+    from_constants = dc and len(constants) == 2
     if from_constants:
-        given = f"--E {args.E} and --A {args.A}"
-    elif None in point:
-        raise DomainError(f"provide {'either --E/--A or ' if dc else ''}all of --q1 --q2 --p1 --p2")
+        start, unread = f"--E {args.E} and --A {args.A}", point
+    elif len(point) == 4:
+        start, unread = f"--q1 {args.q1} --q2 {args.q2} --p1 {args.p1} --p2 {args.p2}", \
+            constants + given("r_frac", "u_frac")
+        args.initial = PhasePoint(args.q1, args.q2, args.p1, args.p2, DC_CHART if dc else TTW_CHART)
     else:
-        given = f"--q1 {args.q1} --q2 {args.q2} --p1 {args.p1} --p2 {args.p2}"
-        args.initial = PhasePoint(*point, DC_CHART if dc else TTW_CHART)
+        raise DomainError(f"provide {'either --E/--A or ' if dc else ''}all of --q1 --q2 --p1 --p2")
+    if unread:
+        raise DomainError(f"{' '.join(map(_flag, unread))} would go unread: {start} fix the start")
     try:
         E, A = (args.E, args.A) if from_constants else \
             (hamiltonian(args.initial, args.params), angular_invariant(args.initial, args.params))
@@ -209,11 +215,13 @@ def _resolve_start(args) -> None:
             return
         report = validate_bounded(args.params, E, A)
     except DomainError as exc:  # a point on a wall or at r = 0 has no energy, nor an orbit
-        raise DomainError(f"{given}: {exc}") from exc
+        raise DomainError(f"{start}: {exc}") from exc
     if not report.all_passed:
-        raise DomainError(f"{given} describe no bounded orbit: they fail the rows {report.failed()}")
+        raise DomainError(f"{start} describe no bounded orbit: they fail the rows {report.failed()}")
     if from_constants:
-        args.initial = bounded_dc_state(args.params, E, A, r_frac=args.r_frac, u_frac=args.u_frac)
+        args.initial = bounded_dc_state(args.params, E, A,
+                                        r_frac=0.35 if args.r_frac is None else args.r_frac,
+                                        u_frac=0.6 if args.u_frac is None else args.u_frac)
 
 
 def _load_config_file(path: str) -> dict:
@@ -256,7 +264,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]):
     for key, value in _load_config_file(args.config).items():
         if key not in actions or not hasattr(args, key):
             raise DomainError(f"unknown config key {key!r}")
-        flag = "--" + key.replace("_", "-")
+        flag = _flag(key)
         if isinstance(getattr(args, key), bool):  # a switch such as --export-grid
             if value.lower() not in ("true", "false"):
                 raise DomainError(f"config key {key!r} must be true or false, got {value!r}")
@@ -268,78 +276,65 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]):
     return parser.parse_args(argv[:1] + tokens + argv[1:])
 
 
-def _dc_params(args) -> DCParams:
-    return DCParams(Q=args.Q, alpha=args.alpha, beta=args.beta, k=_parse_k(args.k))
-
-
-def _ttw_params(args) -> TTWParams:
-    return TTWParams(omega2=args.omega2, alpha=args.alpha, beta=args.beta, k=_parse_k(args.k))
-
-
 def _state_labels(states) -> list[str]:
     """The n:m label of each state, for a CSV states cell joined by ';'."""
     return [f"{n}:{m}" for n, m in states]
 
 
-def _write_params(config: ExperimentConfig, params) -> None:
-    atomic_write_text(os.path.join(config.out_dir, f"{config.command}_params.txt"),
-                      params_to_text(params))
-
-
 # --- command bodies ---------------------------------------------------------
 
 # A command returns its criteria and the other values it measured (the
-# summary's "data"); it writes its own CSV files through _write_csv.  One that
-# integrates from a start finds it in args.params and args.initial.
+# summary's "data"); it writes its own CSV files through _write_csv.  One with
+# a family finds its system in args.params, and one that integrates its start
+# in args.initial.
 Outcome = tuple[list[dict], dict]
 
 
-def cmd_trajectory(args, config: ExperimentConfig) -> Outcome:
+def cmd_trajectory(args) -> Outcome:
     params = args.params
-    traj = dynamics.integrate(params, args.initial, args.t_end, tol=config.tol)
+    traj = dynamics.integrate(params, args.initial, args.t_end, tol=args.tol)
     rows = []
     for i, t in enumerate(traj.t.tolist()):
         pt = traj.point(i)
         rows.append((t, pt.q1, pt.q2, pt.p1, pt.p2, float(hamiltonian(pt, params)),
                      float(angular_invariant(pt, params))))
-    _write_csv(config, "trajectory.csv", "t,q1,q2,p1,p2,H,A", rows)
-    _write_params(config, params)
-    return ([_criterion("energy_drift", traj.max_energy_drift, 10.0 * config.tol)],
+    _write_csv(args, "trajectory.csv", "t,q1,q2,p1,p2,H,A", rows)
+    atomic_write_text(os.path.join(args.out_dir, "trajectory_params.txt"), params_to_text(params))
+    return ([_criterion("energy_drift", traj.max_energy_drift, 10.0 * args.tol)],
             {"steps": traj.steps, "nfev": traj.nfev, "rejected": traj.rejected})
 
 
-def cmd_closure(args, config: ExperimentConfig) -> Outcome:
+def cmd_closure(args) -> Outcome:
     k = args.params.k
     report = dynamics.closure_check(args.params, args.initial, args.max_periods or 2 * k.c * k.d,
-                                    config.tol, integrator_tol=args.integrator_tol)
-    _write_csv(config, "closure.csv", "n_radial,closed,return_distance,period_total",
+                                    args.tol, integrator_tol=args.integrator_tol)
+    _write_csv(args, "closure.csv", "n_radial,closed,return_distance,period_total",
                [(report.n_radial, report.closed, report.return_distance, report.period_total)])
-    return ([_criterion("return_distance", report.return_distance, config.tol,
+    return ([_criterion("return_distance", report.return_distance, args.tol,
                         passed=report.closed)],
             {"n_radial": report.n_radial, "period_total": report.period_total})
 
 
-def cmd_conserve(args, config: ExperimentConfig) -> Outcome:
-    period = math.pi / (2.0 * math.sqrt(args.omega2))
+def cmd_conserve(args) -> Outcome:
+    period = math.pi / (2.0 * math.sqrt(args.params.omega2))
     traj = dynamics.integrate(args.params, args.initial, args.periods * period,
                               tol=args.integrator_tol)
     rows = invariants.conservation_rows(traj)
-    _write_csv(config, "conserve.csv",
+    _write_csv(args, "conserve.csv",
                "t,H,L1,L2sin,L2cos,drift_H,drift_L1,drift_L2sin,drift_L2cos", rows)
     drifts = np.array([row[5:] for row in rows])
     worst = drifts.max(axis=0)
     names = ("drift_H", "drift_L1", "drift_L2sin", "drift_L2cos")
-    return [_criterion(n, float(w), config.tol) for n, w in zip(names, worst)], {}
+    return [_criterion(n, float(w), args.tol) for n, w in zip(names, worst)], {}
 
 
-def cmd_bracket(args, config: ExperimentConfig) -> Outcome:
-    rng = np.random.default_rng(config.seed)
+def cmd_bracket(args) -> Outcome:
+    params = args.params
+    rng = np.random.default_rng(args.seed)
     if args.family == "ttw":
-        params = _ttw_params(args)
         draw = lambda: random_ttw_state(rng, params, rho_range=(1.0, 1.4),
                                         p_max=0.8, margin=0.3)
     else:
-        params = _dc_params(args)
         draw = lambda: random_dc_state(rng, params, r_range=(0.8, 1.6),
                                        p_max=0.6, margin=0.3)
     F = lambda s: hamiltonian(s, params)
@@ -347,12 +342,12 @@ def cmd_bracket(args, config: ExperimentConfig) -> Outcome:
         else invariants.l2_cos(params, s)
     rows = [(i, invariants.poisson_bracket_numeric(F, G, draw()).value)
             for i in range(args.n_states)]
-    _write_csv(config, "bracket.csv", "index,value", rows)
+    _write_csv(args, "bracket.csv", "index,value", rows)
     worst = max(abs(row[1]) for row in rows)
-    return [_criterion("max_abs_bracket", worst, config.tol)], {}
+    return [_criterion("max_abs_bracket", worst, args.tol)], {}
 
 
-def cmd_orbit_residual(args, config: ExperimentConfig) -> Outcome:
+def cmd_orbit_residual(args) -> Outcome:
     params = args.params
     consts = dynamics.orbit_constants_from_point(params, args.initial)
     T = dynamics.radial_period_closed_form(params.Q, consts.E)
@@ -360,7 +355,7 @@ def cmd_orbit_residual(args, config: ExperimentConfig) -> Outcome:
     tt = np.linspace(0.0, traj.t[-1], args.n_samples)
     rows = [(t, r, phi, dynamics.orbit_residual(params, consts, r, phi))
             for t, (r, phi) in zip(tt.tolist(), traj.dense(tt)[:2].T.tolist())]
-    _write_csv(config, "orbit_residual.csv", "t,r,phi,residual", rows)
+    _write_csv(args, "orbit_residual.csv", "t,r,phi,residual", rows)
     worst = max(abs(row[3]) for row in rows)
     # off-orbit negative control, perturbed toward the annulus interior
     s = traj.at_time(0.13 * T)
@@ -368,14 +363,14 @@ def cmd_orbit_residual(args, config: ExperimentConfig) -> Outcome:
     r_pert = s.q1 * 1.05 if s.q1 * 1.05 < r2 else s.q1 * 0.95
     control = abs(dynamics.orbit_residual(params, consts, r_pert, s.q2))
     return [
-        _criterion("max_on_orbit_residual", worst, config.tol),
+        _criterion("max_on_orbit_residual", worst, args.tol),
         _criterion("off_orbit_control", control, 1e-3, passed=control > 1e-3),
     ], {}
 
 
-def cmd_stackel_verify(args, config: ExperimentConfig) -> Outcome:
-    params = _ttw_params(args)
-    rng = np.random.default_rng(config.seed)
+def cmd_stackel_verify(args) -> Outcome:
+    params = args.params
+    rng = np.random.default_rng(args.seed)
     worst = 0.0
     rows = []
     for i in range(args.n_points):
@@ -385,7 +380,7 @@ def cmd_stackel_verify(args, config: ExperimentConfig) -> Outcome:
         H = hamiltonian(s, params)
         worst = max(worst, abs(res) / (1.0 + abs(H)))
         rows.append((i, res, H))
-    _write_csv(config, "stackel_identity.csv", "index,residual,H", rows)
+    _write_csv(args, "stackel_identity.csv", "index,residual,H", rows)
     # canonical bracket preservation through the pushforward
     pairs = [
         ("r_pr", lambda s: stackel.pushforward_phase(s).q1, lambda s: stackel.pushforward_phase(s).p1, 1.0),
@@ -399,13 +394,13 @@ def cmd_stackel_verify(args, config: ExperimentConfig) -> Outcome:
             est = invariants.poisson_bracket_numeric(F, G, s)
             worst_canon = max(worst_canon, abs(est.value - target))
     return [
-        _criterion("identity_residual", worst, config.tol),
+        _criterion("identity_residual", worst, args.tol),
         _criterion("canonical_brackets", worst_canon, 1e-8),
     ], {}
 
 
-def cmd_spectrum(args, config: ExperimentConfig) -> Outcome:
-    k = _parse_k(args.k)
+def cmd_spectrum(args) -> Outcome:
+    k = args.k
     alpha = args.a * (args.a - 1.0)
     beta = args.b * (args.b - 1.0)
     params = DCParams(Q=args.Q, alpha=alpha, beta=beta, k=k)
@@ -416,7 +411,7 @@ def cmd_spectrum(args, config: ExperimentConfig) -> Outcome:
         if line is not None:
             rows.append((N, line.E, quantum.degeneracy_formula(k, N), len(line.states),
                          ";".join(_state_labels(line.states))))
-    _write_csv(config, "spectrum.csv", "N,E,degeneracy_formula,degeneracy_bruteforce,states", rows)
+    _write_csv(args, "spectrum.csv", "N,E,degeneracy_formula,degeneracy_bruteforce,states", rows)
     worst = 0.0
     for n in range(args.n_max + 1):
         for m in range(args.m_max + 1):
@@ -428,8 +423,8 @@ def cmd_spectrum(args, config: ExperimentConfig) -> Outcome:
             {"E_0_0": quantum.energy_level(args.Q, k, args.a, args.b, 0, 0)})
 
 
-def cmd_degeneracy(args, config: ExperimentConfig) -> Outcome:
-    k = _parse_k(args.k)
+def cmd_degeneracy(args) -> Outcome:
+    k = args.k
     mismatches = []
 
     def rows():
@@ -441,7 +436,7 @@ def cmd_degeneracy(args, config: ExperimentConfig) -> Outcome:
                 mismatches.append(N)
             yield N, formula, len(labels), formula == len(labels), ";".join(labels)
 
-    _write_csv(config, "degeneracy.csv", "N,formula,bruteforce,match,states", rows())
+    _write_csv(args, "degeneracy.csv", "N,formula,bruteforce,match,states", rows())
     if k.d == 1:
         crit = _criterion("formula_matches_enumeration", float(len(mismatches)), 0.0,
                           passed=not mismatches)
@@ -451,70 +446,67 @@ def cmd_degeneracy(args, config: ExperimentConfig) -> Outcome:
     return [crit], {"mismatched_N": mismatches}
 
 
-def cmd_wavefunction_residual(args, config: ExperimentConfig) -> Outcome:
-    params = _dc_params(args)
+def cmd_wavefunction_residual(args) -> Outcome:
+    params = args.params
     spec = quantum.bound_state(params, args.n, args.m)
     grid = quantum.default_grid(spec, n_r=args.grid_r, n_phi=args.grid_phi)
     res, ratio, used = quantum.residual_with_refinement(
         params, spec.E, lambda r, phi: quantum.wavefunction(spec, r, phi),
-        grid, target=config.tol)
+        grid, target=args.tol)
     if args.export_grid:
         rr, ff = grid.axes()
         r, phi = rr[:, None], ff[None, :]
         psi = quantum.wavefunction(spec, r, phi)
         R, F = np.broadcast_arrays(r, phi)
-        _write_csv(config, "wavefunction.csv", "r,phi,psi",
+        _write_csv(args, "wavefunction.csv", "r,phi,psi",
                    zip(R.ravel().tolist(), F.ravel().tolist(), psi.ravel().tolist()))
     return [
-        _criterion("residual", res, config.tol),
+        _criterion("residual", res, args.tol),
         _criterion("h2_convergence_ratio", ratio, math.inf, passed=2.3 <= ratio <= 7.0),
     ], {"E": spec.E, "spacing": list(used.spacing)}
 
 
-def cmd_orthogonality(args, config: ExperimentConfig) -> Outcome:
-    params = _dc_params(args)
-    states = [quantum.bound_state(params, n, m) for n, m in _parse_states(args.states)]
+def cmd_orthogonality(args) -> Outcome:
+    states = [quantum.bound_state(args.params, n, m) for n, m in _parse_states(args.states)]
     rows = []
     for i in range(len(states)):
         for j in range(i, len(states)):
             rows.append((i, j, quantum.orthogonality_check(states[i], states[j])))
-    _write_csv(config, "orthogonality.csv", "i,j,overlap", rows)
+    _write_csv(args, "orthogonality.csv", "i,j,overlap", rows)
     worst = max(abs(ov) for i, j, ov in rows if i != j)
-    return [_criterion("max_cross_overlap", worst, config.tol)], {}
+    return [_criterion("max_cross_overlap", worst, args.tol)], {}
 
 
-COMMANDS = {
-    "trajectory": cmd_trajectory,
-    "closure": cmd_closure,
-    "conserve": cmd_conserve,
-    "bracket": cmd_bracket,
-    "orbit-residual": cmd_orbit_residual,
-    "stackel-verify": cmd_stackel_verify,
-    "spectrum": cmd_spectrum,
-    "degeneracy": cmd_degeneracy,
-    "wavefunction-residual": cmd_wavefunction_residual,
-    "orthogonality": cmd_orthogonality,
-}
+def _add_system(sp, *families, start=False):
+    """Register the flags of a command's system and, with start, of its start.
 
-
-def _add_dc_args(sp, with_point=True):
+    A command of one family gets it as a default, one of two gets --family,
+    the first being the default.  The couplings Q and omega2 default to None
+    so that _params can tell one given to the other family; so do --r-frac
+    and --u-frac, for _resolve_start.
+    """
+    if len(families) == 1:
+        sp.set_defaults(family=families[0])
+    else:
+        sp.add_argument("--family", choices=families, default=families[0])
     sp.add_argument("--k", default="1", help="deformation index c/d")
-    sp.add_argument("--Q", type=float, default=1.0)
+    for family in families:
+        name = _FAMILIES[family][1]
+        sp.add_argument(_flag(name), dest=name, type=float, default=None,
+                        help=f"coupling of the {family} family (default 1)")
     sp.add_argument("--alpha", type=float, default=0.2)
     sp.add_argument("--beta", type=float, default=0.3)
-    if with_point:
+    if not start:
+        return
+    if "dc" in families:
         sp.add_argument("--E", type=float, default=None, help="orbit energy (with --A)")
         sp.add_argument("--A", type=float, default=None, help="angular constant (with --E)")
-        sp.add_argument("--r-frac", dest="r_frac", type=float, default=0.35)
-        sp.add_argument("--u-frac", dest="u_frac", type=float, default=0.6)
-        _add_point_args(sp)
-
-
-def _add_point_args(sp):
-    sp.add_argument("--q1", type=float, default=None)
-    sp.add_argument("--q2", type=float, default=None)
-    sp.add_argument("--p1", type=float, default=None)
-    sp.add_argument("--p2", type=float, default=None)
+        sp.add_argument("--r-frac", dest="r_frac", type=float, default=None,
+                        help="radial place of an --E/--A start in [0, 1] (default 0.35)")
+        sp.add_argument("--u-frac", dest="u_frac", type=float, default=None,
+                        help="angular place of an --E/--A start in [0, 1] (default 0.6)")
+    for name in ("q1", "q2", "p1", "p2"):
+        sp.add_argument(_flag(name), type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -529,52 +521,48 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out-dir", default=None,
                         help="output directory (default: $SUPERINT_OUTDIR or .)")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=None,
-                        help="pass/fail tolerance of the command")
     common.add_argument("--config", default=None,
                         help="flat key=value file; command-line flags win")
 
-    sp = sub.add_parser("trajectory", parents=[common])
-    sp.add_argument("--family", choices=("dc", "ttw"), default="dc")
-    sp.add_argument("--omega2", type=float, default=1.0)
-    _add_dc_args(sp)
+    def command(name, run, tol):
+        # --tol is added per command: a default set on the action shared
+        # through common would hold for every command
+        sp = sub.add_parser(name, parents=[common])
+        sp.add_argument("--tol", type=float, default=tol,
+                        help="pass/fail tolerance of the command (default %(default)s)")
+        sp.set_defaults(run=run)
+        return sp
+
+    sp = command("trajectory", cmd_trajectory, 1e-10)
+    _add_system(sp, "dc", "ttw", start=True)
     sp.add_argument("--t-end", dest="t_end", type=float, default=50.0)
 
-    sp = sub.add_parser("closure", parents=[common])
-    _add_dc_args(sp)
+    sp = command("closure", cmd_closure, 1e-6)
+    _add_system(sp, "dc", start=True)
     sp.add_argument("--max-periods", dest="max_periods", type=int, default=None)
     sp.add_argument("--integrator-tol", dest="integrator_tol", type=float, default=1e-12)
 
-    sp = sub.add_parser("conserve", parents=[common])
-    sp.add_argument("--k", default="1")
-    sp.add_argument("--omega2", type=float, default=1.0)
-    sp.add_argument("--alpha", type=float, default=0.2)
-    sp.add_argument("--beta", type=float, default=0.3)
-    _add_point_args(sp)
+    sp = command("conserve", cmd_conserve, 1e-6)
+    _add_system(sp, "ttw", start=True)
     sp.add_argument("--periods", type=float, default=20.0)
     sp.add_argument("--integrator-tol", dest="integrator_tol", type=float, default=1e-12)
 
-    sp = sub.add_parser("bracket", parents=[common])
-    sp.add_argument("--family", choices=("ttw", "dc"), default="ttw")
-    sp.add_argument("--omega2", type=float, default=1.0)
-    _add_dc_args(sp, with_point=False)
+    sp = command("bracket", cmd_bracket, 1e-6)
+    _add_system(sp, "ttw", "dc")
     sp.add_argument("--variant", choices=("sin", "cos"), default="sin")
     sp.add_argument("--n-states", dest="n_states", type=int, default=100)
 
-    sp = sub.add_parser("orbit-residual", parents=[common])
-    _add_dc_args(sp)
+    sp = command("orbit-residual", cmd_orbit_residual, 1e-6)
+    _add_system(sp, "dc", start=True)
     sp.add_argument("--periods", type=float, default=5.0)
     sp.add_argument("--n-samples", dest="n_samples", type=int, default=1000)
     sp.add_argument("--integrator-tol", dest="integrator_tol", type=float, default=1e-12)
 
-    sp = sub.add_parser("stackel-verify", parents=[common])
-    sp.add_argument("--k", default="1")
-    sp.add_argument("--omega2", type=float, default=1.0)
-    sp.add_argument("--alpha", type=float, default=0.2)
-    sp.add_argument("--beta", type=float, default=0.3)
+    sp = command("stackel-verify", cmd_stackel_verify, 1e-11)
+    _add_system(sp, "ttw")
     sp.add_argument("--n-points", dest="n_points", type=int, default=500)
 
-    sp = sub.add_parser("spectrum", parents=[common])
+    sp = command("spectrum", cmd_spectrum, 1e-14)
     sp.add_argument("--k", default="1")
     sp.add_argument("--Q", type=float, default=1.0)
     sp.add_argument("--a", type=float, default=1.0)
@@ -582,37 +570,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", dest="n_max", type=int, default=2)
     sp.add_argument("--m-max", dest="m_max", type=int, default=2)
 
-    sp = sub.add_parser("degeneracy", parents=[common])
+    sp = command("degeneracy", cmd_degeneracy, 0.0)
     sp.add_argument("--k", default="2")
     sp.add_argument("--N-max", dest="N_max", type=int, default=50)
 
-    sp = sub.add_parser("wavefunction-residual", parents=[common])
-    _add_dc_args(sp, with_point=False)
+    sp = command("wavefunction-residual", cmd_wavefunction_residual, 1e-5)
+    _add_system(sp, "dc")
     sp.add_argument("--n", type=int, default=0)
     sp.add_argument("--m", type=int, default=0)
     sp.add_argument("--grid-r", dest="grid_r", type=int, default=500)
     sp.add_argument("--grid-phi", dest="grid_phi", type=int, default=340)
     sp.add_argument("--export-grid", dest="export_grid", action="store_true")
 
-    sp = sub.add_parser("orthogonality", parents=[common])
-    _add_dc_args(sp, with_point=False)
+    sp = command("orthogonality", cmd_orthogonality, 1e-6)
+    _add_system(sp, "dc")
     sp.add_argument("--states", default="0,0;1,0;0,1",
                     help="semicolon-separated n,m pairs")
     return parser
-
-
-DEFAULT_TOL = {
-    "trajectory": 1e-10,
-    "closure": 1e-6,
-    "conserve": 1e-6,
-    "bracket": 1e-6,
-    "orbit-residual": 1e-6,
-    "stackel-verify": 1e-11,
-    "spectrum": 1e-14,
-    "degeneracy": 0.0,
-    "wavefunction-residual": 1e-5,
-    "orthogonality": 1e-6,
-}
 
 
 def main(argv=None) -> int:
@@ -627,14 +601,12 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    out_dir = args.out_dir or os.environ.get("SUPERINT_OUTDIR", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    tol = args.tol if args.tol is not None else DEFAULT_TOL[args.command]
-    config = ExperimentConfig(command=args.command, out_dir=out_dir, seed=args.seed, tol=tol)
+    args.out_dir = args.out_dir or os.environ.get("SUPERINT_OUTDIR", ".")
+    os.makedirs(args.out_dir, exist_ok=True)
 
     try:
-        criteria, data = COMMANDS[args.command](args, config)
-        path = write_summary(config, criteria, data)
+        criteria, data = args.run(args)
+        path = write_summary(args, criteria, data)
     except (DomainError, AccuracyError, DegenerateOrbitError, IntegrationError,
             ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -177,46 +177,79 @@ class TestContract:
         assert (target / "degeneracy_summary.json").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--k", "0"],
-    ["bracket", "--n-states", "1", "--tol", "nan"],
-    ["bracket", "--n-states", "1", "--tol=-1e-6"],
-    ["trajectory", "--family", "ttw", "--q1", "0", "--q2", "0.3", "--p1", "0.1", "--p2", "0.2"],
-    ["trajectory", "--q1", "1", "--q2", "1", "--p1", "0", "--p2", "0.7", "--t-end", "inf"],
-    ["bracket", "--n-states", "0"],
-    ["stackel-verify", "--n-points", "0"],
-    ["degeneracy", "--N-max", "-3"],
-    ["orbit-residual", "--periods", "0"],
-    ["conserve", "--periods", "0"],
-    ["orthogonality", "--states=-1,0"],
-    ["orthogonality", "--states", "0,0;0,0"],
-    ["orthogonality", "--states", "0,0"],
-    ["orthogonality", "--k", "3/2", "--Q", "1", "--alpha=-0.3", "--beta", "0.3"],
-    ["wavefunction-residual", "--k", "1", "--Q", "1", "--alpha=-0.3", "--beta", "0.3"],
-    ["closure"],
-    ["closure", "--E=-0.2"],
-    ["conserve", "--q1", "1.1", "--q2", "0.3", "--p1", "0.4"],
-    ["trajectory", "--family", "ttw", "--E=-0.2", "--A", "0.9"],
-    ["spectrum", "--Q", "0"],
-    ["spectrum", "--a", "0.5"],
-    ["spectrum", "--a", "0"],
-    ["conserve", "--alpha=-0.3", "--q1", "1.1", "--q2", "0.3", "--p1", "0.4", "--p2", "0.7"],
-    ["trajectory", "--q1", "1", "--q2", "0", "--p1", "0.1", "--p2", "0.5"],
-    ["conserve", "--q1", "1.1", "--q2", "0", "--p1", "0.4", "--p2", "0.7"],
-    ["bracket", "--family", "ttw", "--beta=-0.3"],
+_TTW_POINT = ["--q1", "1", "--q2", "0.3", "--p1", "0.1", "--p2", "0.2"]
+_DC_POINT = ["--k", "2", "--q1", "1.42", "--q2", "0.7", "--p1", "0.206", "--p2", "0.2"]
+
+
+# (argv, the flag its message names, or "" where none is checked)
+_BAD_CONFIGURATIONS = [
+    (["spectrum", "--k", "0"], ""),
+    (["bracket", "--n-states", "1", "--tol", "nan"], ""),
+    (["bracket", "--n-states", "1", "--tol=-1e-6"], ""),
+    (["trajectory", "--family", "ttw", "--q1", "0", "--q2", "0.3", "--p1", "0.1", "--p2", "0.2"],
+     ""),
+    (["trajectory", "--q1", "1", "--q2", "1", "--p1", "0", "--p2", "0.7", "--t-end", "inf"], ""),
+    (["bracket", "--n-states", "0"], ""),
+    (["stackel-verify", "--n-points", "0"], ""),
+    (["degeneracy", "--N-max", "-3"], ""),
+    (["orbit-residual", "--periods", "0"], ""),
+    (["conserve", "--periods", "0"], ""),
+    (["orthogonality", "--states=-1,0"], ""),
+    (["orthogonality", "--states", "0,0;0,0"], ""),
+    (["orthogonality", "--states", "0,0"], ""),
+    (["orthogonality", "--k", "3/2", "--Q", "1", "--alpha=-0.3", "--beta", "0.3"], ""),
+    (["wavefunction-residual", "--k", "1", "--Q", "1", "--alpha=-0.3", "--beta", "0.3"], ""),
+    (["closure"], ""),
+    (["closure", "--E=-0.2"], ""),
+    (["conserve", "--q1", "1.1", "--q2", "0.3", "--p1", "0.4"], ""),
+    (["trajectory", "--family", "ttw", "--E=-0.2", "--A", "0.9"], ""),
+    (["spectrum", "--Q", "0"], ""),
+    (["spectrum", "--a", "0.5"], ""),
+    (["spectrum", "--a", "0"], ""),
+    (["conserve", "--alpha=-0.3", "--q1", "1.1", "--q2", "0.3", "--p1", "0.4", "--p2", "0.7"],
+     ""),
+    (["trajectory", "--q1", "1", "--q2", "0", "--p1", "0.1", "--p2", "0.5"], ""),
+    (["conserve", "--q1", "1.1", "--q2", "0", "--p1", "0.4", "--p2", "0.7"], ""),
+    (["bracket", "--family", "ttw", "--beta=-0.3"], ""),
     # conserve starts from a point only; the Coulomb-side constants are no flags of it
-    ["conserve", "--E", "5", "--A", "-3", "--r-frac", "7", "--q1", "1.1", "--q2", "0.3",
-     "--p1", "0.4", "--p2", "0.7"],
-    ["trajectory", "--family", "ttw", "--E=-0.2", "--A", "0.9", "--q1", "1", "--q2", "0.3",
-     "--p1", "0.1", "--p2", "0.2"],
-], ids=lambda argv: " ".join(argv))
-def test_bad_configuration_exits_usage(tmp_path, capsys, argv):
+    (["conserve", "--E", "5", "--A", "-3", "--r-frac", "7", "--q1", "1.1", "--q2", "0.3",
+      "--p1", "0.4", "--p2", "0.7"], ""),
+    (["trajectory", "--family", "ttw", "--E=-0.2", "--A", "0.9", "--q1", "1", "--q2", "0.3",
+      "--p1", "0.1", "--p2", "0.2"], ""),
+    # a flag the run would not read, or would misread, named in the message:
+    # the other family's coupling, --r-frac/--u-frac on a point start, point
+    # flags alongside --E/--A, a lone --E or --A on a point start, Q <= 0
+    # without a bound spectrum, and a place on the shell outside [0, 1]
+    (["trajectory", "--family", "ttw", "--Q=-4", *_TTW_POINT, "--t-end", "1"], "--Q"),
+    (["trajectory", "--family", "dc", "--omega2=-5", *_DC_POINT, "--t-end", "1"], "--omega2"),
+    (["bracket", "--family", "ttw", "--Q=-3"], "--Q"),
+    (["bracket", "--family", "dc", "--omega2=-3"], "--omega2"),
+    (["closure", *_DC_POINT, "--r-frac", "0.5"], "--r-frac"),
+    (["orbit-residual", *_DC_POINT, "--u-frac", "0.5"], "--u-frac"),
+    (["trajectory", "--family", "ttw", "--r-frac", "0.5", *_TTW_POINT, "--t-end", "1"],
+     "--r-frac"),
+    (["closure", "--E=-0.2", "--A", "0.9", "--q1", "5", "--q2", "0.1", "--p1", "3", "--p2", "3"],
+     "--q1"),
+    (["closure", "--E=-0.2", "--A", "0.9", "--p2", "3"], "--p2"),
+    (["closure", "--E=-0.2", *_DC_POINT], "--E"),
+    (["trajectory", "--A", "0.9", *_DC_POINT, "--t-end", "1"], "--A"),
+    (["wavefunction-residual", "--Q", "0"], "--Q"),
+    (["orthogonality", "--Q=-1"], "--Q"),
+    (["orbit-residual", "--k", "2", "--Q", "1", "--alpha", "0.2", "--beta", "0.3", "--E=-0.2",
+      "--A", "1.1", "--r-frac", "1.5"], "--r-frac"),
+    (["closure", "--E=-0.2", "--A", "0.9", "--u-frac=-2"], "--u-frac"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", [pytest.param(argv, flag, id=" ".join(argv))
+                                        for argv, flag in _BAD_CONFIGURATIONS])
+def test_bad_configuration_exits_usage(tmp_path, capsys, argv, flag):
     try:
         code, out = run(tmp_path, *argv)
     except SystemExit as exc:  # argparse itself rejects an unknown flag
         code, out = exc.code, tmp_path / "out"
     assert code == EXIT_USAGE
-    assert "error:" in capsys.readouterr().err
+    assert f"error: {flag}" in capsys.readouterr().err  # the flag at fault, where one is given
     assert not any(out.iterdir())  # rejected before the command ran
 
 
@@ -281,6 +314,16 @@ def test_conserve_passes_from_rest(tmp_path, k):
     assert read_summary(out, "conserve")["passed"]
 
 
+def test_family_coupling_defaults_to_one(tmp_path):
+    # the coupling flags default to None, so the system built must fill in 1
+    for family, coupling in (("dc", "Q"), ("ttw", "omega2")):
+        code, out = run(tmp_path, "trajectory", "--family", family, *_TTW_POINT, "--t-end", "1")
+        assert code == EXIT_PASS
+        assert f"{coupling}=1.0" in (out / "trajectory_params.txt").read_text().splitlines()
+    code, _ = run(tmp_path, "conserve", *_TTW_POINT, "--periods", "1")
+    assert code == EXIT_PASS
+
+
 def test_config_file_value_gets_the_flag_type(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("Q=abc\n")
@@ -300,10 +343,10 @@ def test_config_file_value_gets_the_flag_type(tmp_path, capsys):
 
 
 def test_unexpected_exception_exits_numerical(tmp_path, monkeypatch, capsys):
-    def broken(args, config):
+    def broken(args):
         raise KeyError("no such entry")
 
-    monkeypatch.setitem(cli.COMMANDS, "degeneracy", broken)
+    monkeypatch.setattr(cli, "cmd_degeneracy", broken)
     code, _ = run(tmp_path, "degeneracy", "--N-max", "3")
     assert code == EXIT_NUMERICAL
     assert "KeyError" in capsys.readouterr().err
@@ -388,9 +431,10 @@ def test_bracket_exit_code_contract(family, k, n_states, alpha, beta):
 def test_trajectory_exit_code_contract(family, k, q1, q2, t_end):
     # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a
     # verdict; no input of this space, a start on a wall (q2 = 0) among them,
-    # fails numerically
+    # fails numerically; each family is given its own coupling
+    coupling = "--Q" if family == "dc" else "--omega2"
     with tempfile.TemporaryDirectory() as out:
-        argv = ["trajectory", "--family", family, "--k", k, "--Q", "1", "--alpha", "0.2",
+        argv = ["trajectory", "--family", family, "--k", k, coupling, "1", "--alpha", "0.2",
                 "--beta", "0.3", f"--q1={q1}", f"--q2={q2}", "--p1", "0.1", "--p2", "0.5",
                 f"--t-end={t_end}", "--out-dir", out]
         try:
@@ -405,12 +449,13 @@ def test_trajectory_exit_code_contract(family, k, q1, q2, t_end):
 
 @settings(max_examples=30, deadline=None)
 @given(k=st.sampled_from(["1", "3/2", "0", "x"]), n=st.sampled_from(["0", "1", "-1"]),
-       alpha=st.sampled_from(["0", "0.2", "-0.3", "nan"]),
+       Q=st.sampled_from(["1", "0", "-1"]), alpha=st.sampled_from(["0", "0.2", "-0.3", "nan"]),
        grid_r=st.sampled_from(["40", "4", "0"]), grid_phi=st.sampled_from(["28", "0"]))
-def test_wavefunction_residual_exit_code_contract(k, n, alpha, grid_r, grid_phi):
-    # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a verdict
+def test_wavefunction_residual_exit_code_contract(k, n, Q, alpha, grid_r, grid_phi):
+    # every input maps onto {0, 1, 2, 3}, and a summary exists exactly on a
+    # verdict; with Q <= 0, which has no bound spectrum, it is a usage error
     with tempfile.TemporaryDirectory() as out:
-        argv = ["wavefunction-residual", "--k", k, "--Q", "1", f"--alpha={alpha}", "--beta", "0.3",
+        argv = ["wavefunction-residual", "--k", k, f"--Q={Q}", f"--alpha={alpha}", "--beta", "0.3",
                 f"--n={n}", "--m", "0", f"--grid-r={grid_r}", f"--grid-phi={grid_phi}",
                 "--out-dir", out]
         try:
@@ -418,24 +463,28 @@ def test_wavefunction_residual_exit_code_contract(k, n, alpha, grid_r, grid_phi)
         except SystemExit as exc:
             code = exc.code
         assert code in {EXIT_PASS, EXIT_CRITERION, EXIT_USAGE, EXIT_NUMERICAL}
+        assert code == EXIT_USAGE or float(Q) > 0
         summary = os.path.exists(os.path.join(out, "wavefunction-residual_summary.json"))
         assert summary == (code in {EXIT_PASS, EXIT_CRITERION})
 
 
 @settings(max_examples=30, deadline=None)
-@given(k=st.sampled_from(["1", "3/2", "0", "x"]), alpha=st.sampled_from(["0", "0.2", "-0.3", "nan"]),
+@given(k=st.sampled_from(["1", "3/2", "0", "x"]), Q=st.sampled_from(["1", "0", "-1"]),
+       alpha=st.sampled_from(["0", "0.2", "-0.3", "nan"]),
        states=st.sampled_from(["0,0;1,0", "0,0", "-1,0", "0,0;0,0", "x", "0,0;1,0;0,1"]))
-def test_orthogonality_exit_code_contract(k, alpha, states):
+def test_orthogonality_exit_code_contract(k, Q, alpha, states):
     # every input maps onto {0, 1, 2, 3}; a summary exists exactly on a
-    # verdict, and exit 0 only with a passing one
+    # verdict, and exit 0 only with a passing one; with Q <= 0, which has no
+    # bound spectrum, it is a usage error
     with tempfile.TemporaryDirectory() as out:
-        argv = ["orthogonality", "--k", k, "--Q", "1", f"--alpha={alpha}", "--beta", "0.3",
+        argv = ["orthogonality", "--k", k, f"--Q={Q}", f"--alpha={alpha}", "--beta", "0.3",
                 f"--states={states}", "--out-dir", out]
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
         assert code in {EXIT_PASS, EXIT_CRITERION, EXIT_USAGE, EXIT_NUMERICAL}
+        assert code == EXIT_USAGE or float(Q) > 0
         path = os.path.join(out, "orthogonality_summary.json")
         assert os.path.exists(path) == (code in {EXIT_PASS, EXIT_CRITERION})
         if code in {EXIT_PASS, EXIT_CRITERION}:
