@@ -554,7 +554,9 @@ def closure_check(params: DCParams, initial: PhasePoint, max_radial_periods: int
     """Search multiples of the radial period for a phase-space return.
 
     The return metric is the Euclidean distance in (r, phi mod 2 pi/k,
-    p_r, p_phi) with each coordinate scaled by its initial magnitude.
+    p_r, p_phi) with each coordinate scaled by its largest magnitude along
+    the orbit, and phi by the period 2 pi/k it is wrapped by, so a start at
+    a turning point (where p_r or p_phi vanishes) is measured like any other.
     """
     E = hamiltonian(initial, params)
     A = angular_invariant(initial, params)
@@ -569,7 +571,8 @@ def closure_check(params: DCParams, initial: PhasePoint, max_radial_periods: int
     period_phi = 2.0 * math.pi / params.k.value
     traj = integrate(params, initial, (max_radial_periods + 0.3) * T_r, tol=integrator_tol)
     y0 = initial.as_array()[:, None]
-    scales = np.where(np.abs(y0) > 1e-9, np.abs(y0), 1.0)
+    scales = np.max(np.abs(traj.y), axis=1, keepdims=True)
+    scales[1] = period_phi
 
     def distance(t):
         dy = traj.dense(t) - y0

@@ -1,15 +1,19 @@
-"""Coupling-constant exchange between oscillator-type and Coulomb-type systems.
+"""Coupling-constant exchange between oscillator-term and Coulomb-term systems.
 
-A system with a -E~ rho^2 term at fixed energy E maps to a system with a
--E/(2r) Coulomb term at energy E~, through the variable change
-r = rho^2/2, phi = 2 theta and the induced canonical momentum map.  The
-exchange is exact pointwise: (H~ - E~) = rho^-2 (H - E).
+The general theorem (coupling-constant metamorphosis): take any
+H = p_rho^2 + p_theta^2/rho^2 + V(rho, theta) at a fixed energy E.  Under
+r = rho^2/2, phi = 2 theta and the induced canonical momentum map,
+H~ = p_r^2 + p_phi^2/r^2 + W(r, phi) with W = (V(sqrt(2r), phi/2) - E)/(2r)
+obeys H~(image point) = rho^-2 (H - E) pointwise; V need not separate.  An
+oscillator term omega^2 rho^2 of V becomes the constant omega^2 of W, and
+the energy becomes a Coulomb term -E/(2r).  TTW to DC is one instance: the
+image of the TTW potential is the DC potential at Q = E/2 plus omega^2, so
+(H_DC - E~) = rho^-2 (H - E) with E~ = -omega^2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,47 +30,18 @@ from .systems import (
 )
 
 
-@dataclass(frozen=True)
-class SeparableOscillatorSystem:
-    """Polar-separable Hamiltonian with an isotropic oscillator term.
-
-    H = p_rho^2 + p_theta^2/rho^2 - coupling * rho^2 + f1(rho) + f2(theta)/rho^2,
-    where f1 and f2 take no coupling argument by construction.  With the two
-    names below it states the paper's theorem that every oscillator-term
-    Hamiltonian maps to a Coulomb-term one; only the tests call the three.
-    """
-
-    f1: Callable[[float], float]
-    f2: Callable[[float], float]
-    coupling: float  # E~; the rho^2 coefficient is -E~, so omega^2 = -E~
-
-    def potential(self, rho: float, theta: float) -> float:
-        return -self.coupling * rho * rho + self.f1(rho) + self.f2(theta) / (rho * rho)
-
-    def hamiltonian(self, state: PhasePoint) -> float:
-        return state.p1 ** 2 + (state.p2 / state.q1) ** 2 + self.potential(state.q1, state.q2)
+Potential = Callable[[float, float], float]
 
 
-@dataclass(frozen=True)
-class TransformedSystem:
-    """Image of a SeparableOscillatorSystem at source energy E (the theorem's; tests only)."""
+def exchange_potential(V: Potential, E: float) -> Potential:
+    """The theorem's image W(r, phi) = (V(sqrt(2r), phi/2) - E) / (2r) of any V(rho, theta)."""
 
-    E: float
-    f1: Callable[[float], float]
-    f2: Callable[[float], float]
-
-    def potential(self, r: float, phi: float) -> float:
+    def W(r: float, phi: float) -> float:
         if r <= 0.0:
-            raise DomainError("transformed potential needs r > 0")
-        return (-self.E + self.f1(math.sqrt(2.0 * r))) / (2.0 * r) + self.f2(0.5 * phi) / (4.0 * r * r)
+            raise DomainError("exchange potential needs r > 0")
+        return (V(math.sqrt(2.0 * r), 0.5 * phi) - E) / (2.0 * r)
 
-    def hamiltonian(self, state: PhasePoint) -> float:
-        return state.p1 ** 2 + (state.p2 / state.q1) ** 2 + self.potential(state.q1, state.q2)
-
-
-def transform_hamiltonian(sys: SeparableOscillatorSystem, E: float) -> TransformedSystem:
-    """Exchange the oscillator coupling of sys with the fixed energy E (the theorem; tests only)."""
-    return TransformedSystem(E=E, f1=sys.f1, f2=sys.f2)
+    return W
 
 
 def _exchange_map(rho, theta, p_rho, p_theta):
@@ -99,15 +74,13 @@ def ttw_to_dc(ttw: TTWParams, E_source: float) -> tuple[DCParams, float]:
     return dc, -ttw.omega2
 
 
-def stackel_identity_residual(pt: PhasePoint, ttw: TTWParams, E: float,
-                              dc: DCParams | None = None) -> float:
-    """(H~(image point) - E~) - rho^-2 (H(pt) - E); identically zero.
+def stackel_identity_residual(pt: PhasePoint, ttw: TTWParams, E: float) -> float:
+    """(H_DC(image point) - E~) - rho^-2 (H(pt) - E); identically zero.
 
-    Passing an inconsistent dc turns this into a negative control that
-    measures the violation.
+    The Coulomb side is the DC Hamiltonian itself, not the image potential,
+    so this checks the mapped system against the direct one.
     """
-    dc_auto, E_tilde = ttw_to_dc(ttw, E)
-    dc = dc if dc is not None else dc_auto
+    dc, E_tilde = ttw_to_dc(ttw, E)
     image = pushforward_phase(pt)
     H_dc = hamiltonian(image, dc)
     H_ttw = hamiltonian(pt, ttw)

@@ -282,6 +282,18 @@ def test_run_past_the_step_budget_exits_numerical(tmp_path, capsys, monkeypatch,
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("argv,d", [
+    (["closure", "--E", "-0.2", "--A", "0.9", "--u-frac", "1"], 1),
+    (["closure", "--k", "3/2", "--Q", "1", "--alpha", "0.2", "--beta", "0.3", "--E", "-0.2",
+      "--A", "0.9", "--r-frac", "0"], 2),
+], ids=["k1-u-frac-1", "k3/2-r-frac-0"])
+def test_closure_from_a_turning_point_start(tmp_path, argv, d):
+    # a start where p_phi or p_r vanishes closes after d radial periods like any other
+    code, out = run(tmp_path, *argv)
+    assert code == EXIT_PASS
+    assert read_summary(out, "closure")["data"]["n_radial"] == d
+
+
 def test_config_file_integer_index(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("k=2\nN_max=0\n")  # N_max = 0 is one level, still a check

@@ -536,6 +536,13 @@ class TestRefineMaxima:
         assert isinstance(t, np.ndarray) and t.size == 0
 
 
+def _placement_case(k_text, r_frac, u_frac):
+    """One start per shell placement; the default placement keeps the plain k id."""
+    moved = [f"{name}={value:g}" for name, value, default in
+             (("r_frac", r_frac, 0.35), ("u_frac", u_frac, 0.6)) if value != default]
+    return pytest.param(k_text, r_frac, u_frac, id="-".join([k_text, *moved]))
+
+
 class TestClosure:
     def test_k1_closes_after_one_period(self):
         params, E, A, pt = dc_setup("1")
@@ -548,11 +555,16 @@ class TestClosure:
         report = closure_check(params, pt, 2 * 2 * 1, tol=1e-6)
         assert report.closed and report.n_radial <= 4
 
-    @pytest.mark.parametrize("k_text", ["1", "2", "3", "1/2", "3/2", "2/3"])
-    def test_first_return_at_exactly_d_radial_periods(self, k_text):
+    @pytest.mark.parametrize("k_text,r_frac,u_frac", [
+        _placement_case(k_text, r_frac, u_frac)
+        for k_text in ["1", "2", "3", "1/2", "3/2", "2/3"]
+        for r_frac, u_frac in [(0.35, 0.6), (0.0, 0.6), (1.0, 0.6), (0.35, 0.0), (0.35, 1.0)]])
+    def test_first_return_at_exactly_d_radial_periods(self, k_text, r_frac, u_frac):
         # C is conserved and theta_r gains 2 pi per radial period, so with
-        # gcd(c, d) = 1 the orbit first returns after d periods, at d T_r
-        params, E, A, pt = dc_setup(k_text)
+        # gcd(c, d) = 1 the orbit first returns after d periods, at d T_r;
+        # a start at a turning point (r_frac or u_frac 0 or 1) is no exception
+        params, E, A, _ = dc_setup(k_text)
+        pt = bounded_dc_state(params, E, A, r_frac=r_frac, u_frac=u_frac)
         d = params.k.d
         T_r = radial_period_closed_form(params.Q, E)
         report = closure_check(params, pt, 2 * params.k.c * d, tol=1e-6)

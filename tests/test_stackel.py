@@ -15,13 +15,12 @@ from superint.errors import DomainError
 from superint.invariants import poisson_bracket_numeric
 from superint.quantum import bound_state, dc_operator_residual, default_grid, ttw_bound_state
 from superint.stackel import (
-    SeparableOscillatorSystem,
+    exchange_potential,
     map_trajectory,
     map_wavefunction,
     mapped_orbit_hausdorff,
     pushforward_phase,
     stackel_identity_residual,
-    transform_hamiltonian,
     ttw_to_dc,
 )
 from superint.systems import (
@@ -41,42 +40,109 @@ def ttw_orbit_start(p, frac=0.45):
     return PhasePoint(1.3, frac * cell, 0.3, 0.6, TTW_CHART)
 
 
-class TestTransformHamiltonian:
+def image_hamiltonian(W, pt):
+    """H~ = p_r^2 + p_phi^2/r^2 + W(r, phi) at a DC-chart point."""
+    return pt.p1 ** 2 + (pt.p2 / pt.q1) ** 2 + W(pt.q1, pt.q2)
+
+
+def exchange_identity_error(V, E, W, pt):
+    """|H~(image) - rho^-2 (H - E)| / (1 + |rho^-2 (H - E)|) at a TTW-chart point."""
+    rhs = (pt.p1 ** 2 + (pt.p2 / pt.q1) ** 2 + V(pt.q1, pt.q2) - E) / pt.q1 ** 2
+    return abs(image_hamiltonian(W, pushforward_phase(pt)) - rhs) / (1.0 + abs(rhs))
+
+
+def random_ttw_chart_point(rng):
+    return PhasePoint(rng.uniform(0.3, 2.5), rng.uniform(-math.pi, math.pi),
+                      rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), TTW_CHART)
+
+
+def non_separable(rho, theta):
+    """0.7x + 0.3xy^2 - 0.2/(1 + rho^2) + 0.05y^3: no f1(rho) + f2(theta)/rho^2 form."""
+    x, y = rho * math.cos(theta), rho * math.sin(theta)
+    return 0.7 * x + 0.3 * x * y * y - 0.2 / (1.0 + rho * rho) + 0.05 * y ** 3
+
+
+class TestExchangePotential:
     def test_trivial_potentials_leave_coulomb_term(self):
-        sys = SeparableOscillatorSystem(f1=lambda r: 0.0, f2=lambda t: 0.0, coupling=-1.0)
-        image = transform_hamiltonian(sys, E=3.0)
+        W = exchange_potential(lambda rho, theta: 0.0, E=3.0)
         for r in (0.5, 1.0, 2.5):
-            assert image.potential(r, 1.0) == pytest.approx(-3.0 / (2 * r), rel=1e-15)
+            assert W(r, 1.0) == pytest.approx(-3.0 / (2 * r), rel=1e-15)
 
     def test_barrier_pair_maps_to_dc_potential(self):
         k = RationalIndex(3, 2)
         kv = k.value
         alpha, beta = 0.2, 0.3
 
-        def f2(theta):
-            return alpha * kv ** 2 / math.cos(kv * theta) ** 2 \
-                + beta * kv ** 2 / math.sin(kv * theta) ** 2
+        def barrier(rho, theta):
+            return (alpha * kv ** 2 / math.cos(kv * theta) ** 2
+                    + beta * kv ** 2 / math.sin(kv * theta) ** 2) / rho ** 2
 
-        sys = SeparableOscillatorSystem(f1=lambda r: 0.0, f2=f2, coupling=-0.25)
         E = 2.6
-        image = transform_hamiltonian(sys, E)
+        W = exchange_potential(barrier, E)
         dc = DCParams(Q=E / 2, alpha=alpha, beta=beta, k=k)
         for r, phi in [(0.7, 0.5), (1.4, 1.1), (2.2, 1.9)]:
-            assert image.potential(r, phi) == pytest.approx(
-                potential(dc, r, phi), rel=1e-13)
+            assert W(r, phi) == pytest.approx(potential(dc, r, phi), rel=1e-13)
 
     def test_pointwise_exchange_identity(self, rng):
-        # (H~ - E~) = rho^-2 (H - E) for generic component functions
-        sys = SeparableOscillatorSystem(
-            f1=lambda r: 0.3 * r, f2=lambda t: 1.0 / math.sin(t) ** 2, coupling=-0.7)
+        # omega^2 rho^2 + f1(rho) + f2(theta)/rho^2 with generic f1, f2
+        def V(rho, theta):
+            return 0.7 * rho * rho + 0.3 * rho + 1.0 / (math.sin(theta) ** 2 * rho * rho)
+
         E = 1.9
-        image = transform_hamiltonian(sys, E)
-        for _ in range(100):
-            pt = PhasePoint(rng.uniform(0.5, 2.0), rng.uniform(0.3, 1.2),
-                            rng.uniform(-1, 1), rng.uniform(-1, 1), TTW_CHART)
-            lhs = image.hamiltonian(pushforward_phase(pt)) - sys.coupling
-            rhs = (sys.hamiltonian(pt) - E) / pt.q1 ** 2
-            assert lhs == pytest.approx(rhs, abs=1e-11 * (1 + abs(rhs)))
+        W = exchange_potential(V, E)
+        for _ in range(200):
+            pt = random_ttw_chart_point(rng)
+            assert exchange_identity_error(V, E, W, pt) < 1e-13
+
+    def test_identity_for_a_non_separable_potential(self, rng):
+        E = 1.3
+        W = exchange_potential(non_separable, E)
+        worst = max(exchange_identity_error(non_separable, E, W, random_ttw_chart_point(rng))
+                    for _ in range(2000))
+        assert worst < 1e-13
+
+    def test_cartesian_term_maps_to_its_closed_form(self, rng):
+        # a uniform field F x on an oscillator: F rho cos(theta) / rho^2 = F cos(phi/2)/sqrt(2r)
+        omega2, F, E = 0.8, 0.45, 1.7
+
+        def V(rho, theta):
+            return omega2 * rho * rho + F * rho * math.cos(theta)
+
+        W = exchange_potential(V, E)
+        for _ in range(200):
+            r, phi = rng.uniform(0.05, 3.0), rng.uniform(-2 * math.pi, 2 * math.pi)
+            expected = omega2 + F * math.cos(0.5 * phi) / math.sqrt(2 * r) - E / (2 * r)
+            assert W(r, phi) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+            pt = random_ttw_chart_point(rng)
+            assert exchange_identity_error(V, E, W, pt) < 1e-13
+
+    @pytest.mark.parametrize("k_text", ["1", "3/2", "2", "2/3"])
+    def test_ttw_image_is_dc_potential_plus_omega2(self, rng, k_text):
+        # the mapped system against the direct one: W of the TTW potential at E
+        # is the DC potential at Q = E/2, shifted by the oscillator coupling
+        ttw = TTWParams(omega2=0.6, alpha=0.2, beta=0.3, k=RationalIndex.from_string(k_text))
+        E = 2.4
+        dc, E_tilde = ttw_to_dc(ttw, E)
+        W = exchange_potential(lambda rho, theta: potential(ttw, rho, theta), E)
+        cell = math.pi / ttw.k.value  # the DC wedge 0 < phi < pi/k
+        for _ in range(500):
+            r, phi = rng.uniform(0.05, 4.0), rng.uniform(0.02, 0.98) * cell
+            direct = potential(dc, r, phi) - E_tilde
+            assert W(r, phi) == pytest.approx(direct, rel=1e-13, abs=1e-13)
+
+    def test_image_at_a_wrong_energy_is_detected(self, rng):
+        # negative control: the image built at E * 1.001 breaks the identity
+        E = 1.3
+        W_wrong = exchange_potential(non_separable, E * 1.001)
+        worst = max(exchange_identity_error(non_separable, E, W_wrong, random_ttw_chart_point(rng))
+                    for _ in range(2000))
+        assert worst > 1e-3
+
+    def test_rejects_nonpositive_radius(self):
+        W = exchange_potential(lambda rho, theta: rho, 1.0)
+        for r in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                W(r, 0.3)
 
 
 class TestPhaseMaps:
@@ -146,11 +212,16 @@ class TestIdentityResidual:
         p = TTWParams(omega2=1.0, alpha=0.2, beta=0.3, k=RationalIndex(2))
         s = random_ttw_state(rng, p)
         E = 2.0
-        dc, _ = ttw_to_dc(p, E)
-        wrong = replace(dc, Q=dc.Q * 1.3)
-        res = stackel_identity_residual(s, p, E, dc=wrong)
-        # violation scales like the Coulomb-strength mismatch over r
-        assert abs(res) > 0.01
+        dc, E_tilde = ttw_to_dc(p, E)
+
+        def residual(dc):
+            return (hamiltonian(pushforward_phase(s), dc) - E_tilde) \
+                - (hamiltonian(s, p) - E) / s.q1 ** 2
+
+        # the inline form is the library's residual at the right Q ...
+        assert residual(dc) == stackel_identity_residual(s, p, E)
+        # ... and the violation scales like the Coulomb-strength mismatch over r
+        assert abs(residual(replace(dc, Q=dc.Q * 1.3))) > 0.01
 
 
 class TestParameterExchange:
