@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from superint.dynamics import _refine_maxima
 from superint.invariants import l2_cos, l2_poly
 from superint.systems import (
     DC_CHART,
@@ -56,6 +57,62 @@ def pullback_phase(pt):
     """
     rho = math.sqrt(2.0 * pt.q1)
     return PhasePoint(rho, 0.5 * pt.q2, rho * pt.p1, 2.0 * pt.p2, TTW_CHART)
+
+
+def _min_distance_to_dense(points, dense, t_grid, scales):
+    """Largest over points of the distance to a densely sampled curve.
+
+    Every local minimum of a point's sampled distance marks a candidate arc,
+    and all (point, arc) pairs are refined together in the curve parameter
+    by iterated parabolic interpolation.
+    """
+    curve = dense(t_grid)[:2].T / scales
+    targets = points / scales
+    best = np.empty(len(targets))
+    candidates = []
+    for i, target in enumerate(targets):
+        d2 = np.sum((curve - target) ** 2, axis=1)
+        interior = (d2[1:-1] <= d2[:-2]) & (d2[1:-1] <= d2[2:])
+        candidates.append(np.nonzero(interior)[0] + 1 if interior.any() else [np.argmin(d2)])
+        best[i] = np.min(d2)
+    owner = np.repeat(np.arange(len(targets)), [len(c) for c in candidates])
+    j = np.clip(np.concatenate(candidates), 1, t_grid.size - 2)
+
+    def f(t, pairs):
+        q = dense(t)[:2] / scales[:, None]
+        return -np.sum((q - targets[owner[pairs]].T) ** 2, axis=0)
+
+    t_star = _refine_maxima(f, t_grid[j - 1], t_grid[j], t_grid[j + 1])
+    np.minimum.at(best, owner, -f(t_star, np.arange(owner.size)))
+    return float(np.sqrt(np.max(best)))
+
+
+def hausdorff_search(ttw_traj, dc_traj):
+    """Scaled Hausdorff distance between a mapped TTW orbit and a DC orbit, by search.
+
+    The oracle for stackel.mapped_orbit_hausdorff, whose matched-time reading
+    bounds it from above.  Both curves are compared in the (r, phi) plane;
+    each of 250 probe points on one curve is matched against 4000 samples
+    of the other, refined in the curve parameter.
+    """
+    def ttw_config(t):
+        """r = rho^2 / 2, phi = 2 theta along the TTW dense output."""
+        rho, theta = ttw_traj.dense(t)[:2]
+        return np.array([0.5 * rho * rho, 2.0 * theta])
+
+    rho, theta = ttw_traj.y[:2]
+    mapped = np.array([0.5 * rho * rho, 2.0 * theta])
+    scales = np.array([
+        max(np.max(mapped[0]), np.max(np.abs(dc_traj.y[0]))),
+        max(np.max(np.abs(mapped[1])), np.max(np.abs(dc_traj.y[1]))),
+    ])
+    probes_a = ttw_config(np.linspace(ttw_traj.t[0], ttw_traj.t[-1], 250)).T
+    probes_b = dc_traj.dense(np.linspace(dc_traj.t[0], dc_traj.t[-1], 250))[:2].T
+    d_ab = _min_distance_to_dense(probes_a, dc_traj.dense,
+                                  np.linspace(dc_traj.t[0], dc_traj.t[-1], 4000), scales)
+    d_ba = _min_distance_to_dense(probes_b, ttw_config,
+                                  np.linspace(ttw_traj.t[0], ttw_traj.t[-1], 4000), scales)
+    return max(d_ab, d_ba)
 
 
 def dc_integral_by_pullback(params, state, variant="sin"):

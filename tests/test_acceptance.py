@@ -247,8 +247,8 @@ def test_criterion_6_trajectory_correspondence():
         dc_traj = integrate(dc, x0, (2 * c * d + 0.3) * T_dc, tol=1e-12)
         worst = max(worst, mapped_orbit_hausdorff(traj, dc_traj))
     report("6 (trajectory correspondence)", worst <= 1e-5,
-           f"worst scaled Hausdorff distance {worst:.2e} over {len(cases)} "
-           f"parameter sets (tol 1e-5)")
+           f"worst matched-time distance, a bound on Hausdorff, {worst:.2e} over "
+           f"{len(cases)} parameter sets (tol 1e-5)")
 
 
 QUANTUM_STATES = [

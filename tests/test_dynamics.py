@@ -463,6 +463,23 @@ class TestRadialPeriod:
         with pytest.raises(DegenerateOrbitError):
             measure_radial_period(traj)
 
+    def test_scan_grows_with_steps_not_time_span(self):
+        # a long-period orbit: T = 10,977, so a scan per unit time would take
+        # millions of samples over its ~700 steps
+        params = DCParams(Q=5.0, alpha=0.001, beta=0.001, k=RationalIndex(1))
+        E = -0.008
+        pt = bounded_dc_state(params, E, 10.0, r_frac=0.4, u_frac=0.55)
+        T = radial_period_closed_form(params.Q, E)
+        traj = integrate(params, pt, 2.2 * T, tol=1e-12)
+        limit = 16 * traj.steps + 1
+
+        def guarded(t):
+            if np.size(t) > limit:
+                raise AssertionError(f"dense output asked for {np.size(t)} points > {limit}")
+            return traj.dense(t)
+
+        assert measure_radial_period(replace(traj, dense=guarded)) == pytest.approx(T, rel=1e-6)
+
 
     def test_orbit_shorter_than_one_period_is_degenerate(self):
         params, E, A, pt = dc_setup("1")

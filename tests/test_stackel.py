@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import potential, pullback_phase, ttw_radial_period
+from conftest import hausdorff_search, potential, pullback_phase, ttw_radial_period
 from superint.dynamics import (
     integrate,
     orbit_constants_from_point,
@@ -15,6 +15,7 @@ from superint.errors import DomainError
 from superint.invariants import poisson_bracket_numeric
 from superint.quantum import bound_state, dc_operator_residual, default_grid, ttw_bound_state
 from superint.stackel import (
+    _exchange_time,
     exchange_potential,
     map_trajectory,
     map_wavefunction,
@@ -38,6 +39,25 @@ from superint.systems import (
 def ttw_orbit_start(p, frac=0.45):
     cell = 0.5 * math.pi / p.k.value
     return PhasePoint(1.3, frac * cell, 0.3, 0.6, TTW_CHART)
+
+
+CORRESPONDENCE_CASES = [("1", 1.0), ("3/2", 0.25), ("2", 0.5)]
+
+
+def correspondence_orbits(k_text, omega2, energy_factor=1.0):
+    """A TTW orbit over 2cd + 0.3 periods and the DC orbit from its image start.
+
+    The DC system is the image at energy_factor times the orbit's energy,
+    so a factor other than 1 builds a wrong image system.
+    """
+    ttw = TTWParams(omega2=omega2, alpha=0.2, beta=0.3, k=RationalIndex.from_string(k_text))
+    n = 2 * ttw.k.c * ttw.k.d + 0.3
+    s0 = ttw_orbit_start(ttw)
+    traj = integrate(ttw, s0, n * ttw_radial_period(omega2), tol=1e-12)
+    dc, E_tilde = ttw_to_dc(ttw, energy_factor * hamiltonian(s0, ttw))
+    dc_traj = integrate(dc, pushforward_phase(s0), n * radial_period_closed_form(dc.Q, E_tilde),
+                        tol=1e-12)
+    return traj, dc_traj
 
 
 def image_hamiltonian(W, pt):
@@ -292,19 +312,42 @@ class TestTrajectoryMap:
             image = pushforward_phase(traj.point(i))
             assert [image.q1, image.q2, image.p1, image.p2] == expected[i].tolist()
 
-    @pytest.mark.parametrize("k_text,omega2", [("1", 1.0), ("3/2", 0.25), ("2", 0.5)])
+    @pytest.mark.parametrize("k_text,omega2", CORRESPONDENCE_CASES)
     def test_geometric_overlap_with_integrated_orbit(self, k_text, omega2):
-        ttw = TTWParams(omega2=omega2, alpha=0.2, beta=0.3,
-                        k=RationalIndex.from_string(k_text))
-        c, d = ttw.k.c, ttw.k.d
+        traj, dc_traj = correspondence_orbits(k_text, omega2)
+        assert hamiltonian(dc_traj.point(0), dc_traj.params) == pytest.approx(-omega2, rel=1e-12)
+        distance = mapped_orbit_hausdorff(traj, dc_traj)
+        assert distance < 1e-5
+        # the matched-time reading bounds the searched Hausdorff distance from above
+        assert distance >= hausdorff_search(traj, dc_traj)
+
+    @pytest.mark.parametrize("k_text,omega2", CORRESPONDENCE_CASES)
+    def test_image_system_at_a_wrong_energy_is_detected(self, k_text, omega2):
+        # negative control: the Hausdorff search reads 6e-7 to 5e-6 here,
+        # within the 1e-5 tolerance; the matched-time distance does not
+        traj, dc_traj = correspondence_orbits(k_text, omega2, energy_factor=1.0 + 1e-6)
+        assert mapped_orbit_hausdorff(traj, dc_traj) > 1e-5
+
+    @pytest.mark.parametrize("k_text,omega2", CORRESPONDENCE_CASES)
+    def test_exchange_time_over_full_periods(self, k_text, omega2):
+        # <rho^2> = E / (2 omega^2) over a TTW radial period T, so 2cd periods
+        # take tau = 2cd T E / (2 omega^2) = 2cd T_dc
+        ttw = TTWParams(omega2=omega2, alpha=0.2, beta=0.3, k=RationalIndex.from_string(k_text))
+        n = 2 * ttw.k.c * ttw.k.d
         s0 = ttw_orbit_start(ttw)
-        traj = integrate(ttw, s0, (2 * c * d + 0.3) * ttw_radial_period(omega2), tol=1e-12)
+        traj = integrate(ttw, s0, n * ttw_radial_period(omega2), tol=1e-12)
         dc, E_tilde = ttw_to_dc(ttw, hamiltonian(s0, ttw))
-        x0 = pushforward_phase(s0)
-        assert hamiltonian(x0, dc) == pytest.approx(E_tilde, rel=1e-12)
         T_dc = radial_period_closed_form(dc.Q, E_tilde)
-        dc_traj = integrate(dc, x0, (2 * c * d + 0.3) * T_dc, tol=1e-12)
-        assert mapped_orbit_hausdorff(traj, dc_traj) < 1e-5
+        assert _exchange_time(traj)[-1] == pytest.approx(n * T_dc, rel=1e-10)
+
+    def test_circular_orbit_corresponds_at_roundoff(self):
+        # p_r vanishes along the whole orbit; the distance must not divide by it
+        ttw = TTWParams(omega2=1.0, alpha=0.0, beta=0.0, k=RationalIndex(1))
+        s0 = PhasePoint(math.sqrt(0.8), 0.7, 0.0, 0.8, TTW_CHART)
+        traj = integrate(ttw, s0, 8.0, tol=1e-12)
+        dc, _ = ttw_to_dc(ttw, hamiltonian(s0, ttw))
+        dc_traj = integrate(dc, pushforward_phase(s0), 8.0, tol=1e-12)
+        assert mapped_orbit_hausdorff(traj, dc_traj) < 1e-10
 
 
 class TestWavefunctionMap:
