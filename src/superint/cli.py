@@ -353,8 +353,9 @@ def cmd_orbit_residual(args) -> Outcome:
     T = dynamics.radial_period_closed_form(params.Q, consts.E)
     traj = dynamics.integrate(params, args.initial, args.periods * T, tol=args.integrator_tol)
     tt = np.linspace(0.0, traj.t[-1], args.n_samples)
-    rows = [(t, r, phi, dynamics.orbit_residual(params, consts, r, phi))
-            for t, (r, phi) in zip(tt.tolist(), traj.dense(tt)[:2].T.tolist())]
+    r, phi = traj.dense(tt)[:2]
+    residual = dynamics.orbit_residual(params, consts, r, phi)
+    rows = list(zip(tt.tolist(), r.tolist(), phi.tolist(), residual.tolist()))
     _write_csv(args, "orbit_residual.csv", "t,r,phi,residual", rows)
     worst = max(abs(row[3]) for row in rows)
     # off-orbit negative control, perturbed toward the annulus interior

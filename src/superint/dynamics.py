@@ -318,8 +318,7 @@ class Trajectory:
         return PhasePoint(float(q1), float(q2), float(p1), float(p2), self.chart)
 
     def at_time(self, t: float) -> PhasePoint:
-        q1, q2, p1, p2 = self.dense(t)
-        return PhasePoint(float(q1), float(q2), float(p1), float(p2), self.chart)
+        return PhasePoint(*self.dense(t).tolist(), self.chart)
 
 
 @dataclass(frozen=True)
@@ -557,10 +556,22 @@ def closure_check(params: DCParams, initial: PhasePoint, max_radial_periods: int
                   tol: float, integrator_tol: float = 1e-12) -> ClosureReport:
     """Search multiples of the radial period for a phase-space return.
 
+    The search runs over doubling spans.  It integrates to (N + 0.3) T_r for
+    N = 1, 2, 4, ..., capped at max_radial_periods, finds the least return
+    distance near each n T_r with n <= N, and stops at the first span that
+    holds a distance below tol.  The report is that span's first such n, or,
+    when no span holds one, the n <= max_radial_periods of least distance.
+    The search never reads the first return the index predicts (d radial
+    periods for k = c/d): an orbit that returns after d periods integrates
+    at most (2^ceil(log2 d) + 0.3) T_r in its longest span, and one that
+    never returns integrates every span up to the cap, at most about twice
+    the (max_radial_periods + 0.3) T_r of a single run.
+
     The return metric is the Euclidean distance in (r, phi mod 2 pi/k,
     p_r, p_phi) with each coordinate scaled by its largest magnitude along
-    the orbit, and phi by the period 2 pi/k it is wrapped by, so a start at
-    a turning point (where p_r or p_phi vanishes) is measured like any other.
+    the span's orbit, and phi by the period 2 pi/k it is wrapped by, so a
+    start at a turning point (where p_r or p_phi vanishes) is measured like
+    any other.
     """
     E = hamiltonian(initial, params)
     A = angular_invariant(initial, params)
@@ -572,9 +583,28 @@ def closure_check(params: DCParams, initial: PhasePoint, max_radial_periods: int
                              period_total=0.0)
 
     T_r = radial_period_closed_form(params.Q, E)
-    period_phi = 2.0 * math.pi / params.k.value
-    traj = integrate(params, initial, (max_radial_periods + 0.3) * T_r, tol=integrator_tol)
     y0 = initial.as_array()[:, None]
+    span = 1
+    while True:
+        span = min(span, max_radial_periods)
+        traj = integrate(params, initial, (span + 0.3) * T_r, tol=integrator_tol)
+        t_star, d_star = _return_distances(traj, y0, T_r, span)
+        closed = np.nonzero(d_star < tol)[0]
+        if closed.size or span == max_radial_periods:
+            break
+        span *= 2
+    i = int(closed[0]) if closed.size else int(np.argmin(d_star))
+    return ClosureReport(closed=bool(closed.size), n_radial=i + 1,
+                         return_distance=float(d_star[i]), period_total=float(t_star[i]))
+
+
+def _return_distances(traj: Trajectory, y0: np.ndarray, T_r: float, span: int):
+    """(times, distances) of the closest return to y0 near n T_r for n = 1, ..., span.
+
+    Each n takes the least distance of 160 samples over [n - 1/4, n + 1/4] T_r,
+    parabolic-refined.
+    """
+    period_phi = 2.0 * math.pi / traj.params.k.value
     scales = np.max(np.abs(traj.y), axis=1, keepdims=True)
     scales[1] = period_phi
 
@@ -583,16 +613,12 @@ def closure_check(params: DCParams, initial: PhasePoint, max_radial_periods: int
         dy[1] -= period_phi * np.round(dy[1] / period_phi)
         return np.sqrt(np.sum((dy / scales) ** 2, axis=0))
 
-    n = np.arange(1, max_radial_periods + 1)
+    n = np.arange(1, span + 1)
     grid = np.linspace((n - 0.25) * T_r, (n + 0.25) * T_r, 160, axis=1)
     j = np.clip(np.argmin(distance(grid.ravel()).reshape(grid.shape), axis=1), 1, 158)
     t_star = _refine_maxima(lambda t, rows: -distance(t),
                             grid[n - 1, j - 1], grid[n - 1, j], grid[n - 1, j + 1])
-    d_star = distance(t_star)
-    closed = np.nonzero(d_star < tol)[0]
-    i = int(closed[0]) if closed.size else int(np.argmin(d_star))
-    return ClosureReport(closed=bool(closed.size), n_radial=i + 1,
-                         return_distance=float(d_star[i]), period_total=float(t_star[i]))
+    return t_star, distance(t_star)
 
 
 # --- closed-form trajectory equations -------------------------------------
@@ -608,12 +634,13 @@ def _arcsin_arguments(params: DCParams, E, A, r, phi):
         raise DomainError("orbit equations need D1 > 0 and D2 > 0")
     k = params.k.value
     X_r = (2.0 * A - params.Q * r) / (r * math.sqrt(D1))
-    s2 = np.sin(0.5 * k * np.asarray(phi, dtype=float)) ** 2
+    s = np.sin(0.5 * k * phi)
+    s2 = s * s  # a numpy float's ** 2 is pow, which may round unlike an array's square
     X_phi = (2.0 * A * s2 - A + k * k * (params.alpha - params.beta) / 4.0) / math.sqrt(D2)
     return X_r, X_phi
 
 
-def orbit_residual(params: DCParams, consts: OrbitConstants, r, phi) -> float:
+def orbit_residual(params: DCParams, consts: OrbitConstants, r, phi):
     """Residual of the implicit orbit equation linking r and phi.
 
     The square-root factor in the closed form carries the sign of p_phi,
@@ -623,6 +650,8 @@ def orbit_residual(params: DCParams, consts: OrbitConstants, r, phi) -> float:
     exactly periodic in phi with period 2 pi / k.  Each argument is clamped
     to [-1, 1] within 1e-9, which absorbs turning-point excursions caused
     by state error; genuinely off-annulus points still raise a domain error.
+    Operators and ufuncs apply to r and phi as given: floats give a float,
+    arrays an array of the same values.
     """
     c, d = params.k.c, params.k.d
     X_r, X_phi = _arcsin_arguments(params, consts.E, consts.A, r, phi)
@@ -633,9 +662,8 @@ def orbit_residual(params: DCParams, consts: OrbitConstants, r, phi) -> float:
     base = -cheb(c, X_r) + math.cos(consts.C) * cheb(d, X_phi)
     wing = (math.sin(consts.C) * cheb(d - 1, X_phi, second_kind=True)
             * np.sqrt(1.0 - X_phi * X_phi))
-    plus, minus = base + wing, base - wing
-    out = np.where(np.abs(plus) <= np.abs(minus), plus, minus)
-    return out if np.ndim(out) else float(out)
+    # base + wing or base - wing, whichever is smaller in magnitude
+    return base - np.copysign(wing, base)
 
 
 def time_equation_residual(params: DCParams, consts: OrbitConstants, t: float,

@@ -22,23 +22,28 @@ def _check_degree(n):
 
 
 def clamp_unit(x, eps=CLAMP_EPS):
-    """Snap x into [-1, 1] when within eps of the ends, else raise."""
-    x = np.asarray(x, dtype=float)
-    if (np.abs(x) > 1.0 + eps).any():
-        worst = float(np.abs(x).max())
+    """Snap x into [-1, 1] when within eps of the ends, else raise.
+
+    Only operators touch x, so a float comes back a float and an array an
+    array of the same values: x is divided by |x| beyond the ends, which is
+    exactly +-1, and by 1.0 within them, which keeps x, -0.0 and NaN as they are.
+    """
+    a = abs(x)
+    if np.count_nonzero(a > 1.0 + eps):
+        worst = float(np.max(a))
         raise DomainError(f"argument {worst} lies outside [-1, 1] beyond tolerance {eps}")
-    out = np.minimum(np.maximum(x, -1.0), 1.0)
-    return out if out.ndim else float(out)
+    return x / (a * (a > 1.0) + (a <= 1.0))
 
 
 def chebyshev_recurrence(n, x, second_kind=False):
     """T_n(x), or U_n(x) with second_kind, for n >= 0 and x already in [-1, 1].
 
     Both kinds share T_0 = U_0 = 1 and the step 2 x cur - prev; only the
-    degree-one start differs (x against 2x).  A float x stays a float.
+    degree-one start differs (x against 2x).  Only operators touch x, so a
+    float x stays a float and an array an array.
     """
     if n == 0:
-        return np.ones_like(x) if np.ndim(x) else 1.0
+        return x ** 0  # 1.0 in the type and shape of x
     prev, cur = 1.0, (2.0 * x if second_kind else x)
     for _ in range(n - 1):
         prev, cur = cur, 2.0 * x * cur - prev

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import dc_setup, ttw_params, ttw_radial_period
-from superint import dynamics
+from superint import dynamics, specfun
 from superint.cli import EXIT_PASS, main
 from superint.dynamics import (
     StackedDense,
@@ -560,6 +560,24 @@ def _placement_case(k_text, r_frac, u_frac):
     return pytest.param(k_text, r_frac, u_frac, id="-".join([k_text, *moved]))
 
 
+def _closure_period(params, pt):
+    """T_r at H(pt), the energy closure_check reads (the setup's E differs in its last bits)."""
+    return radial_period_closed_form(params.Q, hamiltonian(pt, params))
+
+
+@pytest.fixture
+def closure_runs(monkeypatch):
+    """Every trajectory closure_check integrates, in order."""
+    runs = []
+
+    def recording(params, initial, t_end, tol=1e-10):
+        runs.append(integrate(params, initial, t_end, tol=tol))
+        return runs[-1]
+
+    monkeypatch.setattr(dynamics, "integrate", recording)
+    return runs
+
+
 class TestClosure:
     def test_k1_closes_after_one_period(self):
         params, E, A, pt = dc_setup("1")
@@ -590,6 +608,51 @@ class TestClosure:
         if d > 1:
             early = closure_check(params, pt, d - 1, tol=1e-6)
             assert not early.closed and early.return_distance > 0.1
+
+    @pytest.mark.parametrize("k_text", ["1", "2", "3", "1/2", "3/2", "2/3"])
+    def test_search_stops_at_the_first_span_holding_the_return(self, closure_runs, k_text):
+        # the spans double from one radial period and never read d: the
+        # first span of at least d periods holds the return, at 2cd + 0.3
+        # periods a single run would integrate
+        params, E, A, pt = dc_setup(k_text)
+        c, d = params.k.c, params.k.d
+        T_r = _closure_period(params, pt)
+        report = closure_check(params, pt, 2 * c * d, tol=1e-6)
+        assert report.closed and report.n_radial == d
+        last = 2 ** math.ceil(math.log2(d))
+        ends = [run.t[-1] for run in closure_runs]
+        assert ends == [(2 ** j + 0.3) * T_r for j in range(math.ceil(math.log2(d)) + 1)]
+        assert max(ends) <= (last + 0.3) * T_r < (2 * c * d + 0.3) * T_r
+
+    def test_no_return_below_tol_integrates_the_cap(self, closure_runs):
+        # tol = 0 passes no distance, so every span runs, the last at the cap,
+        # and the report is the least distance, one of the returns at n = 3, 6, 9, 12
+        params, E, A, pt = dc_setup("2/3")
+        T_r = _closure_period(params, pt)
+        report = closure_check(params, pt, 12, tol=0.0)
+        assert [run.t[-1] for run in closure_runs] == [(n + 0.3) * T_r for n in (1, 2, 4, 8, 12)]
+        assert not report.closed
+        assert report.n_radial % 3 == 0 and report.return_distance < 1e-9
+
+    def test_no_return_within_the_bound_reports_the_least_distance(self, closure_runs):
+        # k = 2/3 first returns after 3 periods; below that the report is the
+        # argmin n, against a fine scan of the last span's orbit
+        params, E, A, pt = dc_setup("2/3")
+        T_r = _closure_period(params, pt)
+        report = closure_check(params, pt, 2, tol=0.0)
+        traj = closure_runs[-1]
+        assert traj.t[-1] == (2 + 0.3) * T_r
+        period_phi = 2 * math.pi / params.k.value
+        scales = np.max(np.abs(traj.y), axis=1)
+        scales[1] = period_phi
+        least = []
+        for n in (1, 2):
+            dy = traj.dense(np.linspace(n - 0.25, n + 0.25, 20001) * T_r) - pt.as_array()[:, None]
+            dy[1] = np.remainder(dy[1] + period_phi / 2, period_phi) - period_phi / 2
+            least.append(np.min(np.linalg.norm(dy / scales[:, None], axis=0)))
+        assert not report.closed and report.n_radial == 1 + int(np.argmin(least))
+        assert report.return_distance == pytest.approx(min(least), rel=1e-6)
+        assert report.return_distance <= min(least)
 
     def test_vacuous_search(self):
         params, E, A, pt = dc_setup("1")
@@ -717,6 +780,57 @@ class TestOrbitEquation:
         base = orbit_residual(params, consts, pt.q1, pt.q2)
         shifted = orbit_residual(params, consts, pt.q1, pt.q2 + period)
         assert shifted == pytest.approx(base, abs=1e-10)
+
+
+class TestScalarPath:
+    """A float sample takes the same operators and ufuncs as an array of samples."""
+
+    @pytest.mark.parametrize("k_text", ["1", "2", "3", "1/2", "3/2", "2/3"])
+    def test_float_samples_match_the_array_evaluation(self, k_text):
+        params, E, A, pt = dc_setup(k_text)
+        c, d = params.k.c, params.k.d
+        consts = orbit_constants_from_point(params, pt)
+        T = radial_period_closed_form(params.Q, E)
+        traj = integrate(params, pt, (2 * c * d + 0.3) * T, tol=1e-12)
+        tt = np.linspace(0.0, traj.t[-1], 700)
+        r, phi = traj.dense(tt)[:2]
+        residual = orbit_residual(params, consts, r, phi)
+        floats = [orbit_residual(params, consts, ri, phi_i)
+                  for ri, phi_i in zip(r.tolist(), phi.tolist())]
+        assert all(isinstance(v, float) for v in floats)
+        assert np.array_equal(_bits(floats), _bits(residual))
+        # the clamp and both recurrences at every degree the residual reads
+        X = np.concatenate(dynamics._arcsin_arguments(params, consts.E, consts.A, r, phi))
+        clamped = specfun.clamp_unit(X, eps=1e-9)
+        floats = [specfun.clamp_unit(x, eps=1e-9) for x in X.tolist()]
+        assert all(type(v) is float for v in floats)
+        assert np.array_equal(_bits(floats), _bits(clamped))
+        for n, second_kind in ((c, False), (d, False), (d - 1, True), (0, False)):
+            values = specfun.chebyshev_recurrence(n, clamped, second_kind)
+            floats = [specfun.chebyshev_recurrence(n, x, second_kind) for x in clamped.tolist()]
+            assert all(type(v) is float for v in floats)
+            assert np.array_equal(_bits(floats), _bits(values))
+
+    def test_at_time_is_the_dense_output(self):
+        params, E, A, pt = dc_setup("3/2")
+        traj = integrate(params, pt, 3.0 * radial_period_closed_form(params.Q, E), tol=1e-12)
+        for t in np.linspace(0.0, traj.t[-1], 200).tolist():
+            s = traj.at_time(t)
+            values = [s.q1, s.q2, s.p1, s.p2]
+            assert all(type(v) is float for v in values) and s.chart == DC_CHART
+            assert np.array_equal(_bits(values), _bits(traj.dense(t)))
+
+    def test_clamp_rejects_beyond_eps_and_passes_nan(self):
+        over = 1.0 + 2e-9
+        for x in (over, -over, np.array([0.5, -over]), np.array([over, math.nan])):
+            with pytest.raises(DomainError):
+                specfun.clamp_unit(x, eps=1e-9)
+        edge = 1.0 + 5e-10
+        assert specfun.clamp_unit(edge, eps=1e-9) == 1.0
+        assert specfun.clamp_unit(-edge, eps=1e-9) == -1.0
+        assert math.isnan(specfun.clamp_unit(math.nan, eps=1e-9))
+        out = specfun.clamp_unit(np.array([math.nan, edge, -edge, 0.25]), eps=1e-9)
+        assert math.isnan(out[0]) and out[1:].tolist() == [1.0, -1.0, 0.25]
 
 
 class TestTimeEquation:
