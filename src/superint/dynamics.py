@@ -586,13 +586,12 @@ def closure_check(params: DCParams, initial: PhasePoint, max_radial_periods: int
     y0 = initial.as_array()[:, None]
     span = 1
     while True:
-        span = min(span, max_radial_periods)
         traj = integrate(params, initial, (span + 0.3) * T_r, tol=integrator_tol)
         t_star, d_star = _return_distances(traj, y0, T_r, span)
         closed = np.nonzero(d_star < tol)[0]
         if closed.size or span == max_radial_periods:
             break
-        span *= 2
+        span = min(2 * span, max_radial_periods)
     i = int(closed[0]) if closed.size else int(np.argmin(d_star))
     return ClosureReport(closed=bool(closed.size), n_radial=i + 1,
                          return_distance=float(d_star[i]), period_total=float(t_star[i]))
