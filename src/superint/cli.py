@@ -312,7 +312,8 @@ def cmd_closure(args) -> Outcome:
                [(report.n_radial, report.closed, report.return_distance, report.period_total)])
     return ([_criterion("return_distance", report.return_distance, args.tol,
                         passed=report.closed)],
-            {"n_radial": report.n_radial, "period_total": report.period_total})
+            {"n_radial": report.n_radial, "n_predicted": k.d,
+             "period_total": report.period_total})
 
 
 def cmd_conserve(args) -> Outcome:

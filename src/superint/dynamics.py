@@ -256,7 +256,8 @@ class StackedDense:
         self._inner_list = self._inner.tolist()
 
     def __call__(self, t):
-        if np.ndim(t) == 0:
+        # a float (np.float64 is one) skips np.ndim, which costs more than the sums
+        if isinstance(t, float) or np.ndim(t) == 0:
             return self._at(float(t))
         t = np.asarray(t)
         if t.ndim > 1:
@@ -284,7 +285,7 @@ class StackedDense:
         x = (t - self._t_list[s]) / self._h_list[s]
         a = b = c = d = 0.0
         # stages 6, 5, ..., 0 take the weights x, 1 - x, x, ..., x
-        for w, (f0, f1, f2, f3) in zip((x, 1.0 - x) * 4, self._F[::-1, s].tolist()):
+        for w, (f0, f1, f2, f3) in zip((x, 1.0 - x) * 4, reversed(self._F[:, s].tolist())):
             a, b, c, d = (a + f0) * w, (b + f1) * w, (c + f2) * w, (d + f3) * w
         y0, y1, y2, y3 = self._y[s].tolist()
         return np.array([a + y0, b + y1, c + y2, d + y3])
@@ -531,7 +532,11 @@ def radial_maxima_times(traj: Trajectory) -> np.ndarray:
     step and parabolic-refined on dense output.
 
     The scan grows with the steps, not with the time span, so a long-period
-    orbit costs no more memory than its integration did.
+    orbit costs no more memory than its integration did.  Each bracket is
+    refined on -p1(t)^2, not on q1(t): Hamilton's equations give q1' = 2 p1,
+    so a maximum of q1 is a zero of p1, where -p1^2 has a quadratic peak of
+    height 0 that parabolic steps find in a few calls, while the top of q1
+    is flat to roundoff over a band of times no step can narrow.
     """
     x = np.arange(8) / 8.0
     tt = np.append((traj.t[:-1, None] + np.diff(traj.t)[:, None] * x).ravel(), traj.t[-1])
@@ -541,7 +546,8 @@ def radial_maxima_times(traj: Trajectory) -> np.ndarray:
         raise DegenerateOrbitError("radial coordinate is constant; no oscillation to measure")
     interior = (rr[1:-1] > rr[:-2]) & (rr[1:-1] >= rr[2:])
     idx = np.nonzero(interior)[0] + 1
-    return _refine_maxima(lambda t, rows: traj.dense(t)[0], tt[idx - 1], tt[idx], tt[idx + 1])
+    return _refine_maxima(lambda t, rows: -traj.dense(t)[2] ** 2,
+                          tt[idx - 1], tt[idx], tt[idx + 1])
 
 
 def measure_radial_period(traj: Trajectory) -> float:
@@ -601,23 +607,26 @@ def _return_distances(traj: Trajectory, y0: np.ndarray, T_r: float, span: int):
     """(times, distances) of the closest return to y0 near n T_r for n = 1, ..., span.
 
     Each n takes the least distance of 160 samples over [n - 1/4, n + 1/4] T_r,
-    parabolic-refined.
+    parabolic-refined.  The scan and the refinement run on the squared
+    distance, which is smooth with a quadratic minimum at a return, and the
+    square root is taken of the result only: the distance itself has a V at
+    an exact return, where parabolic steps converge slowly.
     """
     period_phi = 2.0 * math.pi / traj.params.k.value
     scales = np.max(np.abs(traj.y), axis=1, keepdims=True)
     scales[1] = period_phi
 
-    def distance(t):
+    def squared_distance(t):
         dy = traj.dense(t) - y0
         dy[1] -= period_phi * np.round(dy[1] / period_phi)
-        return np.sqrt(np.sum((dy / scales) ** 2, axis=0))
+        return np.sum((dy / scales) ** 2, axis=0)
 
     n = np.arange(1, span + 1)
     grid = np.linspace((n - 0.25) * T_r, (n + 0.25) * T_r, 160, axis=1)
-    j = np.clip(np.argmin(distance(grid.ravel()).reshape(grid.shape), axis=1), 1, 158)
-    t_star = _refine_maxima(lambda t, rows: -distance(t),
+    j = np.clip(np.argmin(squared_distance(grid.ravel()).reshape(grid.shape), axis=1), 1, 158)
+    t_star = _refine_maxima(lambda t, rows: -squared_distance(t),
                             grid[n - 1, j - 1], grid[n - 1, j], grid[n - 1, j + 1])
-    return t_star, distance(t_star)
+    return t_star, np.sqrt(squared_distance(t_star))
 
 
 # --- closed-form trajectory equations -------------------------------------

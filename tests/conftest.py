@@ -4,7 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from superint.dynamics import _refine_maxima
+from superint.dynamics import (
+    _refine_maxima,
+    integrate,
+    orbit_constants_from_point,
+    radial_period_closed_form,
+)
 from superint.invariants import l2_cos, l2_poly
 from superint.systems import (
     DC_CHART,
@@ -133,6 +138,31 @@ def ttw_params(k_text, omega2=1.0, alpha=0.3, beta=0.45):
 
 def ttw_radial_period(omega2):
     return math.pi / (2.0 * math.sqrt(omega2))
+
+
+@pytest.fixture(scope="session")
+def period_sweep():
+    """Twenty bounded-orbit configurations with integrated trajectories (criterion 2's sweep).
+
+    Each entry is (params, E, A, pt, T, traj, consts): k = 1, T the closed-form
+    radial period and traj 6.2 T of the orbit from pt, integrated at tol 1e-12.
+    """
+    params_base = dict(alpha=0.2, beta=0.3, k=RationalIndex(1))
+    alpha, beta = params_base["alpha"], params_base["beta"]
+    A_floor = (alpha + beta) / 4.0 + math.sqrt(alpha * beta) / 2.0
+    sweep = []
+    for Q in (0.7, 1.0, 1.4, 2.0, 2.6):
+        for E in (-0.15, -0.3):
+            for frac in (0.35, 0.7):
+                A_cap = Q * Q / (4.0 * abs(E))
+                A = A_floor + frac * (A_cap - A_floor)
+                params = DCParams(Q=Q, **params_base)
+                pt = bounded_dc_state(params, E, A, r_frac=0.4, u_frac=0.55)
+                T = radial_period_closed_form(Q, E)
+                traj = integrate(params, pt, 6.2 * T, tol=1e-12)
+                consts = orbit_constants_from_point(params, pt)
+                sweep.append((params, E, A, pt, T, traj, consts))
+    return sweep
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from superint.dynamics import (
     closure_check,
     integrate,
     measure_radial_period,
-    orbit_constants_from_point,
     orbit_residual,
     radial_period_closed_form,
     radial_turning_points,
@@ -62,7 +61,6 @@ from superint.systems import (
     RationalIndex,
     TTWParams,
     angular_invariant,
-    bounded_dc_state,
     hamiltonian,
     random_ttw_state,
 )
@@ -73,27 +71,6 @@ K_LIST = ["1", "2", "3", "1/2", "3/2", "2/3"]
 def report(criterion, ok, detail):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
-
-
-@pytest.fixture(scope="module")
-def period_sweep():
-    """Twenty bounded-orbit configurations with integrated trajectories."""
-    params_base = dict(alpha=0.2, beta=0.3, k=RationalIndex(1))
-    alpha, beta = params_base["alpha"], params_base["beta"]
-    A_floor = (alpha + beta) / 4.0 + math.sqrt(alpha * beta) / 2.0
-    sweep = []
-    for Q in (0.7, 1.0, 1.4, 2.0, 2.6):
-        for E in (-0.15, -0.3):
-            for frac in (0.35, 0.7):
-                A_cap = Q * Q / (4.0 * abs(E))
-                A = A_floor + frac * (A_cap - A_floor)
-                params = DCParams(Q=Q, **params_base)
-                pt = bounded_dc_state(params, E, A, r_frac=0.4, u_frac=0.55)
-                T = radial_period_closed_form(Q, E)
-                traj = integrate(params, pt, 6.2 * T, tol=1e-12)
-                consts = orbit_constants_from_point(params, pt)
-                sweep.append((params, E, A, pt, T, traj, consts))
-    return sweep
 
 
 def test_criterion_1_orbit_closure():

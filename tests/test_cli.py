@@ -34,6 +34,8 @@ class TestCommands:
         summary = read_summary(out, "closure")
         assert summary["passed"]
         assert summary["data"]["n_radial"] <= 2 * 3 * 2
+        # the first return k = 3/2 predicts, d = 2 radial periods; the search never reads it
+        assert summary["data"]["n_predicted"] == 2
         assert (out / "closure.csv").exists()
 
     def test_trajectory_writes_series(self, tmp_path):

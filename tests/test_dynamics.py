@@ -456,6 +456,40 @@ class TestRadialPeriod:
         gaps = np.diff(peaks)
         assert np.max(np.abs(gaps - T)) / T < 1e-6
 
+    def test_few_refinement_calls_after_the_scan(self, period_sweep):
+        # q1 peaks where p1 = q1'/2 vanishes, so -p1^2 has a quadratic top of
+        # height 0: measured 5-6 dense calls after the scan on every sweep orbit,
+        # against 23-27 refining q1 itself, whose top is flat to roundoff
+        for params, E, A, pt, T, traj, consts in period_sweep:
+            sizes = []
+
+            def counting(t):
+                sizes.append(np.size(t))
+                return traj.dense(t)
+
+            measure_radial_period(replace(traj, dense=counting))
+            assert sizes[0] == 8 * traj.steps + 1  # the scan
+            assert len(sizes) - 1 <= 8
+
+    def test_peaks_are_zeros_of_p_r(self, period_sweep):
+        # measured: |p_r| at the peaks is at most 1.1e-14 of max |p_r| over
+        # the sweep (1.2e-8 refining q1)
+        for params, E, A, pt, T, traj, consts in period_sweep:
+            p_r = traj.dense(radial_maxima_times(traj))[2]
+            assert np.max(np.abs(p_r)) / np.max(np.abs(traj.y[2])) < 1e-13
+
+    def test_sweep_period_and_gap_errors(self, period_sweep):
+        # measured over the criterion-2 sweep: worst relative period error
+        # 6.5e-11 and worst single peak gap 1.2e-10 (9.7e-10 and 7.0e-9
+        # refining q1); criterion 2's own gate stays 1e-6
+        worst_period = worst_gap = 0.0
+        for params, E, A, pt, T, traj, consts in period_sweep:
+            gaps = np.diff(radial_maxima_times(traj))
+            worst_period = max(worst_period, abs(np.mean(gaps) - T) / T)
+            worst_gap = max(worst_gap, np.max(np.abs(gaps - T)) / T)
+        assert worst_period < 2e-10
+        assert worst_gap < 5e-10
+
     def test_circular_orbit_is_degenerate(self):
         p = pure_coulomb()
         pt = PhasePoint(1.0, 1.0, 0.0, math.sqrt(0.5), DC_CHART)
@@ -623,6 +657,32 @@ class TestClosure:
         ends = [run.t[-1] for run in closure_runs]
         assert ends == [(2 ** j + 0.3) * T_r for j in range(math.ceil(math.log2(d)) + 1)]
         assert max(ends) <= (last + 0.3) * T_r < (2 * c * d + 0.3) * T_r
+
+    @pytest.mark.parametrize("k_text", ["1", "2", "3", "1/2", "3/2", "2/3"])
+    def test_few_refinement_calls_on_the_span_holding_the_return(self, monkeypatch, k_text):
+        # the squared distance has a quadratic minimum at a return, where the
+        # distance has a V: measured 8, 19, 22, 10, 12 and 11 objective calls
+        # on that span for these k, against 27-39 refining the distance.  A
+        # span with no return refines minima of nonzero height, flat to
+        # roundoff, so its count is a walk in that band (measured 1, 10, 1 and
+        # 37 for the earlier spans of 1/2, 3/2 and 2/3) and is not bounded here
+        calls = []
+        refine = dynamics._refine_maxima
+
+        def counting(f, t0, t1, t2):
+            calls.append(0)
+
+            def objective(t, rows):
+                calls[-1] += 1
+                return f(t, rows)
+
+            return refine(objective, t0, t1, t2)
+
+        monkeypatch.setattr(dynamics, "_refine_maxima", counting)
+        params, E, A, pt = dc_setup(k_text)
+        report = closure_check(params, pt, 2 * params.k.c * params.k.d, tol=1e-6)
+        assert report.closed and len(calls) == math.ceil(math.log2(params.k.d)) + 1
+        assert calls[-1] <= 25
 
     def test_no_return_below_tol_integrates_the_cap(self, closure_runs):
         # tol = 0 passes no distance, so every span runs, the last at the cap,
