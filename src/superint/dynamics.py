@@ -42,8 +42,9 @@ from .systems import (
 )
 
 TOL_MIN, TOL_MAX = 1e-14, 1e-3
-# Accepted steps one integration may take (the longest run of the test suite
-# takes 4,252); past it integrate raises, so no run grows without bound.
+# Accepted steps one integration, or one closure search over all its periods,
+# may take (the test suite's longest run, its 200-period memory test, takes
+# 19,186); past it they raise, so no run grows without bound.
 _MAX_STEPS = 100_000
 
 # The DOP853 tableau of Hairer, Norsett and Wanner (Solving ODEs I, II.5-II.6).
@@ -338,6 +339,14 @@ class OrbitConstants:
 
 @dataclass(frozen=True)
 class ClosureReport:
+    """A closure search read at whole radial periods (see closure_check).
+
+    (r, p_r) has the exact period T_r, so the state can return only at
+    n T_r: n_radial is the first n within tol (closed), else the n of least
+    return_distance; period_total is n_radial T_r, an identity; and the
+    steps of all periods share one budget.
+    """
+
     closed: bool
     n_radial: int
     return_distance: float
@@ -560,73 +569,55 @@ def measure_radial_period(traj: Trajectory) -> float:
 
 def closure_check(params: DCParams, initial: PhasePoint, max_radial_periods: int,
                   tol: float, integrator_tol: float = 1e-12) -> ClosureReport:
-    """Search multiples of the radial period for a phase-space return.
+    """Read the return to the start at each radial period's end, n = 1, ..., max_radial_periods.
 
-    The search runs over doubling spans.  It integrates to (N + 0.3) T_r for
-    N = 1, 2, 4, ..., capped at max_radial_periods, finds the least return
-    distance near each n T_r with n <= N, and stops at the first span that
-    holds a distance below tol.  The report is that span's first such n, or,
-    when no span holds one, the n <= max_radial_periods of least distance.
-    The search never reads the first return the index predicts (d radial
-    periods for k = c/d): an orbit that returns after d periods integrates
-    at most (2^ceil(log2 d) + 0.3) T_r in its longest span, and one that
-    never returns integrates every span up to the cap, at most about twice
-    the (max_radial_periods + 0.3) T_r of a single run.
+    With A = p_phi^2 + B conserved, (r, p_r) is a one-dimensional Kepler
+    motion of exact period T_r = Q pi / (2 (-E)^(3/2)), so the state can
+    return only at t = n T_r.  Each pass integrates exactly T_r from the
+    previous pass's last accepted state and scores its end state, so no
+    stretch of orbit is integrated twice and no dense output is read.  The
+    loop stops at the first n below tol, else reports the n of least
+    distance, with period_total = n T_r; no pass at all reports n_radial = 0
+    at distance inf.  It never reads the predicted first return (d periods
+    for k = c/d).
 
     The return metric is the Euclidean distance in (r, phi mod 2 pi/k,
     p_r, p_phi) with each coordinate scaled by its largest magnitude along
-    the span's orbit, and phi by the period 2 pi/k it is wrapped by, so a
+    the orbit so far, and phi by the period 2 pi/k it is wrapped by, so a
     start at a turning point (where p_r or p_phi vanishes) is measured like
-    any other.
+    any other.  The steps of all periods count against one _MAX_STEPS
+    budget; past it IntegrationError carries the absolute time and state.
     """
     E = hamiltonian(initial, params)
     A = angular_invariant(initial, params)
     report = validate_bounded(params, E, A)
     if not report.all_passed:
         raise DomainError(f"initial point fails bounded-motion rows: {report.failed()}")
-    if max_radial_periods < 1:
-        return ClosureReport(closed=False, n_radial=0, return_distance=math.inf,
-                             period_total=0.0)
 
     T_r = radial_period_closed_form(params.Q, E)
-    y0 = initial.as_array()[:, None]
-    span = 1
-    while True:
-        traj = integrate(params, initial, (span + 0.3) * T_r, tol=integrator_tol)
-        t_star, d_star = _return_distances(traj, y0, T_r, span)
-        closed = np.nonzero(d_star < tol)[0]
-        if closed.size or span == max_radial_periods:
-            break
-        span = min(2 * span, max_radial_periods)
-    i = int(closed[0]) if closed.size else int(np.argmin(d_star))
-    return ClosureReport(closed=bool(closed.size), n_radial=i + 1,
-                         return_distance=float(d_star[i]), period_total=float(t_star[i]))
-
-
-def _return_distances(traj: Trajectory, y0: np.ndarray, T_r: float, span: int):
-    """(times, distances) of the closest return to y0 near n T_r for n = 1, ..., span.
-
-    Each n takes the least distance of 160 samples over [n - 1/4, n + 1/4] T_r,
-    parabolic-refined.  The scan and the refinement run on the squared
-    distance, which is smooth with a quadratic minimum at a return, and the
-    square root is taken of the result only: the distance itself has a V at
-    an exact return, where parabolic steps converge slowly.
-    """
-    period_phi = 2.0 * math.pi / traj.params.k.value
-    scales = np.max(np.abs(traj.y), axis=1, keepdims=True)
-    scales[1] = period_phi
-
-    def squared_distance(t):
-        dy = traj.dense(t) - y0
+    period_phi = 2.0 * math.pi / params.k.value
+    y0 = initial.as_array()
+    scales = np.abs(y0)
+    best = ClosureReport(closed=False, n_radial=0, return_distance=math.inf, period_total=0.0)
+    point, steps = initial, 0
+    for n in range(1, max_radial_periods + 1):
+        traj = integrate(params, point, T_r, tol=integrator_tol)
+        point, steps = traj.point(-1), steps + traj.steps
+        if steps > _MAX_STEPS:
+            raise IntegrationError(
+                f"integration stopped at t = {n * T_r}: step budget of {_MAX_STEPS} steps "
+                f"spent before t = {max_radial_periods * T_r}", t_last=n * T_r, state_last=point)
+        scales = np.maximum(scales, np.max(np.abs(traj.y), axis=1))
+        scales[1] = period_phi
+        dy = traj.y[:, -1] - y0
         dy[1] -= period_phi * np.round(dy[1] / period_phi)
-        return np.sum((dy / scales) ** 2, axis=0)
-
-    n = np.arange(1, span + 1)
-    grid = np.linspace((n - 0.25) * T_r, (n + 0.25) * T_r, 160, axis=1)
-    j = np.clip(np.argmin(squared_distance(grid.ravel()).reshape(grid.shape), axis=1), 1, 158)
-    t_star = _refine_maxima(lambda t, rows: -squared_distance(t),
-                            grid[n - 1, j - 1], grid[n - 1, j], grid[n - 1, j + 1])
-    return t_star, np.sqrt(squared_distance(t_star))
+        distance = float(np.linalg.norm(dy / scales))
+        if distance < best.return_distance:
+            best = ClosureReport(closed=distance < tol, n_radial=n, return_distance=distance,
+                                 period_total=n * T_r)
+        if best.closed:
+            break
+    return best
 
 
 # --- closed-form trajectory equations -------------------------------------

@@ -271,12 +271,14 @@ def test_coupling_at_or_below_the_floor_names_its_flag(tmp_path, capsys, command
      "--q1", "1", "--q2", "1", "--p1", "0", "--p2", "0.70710678", "--t-end", "1e9"],
     ["conserve", "--k", "3/2", "--omega2", "1", "--alpha", "0.3", "--beta", "0.45", "--q1", "1.1",
      "--q2", "0.3", "--p1", "0.4", "--p2", "0.7", "--periods", "1e8"],
-    # --tol 0: no distance passes, so the closure search doubles its span into the budget
+    # --tol 0: no distance passes, so closure reads one radial period after another, and
+    # their steps, counted together, run into the budget
     ["closure", "--k", "3/2", "--Q", "1", "--alpha", "0.2", "--beta", "0.3", "--E", "-0.2",
      "--A", "0.9", "--max-periods", "10000000", "--tol", "0"],
 ], ids=lambda argv: argv[0])
 def test_run_past_the_step_budget_exits_numerical(tmp_path, capsys, monkeypatch, argv):
-    # 5,000 steps is above the longest integration of this suite and takes
+    # 5,000 steps is above every integration of this suite but its 200-period
+    # memory test, and above any closure's steps over all its periods, and takes
     # about a second; the real budget of 100,000 stops each run in about 20 s
     monkeypatch.setattr(dynamics, "_MAX_STEPS", 5_000)
     code, out = run(tmp_path, *argv)

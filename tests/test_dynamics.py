@@ -635,84 +635,69 @@ class TestClosure:
         params, E, A, _ = dc_setup(k_text)
         pt = bounded_dc_state(params, E, A, r_frac=r_frac, u_frac=u_frac)
         d = params.k.d
-        T_r = radial_period_closed_form(params.Q, E)
         report = closure_check(params, pt, 2 * params.k.c * d, tol=1e-6)
         assert report.closed and report.n_radial == d
-        assert abs(report.period_total - d * T_r) / (d * T_r) < 1e-10
+        # an identity, not a measurement: the state is read at whole periods only
+        assert report.period_total == report.n_radial * _closure_period(params, pt)
         if d > 1:
             early = closure_check(params, pt, d - 1, tol=1e-6)
             assert not early.closed and early.return_distance > 0.1
 
     @pytest.mark.parametrize("k_text", ["1", "2", "3", "1/2", "3/2", "2/3"])
     def test_search_stops_at_the_first_span_holding_the_return(self, closure_runs, k_text):
-        # the spans double from one radial period and never read d: the
-        # first span of at least d periods holds the return, at 2cd + 0.3
-        # periods a single run would integrate
+        # each span is one radial period, integrated from the last accepted
+        # state of the one before, and the search never reads d: the d-th
+        # span holds the return, and no stretch of orbit is integrated twice
         params, E, A, pt = dc_setup(k_text)
         c, d = params.k.c, params.k.d
         T_r = _closure_period(params, pt)
         report = closure_check(params, pt, 2 * c * d, tol=1e-6)
         assert report.closed and report.n_radial == d
-        last = 2 ** math.ceil(math.log2(d))
-        ends = [run.t[-1] for run in closure_runs]
-        assert ends == [(2 ** j + 0.3) * T_r for j in range(math.ceil(math.log2(d)) + 1)]
-        assert max(ends) <= (last + 0.3) * T_r < (2 * c * d + 0.3) * T_r
+        assert len(closure_runs) == d
+        assert all(run.t[0] == 0.0 and run.t[-1] == T_r for run in closure_runs)
+        starts = [pt.as_array()] + [run.y[:, -1] for run in closure_runs[:-1]]
+        assert all(np.array_equal(run.y[:, 0], y) for run, y in zip(closure_runs, starts))
 
     @pytest.mark.parametrize("k_text", ["1", "2", "3", "1/2", "3/2", "2/3"])
     def test_few_refinement_calls_on_the_span_holding_the_return(self, monkeypatch, k_text):
-        # the squared distance has a quadratic minimum at a return, where the
-        # distance has a V: measured 8, 19, 22, 10, 12 and 11 objective calls
-        # on that span for these k, against 27-39 refining the distance.  A
-        # span with no return refines minima of nonzero height, flat to
-        # roundoff, so its count is a walk in that band (measured 1, 10, 1 and
-        # 37 for the earlier spans of 1/2, 3/2 and 2/3) and is not bounded here
+        # the state is read at each span's end, where the return can only
+        # happen, so no span refines a minimum or reads the dense output
         calls = []
-        refine = dynamics._refine_maxima
-
-        def counting(f, t0, t1, t2):
-            calls.append(0)
-
-            def objective(t, rows):
-                calls[-1] += 1
-                return f(t, rows)
-
-            return refine(objective, t0, t1, t2)
-
-        monkeypatch.setattr(dynamics, "_refine_maxima", counting)
+        monkeypatch.setattr(dynamics, "_refine_maxima", lambda *a: calls.append("refine"))
+        monkeypatch.setattr(StackedDense, "__call__", lambda *a: calls.append("dense"))
         params, E, A, pt = dc_setup(k_text)
         report = closure_check(params, pt, 2 * params.k.c * params.k.d, tol=1e-6)
-        assert report.closed and len(calls) == math.ceil(math.log2(params.k.d)) + 1
-        assert calls[-1] <= 25
+        assert report.closed and calls == []
 
     def test_no_return_below_tol_integrates_the_cap(self, closure_runs):
-        # tol = 0 passes no distance, so every span runs, the last at the cap,
-        # and the report is the least distance, one of the returns at n = 3, 6, 9, 12
+        # tol = 0 passes no distance, so every period runs up to the cap, and
+        # the report is the least distance, one of the returns at n = 3, 6, 9, 12
         params, E, A, pt = dc_setup("2/3")
         T_r = _closure_period(params, pt)
         report = closure_check(params, pt, 12, tol=0.0)
-        assert [run.t[-1] for run in closure_runs] == [(n + 0.3) * T_r for n in (1, 2, 4, 8, 12)]
+        assert [run.t[-1] for run in closure_runs] == [T_r] * 12
         assert not report.closed
         assert report.n_radial % 3 == 0 and report.return_distance < 1e-9
+        assert report.period_total == report.n_radial * T_r
 
-    def test_no_return_within_the_bound_reports_the_least_distance(self, closure_runs):
+    def test_no_return_within_the_bound_reports_the_least_distance(self):
         # k = 2/3 first returns after 3 periods; below that the report is the
-        # argmin n, against a fine scan of the last span's orbit
+        # argmin n, against one integration from the start to each n T_r
         params, E, A, pt = dc_setup("2/3")
         T_r = _closure_period(params, pt)
         report = closure_check(params, pt, 2, tol=0.0)
-        traj = closure_runs[-1]
-        assert traj.t[-1] == (2 + 0.3) * T_r
         period_phi = 2 * math.pi / params.k.value
-        scales = np.max(np.abs(traj.y), axis=1)
-        scales[1] = period_phi
         least = []
         for n in (1, 2):
-            dy = traj.dense(np.linspace(n - 0.25, n + 0.25, 20001) * T_r) - pt.as_array()[:, None]
+            traj = integrate(params, pt, n * T_r, tol=1e-12)
+            scales = np.max(np.abs(traj.y), axis=1)
+            scales[1] = period_phi
+            dy = traj.y[:, -1] - pt.as_array()
             dy[1] = np.remainder(dy[1] + period_phi / 2, period_phi) - period_phi / 2
-            least.append(np.min(np.linalg.norm(dy / scales[:, None], axis=0)))
+            least.append(np.linalg.norm(dy / scales))
         assert not report.closed and report.n_radial == 1 + int(np.argmin(least))
         assert report.return_distance == pytest.approx(min(least), rel=1e-6)
-        assert report.return_distance <= min(least)
+        assert report.period_total == report.n_radial * T_r
 
     def test_vacuous_search(self):
         params, E, A, pt = dc_setup("1")
