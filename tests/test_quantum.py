@@ -241,6 +241,8 @@ GRID_CASES = [
     ("2", 0.2, 0.3, 0, 1),
     ("3/2", 0.2, 0.3, 1, 1),
 ]
+# the grid cases plus one zero coupling, whose barrier B(phi) has a single term
+STREAMED_CASES = GRID_CASES + [("2", 0.0, 0.3, 1, 0)]
 
 
 def schrodinger_residual(spec, grid):
@@ -285,6 +287,19 @@ class TestSchrodingerResidual:
                                    lambda r, phi: wavefunction(spec, r, phi),
                                    default_grid(spec))
         assert res > 1e-2
+
+    def test_known_failing_state_is_discretization_error(self):
+        # the one state the O(h^2) stencil leaves above the target after three
+        # halvings (about 5.07e-5); its ratio near 4 marks discretization error,
+        # so a stencil rewrite can neither hide nor flip it silently
+        p = DCParams(Q=1.0, alpha=0.75, beta=2.0, k=RationalIndex(1))
+        spec = bound_state(p, 2, 0)
+        grid = default_grid(spec, n_r=500, n_phi=340)
+        res, ratio, finest = residual_with_refinement(
+            p, spec.E, lambda r, phi: wavefunction(spec, r, phi), grid)
+        assert finest.spacing == tuple(h / 8.0 for h in grid.spacing)
+        assert res > 1e-5
+        assert 3.5 < ratio < 4.5
 
     def test_grid_touching_wall_rejected(self):
         p = DCParams(Q=1.0, alpha=0.2, beta=0.3, k=RationalIndex(1))
@@ -336,22 +351,30 @@ def _roundoff_bound(params, E, grid):
 
 
 def _assert_matches_full_grid(params, E, psi, grid):
-    """Bit-exact against one block holding every row; within roundoff of the full grid."""
+    """Bit-exact against one block and one chunk holding every row; within
+    roundoff of the full grid."""
     got = dc_operator_residual(params, E, psi, grid)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quantum, "_BLOCK_BYTES", 8 * grid.axes()[1].size * grid.axes()[0].size)
+        whole = 8 * grid.axes()[1].size * grid.axes()[0].size
+        mp.setattr(quantum, "_BLOCK_BYTES", whole)
+        mp.setattr(quantum, "_CHUNK_BYTES", whole)
         assert _block_height(grid) >= grid.axes()[0].size - 2
         assert got == dc_operator_residual(params, E, psi, grid)
     assert abs(got - _full_grid_residual(params, E, psi, grid)) <= _roundoff_bound(params, E, grid)
 
 
-def _nan_at(psi, r_star, f_star):
-    """psi with a NaN at the node (r_star, phi_star) of every refinement level."""
+def _value_at(psi, r_star, f_star, value):
+    """psi with ``value`` at the node (r_star, phi_star) of every refinement level."""
     def out(r, phi):
         hit = np.isclose(r, r_star, rtol=0.0, atol=1e-9) & np.isclose(phi, f_star, rtol=0.0,
                                                                      atol=1e-9)
-        return np.where(hit, np.nan, psi(r, phi))
+        return np.where(hit, value, psi(r, phi))
     return out
+
+
+def _nan_at(psi, r_star, f_star):
+    """psi with a NaN at the node (r_star, phi_star) of every refinement level."""
+    return _value_at(psi, r_star, f_star, np.nan)
 
 
 class TestStreamedResidual:
@@ -363,7 +386,7 @@ class TestStreamedResidual:
         spec = bound_state(p, n, m)
         return p, spec, lambda r, phi: wavefunction(spec, r, phi)
 
-    @pytest.mark.parametrize("k_text,alpha,beta,n,m", GRID_CASES)
+    @pytest.mark.parametrize("k_text,alpha,beta,n,m", STREAMED_CASES)
     def test_ragged_multi_block_grid(self, k_text, alpha, beta, n, m):
         p, spec, psi = self._state(k_text, alpha, beta, n, m)
         grid = default_grid(spec, n_r=500, n_phi=340)
@@ -379,6 +402,26 @@ class TestStreamedResidual:
         monkeypatch.setattr(quantum, "_BLOCK_BYTES", 8 * grid.axes()[1].size * height)
         assert _block_height(grid) == height
         _assert_matches_full_grid(p, spec.E, psi, grid)
+
+    # chunks of one row, chunks that split the 13-row blocks unevenly, and
+    # chunks taller than a block, which then runs as one chunk
+    @pytest.mark.parametrize("chunk", [1, 3, 12, 13, 40])
+    def test_any_chunk_height(self, monkeypatch, chunk):
+        p, spec, psi = self._state()
+        grid = default_grid(spec, n_r=40, n_phi=28)
+        n_phi = grid.axes()[1].size
+        monkeypatch.setattr(quantum, "_BLOCK_BYTES", 8 * n_phi * 13)
+        monkeypatch.setattr(quantum, "_CHUNK_BYTES", 8 * n_phi * chunk)
+        _assert_matches_full_grid(p, spec.E, psi, grid)
+        # a spike sets the residual's maximum on its own row, so a row that
+        # no chunk computes shows: on the last and first rows of two chunks
+        # and of two blocks
+        rr, ff = grid.axes()
+        for row in sorted({min(chunk, 13), min(chunk, 13) + 1, 13, 14}):
+            _assert_matches_full_grid(p, spec.E, _value_at(psi, rr[row], ff[14], 100.0), grid)
+        # a NaN on the first row of the second chunk, in the halo of the first
+        bad = _nan_at(psi, rr[1 + min(chunk, 13)], ff[14])
+        assert math.isnan(dc_operator_residual(p, spec.E, bad, grid))
 
     def test_minimum_grid(self):
         p, spec, psi = self._state()
