@@ -378,8 +378,8 @@ def _nan_at(psi, r_star, f_star):
 
 
 class TestStreamedResidual:
-    """The row-block residual is independent of the block height and within
-    roundoff of the full-grid reference."""
+    """The row-block residual is independent of the block and chunk heights
+    and within roundoff of the full-grid reference."""
 
     def _state(self, k_text="3/2", alpha=0.2, beta=0.3, n=1, m=1):
         p = DCParams(Q=1.0, alpha=alpha, beta=beta, k=RationalIndex.from_string(k_text))
