@@ -300,7 +300,9 @@ def cmd_trajectory(args) -> Outcome:
                      float(angular_invariant(pt, params))))
     _write_csv(args, "trajectory.csv", "t,q1,q2,p1,p2,H,A", rows)
     atomic_write_text(os.path.join(args.out_dir, "trajectory_params.txt"), params_to_text(params))
-    return ([_criterion("energy_drift", traj.max_energy_drift, 10.0 * args.tol)],
+    H = np.array([row[5] for row in rows])
+    drift = float(np.max(np.abs(H - H[0])) / max(abs(H[0]), 1e-12))
+    return ([_criterion("energy_drift", drift, 10.0 * args.tol)],
             {"steps": traj.steps, "nfev": traj.nfev, "rejected": traj.rejected})
 
 

@@ -2,19 +2,19 @@
 
 The integrator is the adaptive 8th-order embedded explicit pair DOP853
 (Hairer, Norsett and Wanner, Solving ODEs I, II.5-II.6) with its step
-controller; symplecticity is not needed because runs are short and energy
-drift is monitored on every trajectory.  `integrate` runs its own DOP853
-step loop on Python floats, up to a budget of _MAX_STEPS accepted steps,
-and keeps each step's stage derivatives that the dense output reads.  The
-right-hand side is the system's Hamilton kernel (systems.hamilton_kernel),
-built once per integration with its constants folded.  The twelve stages,
-the 8th-order update and the error sums of a step are straight-line float
-code, generated from the tableau and compiled on the first integration;
-it adds the same products in the same order as a loop over the tableau
-would.  Once the loop has reached the end time, one pass computes every
-step's dense-output coefficients in blocks of steps, as array arithmetic
-that rounds as the scalar loop would; `StackedDense` evaluates the stacked
-interpolant at any array of times in one pass.
+controller; symplecticity is not needed because runs are short.  H drift
+is checked where H is read: the `trajectory` criterion, `conserve`'s
+drift_H and invariants.conservation_rows.  `_step_loop` runs DOP853 on
+Python floats, up to _MAX_STEPS accepted steps, and keeps each step's
+stage derivatives that the dense output reads; the right-hand side is the
+system's Hamilton kernel (systems.hamilton_kernel), built once per
+integration with its constants folded.  The twelve stages, the 8th-order
+update and the error sums of a step are straight-line float code,
+generated from the tableau on the first integration, adding the same
+products in the same order as a loop over the tableau.  `integrate` then
+computes every step's dense-output coefficients in blocks, as array
+arithmetic rounding as the scalar loop would, and `StackedDense`
+evaluates them at any array of times in one pass.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .systems import (
     PhasePoint,
     angular_invariant,
     discriminants,
-    energy_kernel,
     hamilton_kernel,
     hamiltonian,
     radial_turning_points,
@@ -297,9 +296,8 @@ class Trajectory:
     """Integrated orbit: accepted steps plus a dense interpolant.
 
     t is strictly increasing; y has shape (4, len(t)) in chart order
-    (q1, q2, p1, p2).  max_energy_drift is the largest relative deviation
-    of H from its initial value over the accepted steps.  nfev counts the
-    right-hand-side evaluations and rejected the rejected step attempts.
+    (q1, q2, p1, p2), with no energy check.  nfev counts the right-hand-side
+    evaluations and rejected the rejected step attempts.
     """
 
     params: object
@@ -308,7 +306,6 @@ class Trajectory:
     y: np.ndarray
     dense: object
     steps: int
-    max_energy_drift: float
     rejected: int
 
     @property
@@ -383,12 +380,25 @@ def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10) -> 
     so a step that reaches one is rejected and shrunk until one of the two
     happens.
     """
+    f, t, y, Ks, rejected = _step_loop(params, initial, t_end, tol)
+    steps = t.size - 1
+    F = _dense_coefficients(f, t, y, np.frombuffer(Ks).reshape(steps, len(_DENSE_STAGES), 4))
+    del Ks  # the stage buffer is the largest array; the dense output needs it no more
+    return Trajectory(params=params, chart=initial.chart, t=t, y=y.T,
+                      dense=StackedDense(t, y, F), steps=steps, rejected=rejected)
+
+
+def _step_loop(params, initial: PhasePoint, t_end: float, tol: float):
+    """integrate's checks and DOP853 loop, no dense output: (f, t, y, Ks, rejected).
+
+    f is the Hamilton kernel, y has shape (steps + 1, 4), and Ks is the flat
+    buffer of each step's derivatives of _DENSE_STAGES, in that order.
+    """
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise DomainError(f"integration tolerance {tol} outside [{TOL_MIN}, {TOL_MAX}]")
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise DomainError(f"integration end time {t_end} must be finite and positive")
     hamiltonian(initial, params)  # validates chart and interiorness
-    chart = initial.chart
     t_end = float(t_end)
     rtol, atol = max(tol, 3e-14), tol  # DOP853 floor
 
@@ -396,10 +406,8 @@ def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10) -> 
     stages = _straight_line_stages()(f, atol, rtol)
 
     def step(t, y, k0, h_abs):
-        """(t_new, y_new, stage derivatives, next step size) of one accepted step, or None.
-
-        None means the step size fell below ten float spacings at t.
-        """
+        """(t_new, y_new, stage derivatives, next step size) of one accepted step, or None
+        once the step size falls below ten float spacings at t."""
         nonlocal rejected
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -422,8 +430,7 @@ def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10) -> 
     k0 = f(*y)
     h_abs = _initial_step(f, y, k0, t_end, rtol, atol)
     rejected = 0
-    # flat float buffers: a tuple per step would hold several times the memory;
-    # Ks keeps each accepted step's derivatives of _DENSE_STAGES, in that order
+    # flat float buffers: a tuple per step would hold several times the memory
     ts, ys, Ks = array("d", [t]), array("d", y), array("d")
     for _ in range(_MAX_STEPS):
         accepted = step(t, y, k0, h_abs)
@@ -441,18 +448,8 @@ def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10) -> 
         message = f"step budget of {_MAX_STEPS} steps spent before t = {t_end}"
     if t < t_end:
         raise IntegrationError(f"integration stopped at t = {t}: {message}",
-                               t_last=t, state_last=PhasePoint(*y, chart))
-
-    steps = len(ts) - 1
-    t, y = np.frombuffer(ts), np.frombuffer(ys).reshape(steps + 1, 4)
-    F = _dense_coefficients(f, t, y, np.frombuffer(Ks).reshape(steps, len(_DENSE_STAGES), 4))
-    del Ks  # the stage buffer is the largest array; the drift pass below needs it no more
-    energy = energy_kernel(params)
-    h = np.array([energy(*row) for row in y.tolist()])
-    scale = max(abs(h[0]), 1e-12)
-    drift = float(np.max(np.abs(h - h[0])) / scale)
-    return Trajectory(params=params, chart=chart, t=t, y=y.T, dense=StackedDense(t, y, F),
-                      steps=steps, max_energy_drift=drift, rejected=rejected)
+                               t_last=t, state_last=PhasePoint(*y, initial.chart))
+    return f, np.frombuffer(ts), np.frombuffer(ys).reshape(len(ts), 4), Ks, rejected
 
 
 def _dense_coefficients(f, t, y, K):
@@ -573,13 +570,13 @@ def closure_check(params: DCParams, initial: PhasePoint, max_radial_periods: int
 
     With A = p_phi^2 + B conserved, (r, p_r) is a one-dimensional Kepler
     motion of exact period T_r = Q pi / (2 (-E)^(3/2)), so the state can
-    return only at t = n T_r.  Each pass integrates exactly T_r from the
-    previous pass's last accepted state and scores its end state, so no
-    stretch of orbit is integrated twice and no dense output is read.  The
-    loop stops at the first n below tol, else reports the n of least
-    distance, with period_total = n T_r; no pass at all reports n_radial = 0
-    at distance inf.  It never reads the predicted first return (d periods
-    for k = c/d).
+    return only at t = n T_r.  Each pass runs the step loop of integrate
+    over exactly T_r from the previous pass's last accepted state and scores
+    its end state, so no stretch of orbit is integrated twice, and no dense
+    output, Trajectory or energy pass is built.  The loop stops at the first
+    n below tol, else reports the n of least distance, with period_total =
+    n T_r; no pass at all reports n_radial = 0 at distance inf.  It never
+    reads the predicted first return (d periods for k = c/d).
 
     The return metric is the Euclidean distance in (r, phi mod 2 pi/k,
     p_r, p_phi) with each coordinate scaled by its largest magnitude along
@@ -601,15 +598,15 @@ def closure_check(params: DCParams, initial: PhasePoint, max_radial_periods: int
     best = ClosureReport(closed=False, n_radial=0, return_distance=math.inf, period_total=0.0)
     point, steps = initial, 0
     for n in range(1, max_radial_periods + 1):
-        traj = integrate(params, point, T_r, tol=integrator_tol)
-        point, steps = traj.point(-1), steps + traj.steps
+        _, _, y, _, _ = _step_loop(params, point, T_r, integrator_tol)
+        point, steps = PhasePoint(*y[-1].tolist(), initial.chart), steps + len(y) - 1
         if steps > _MAX_STEPS:
             raise IntegrationError(
                 f"integration stopped at t = {n * T_r}: step budget of {_MAX_STEPS} steps "
                 f"spent before t = {max_radial_periods * T_r}", t_last=n * T_r, state_last=point)
-        scales = np.maximum(scales, np.max(np.abs(traj.y), axis=1))
+        scales = np.maximum(scales, np.max(np.abs(y), axis=0))
         scales[1] = period_phi
-        dy = traj.y[:, -1] - y0
+        dy = y[-1] - y0
         dy[1] -= period_phi * np.round(dy[1] / period_phi)
         distance = float(np.linalg.norm(dy / scales))
         if distance < best.return_distance:

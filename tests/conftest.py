@@ -43,6 +43,12 @@ def dc_setup(k_text, sign_r=1, sign_phi=1):
     return params, E, A, replace(pt, p1=sign_r * pt.p1, p2=sign_phi * pt.p2)
 
 
+def energy_drift(traj):
+    """max |H_i - H_0| / max(|H_0|, 1e-12) over the accepted steps, H evaluated at each."""
+    H = np.array([hamiltonian(traj.point(i), traj.params) for i in range(traj.t.size)])
+    return float(np.max(np.abs(H - H[0])) / max(abs(H[0]), 1e-12))
+
+
 def potential(params, q1, q2):
     """V = V_r + B/q1^2, as H at zero momenta: (0 + B)/q1^2 + V_r is the same float."""
     chart = DC_CHART if isinstance(params, DCParams) else TTW_CHART

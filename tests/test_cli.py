@@ -320,6 +320,27 @@ def test_conserve_summary_reads_the_csv_rows(tmp_path):
     assert {c["name"]: c["value"] for c in summary["criteria"]} == worst
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--family", "dc", "--k", "1", "--Q", "1", "--alpha", "0", "--beta", "0",
+                  "--q1", "1", "--q2", "1", "--p1", "0", "--p2", "0.70710678", "--t-end", "50"],
+                 id="readme-dc"),
+    pytest.param(["--family", "ttw", "--k", "3/2", "--omega2", "1", "--alpha", "0.3",
+                  "--beta", "0.45", "--q1", "1.1", "--q2", "0.3", "--p1", "0.4", "--p2", "0.7",
+                  "--t-end", "30", "--tol", "1e-8"], id="ttw")])
+def test_trajectory_energy_drift_reads_the_csv_H_column(tmp_path, argv):
+    # the summary's drift is max|H_i - H_0| / max(|H_0|, 1e-12) over the H
+    # column of trajectory.csv, recomputed here in Python floats to the last bit
+    code, out = run(tmp_path, "trajectory", *argv)
+    assert code == EXIT_PASS
+    rows = (out / "trajectory.csv").read_text().strip().splitlines()
+    column = rows[0].split(",").index("H")
+    H = [float(line.split(",")[column]) for line in rows[1:]]
+    drift = max(abs(h - H[0]) for h in H) / max(abs(H[0]), 1e-12)
+    criteria = read_summary(out, "trajectory")["criteria"]
+    assert [c["name"] for c in criteria] == ["energy_drift"]
+    assert criteria[0]["value"].hex() == drift.hex() and drift > 0.0
+
+
 @pytest.mark.parametrize("k", ["1", "2"])
 def test_conserve_passes_from_rest(tmp_path, k):
     # at p = 0 the sine variant (k = 1) or the cosine variant (k = 2) of L2

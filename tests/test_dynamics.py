@@ -1,14 +1,16 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import dc_setup, ttw_params, ttw_radial_period
+from conftest import dc_setup, energy_drift, ttw_params, ttw_radial_period
 from superint import dynamics, specfun
 from superint.cli import EXIT_PASS, main
 from superint.dynamics import (
+    ClosureReport,
     StackedDense,
     _refine_maxima,
     closure_check,
@@ -71,7 +73,7 @@ class TestIntegrate:
         params, E, A, pt = dc_setup("3/2")
         for tol in (1e-8, 1e-10, 1e-12):
             traj = integrate(params, pt, 40.0, tol=tol)
-            assert traj.max_energy_drift <= 10.0 * tol
+            assert energy_drift(traj) <= 10.0 * tol
 
     def test_time_axis_strictly_increasing(self):
         params, _, _, pt = dc_setup("1")
@@ -83,7 +85,7 @@ class TestIntegrate:
         params, E, A, pt = dc_setup("3/2")
         T = radial_period_closed_form(params.Q, E)
         traj = integrate(params, pt, 50 * T, tol=1e-12)
-        assert traj.max_energy_drift < 1e-9
+        assert energy_drift(traj) < 1e-9
         worst_A = max(abs(angular_invariant(traj.at_time(t), params) - A)
                       for t in np.linspace(0, traj.t[-1], 500))
         assert worst_A / abs(A) < 1e-9
@@ -601,15 +603,41 @@ def _closure_period(params, pt):
 
 @pytest.fixture
 def closure_runs(monkeypatch):
-    """Every trajectory closure_check integrates, in order."""
+    """Every step-loop run closure_check makes, in order, as t and y of shape (4, len(t))."""
     runs = []
+    step_loop = dynamics._step_loop
 
-    def recording(params, initial, t_end, tol=1e-10):
-        runs.append(integrate(params, initial, t_end, tol=tol))
-        return runs[-1]
+    def recording(params, initial, t_end, tol):
+        f, t, y, Ks, rejected = step_loop(params, initial, t_end, tol)
+        runs.append(SimpleNamespace(t=t, y=y.T))
+        return f, t, y, Ks, rejected
 
-    monkeypatch.setattr(dynamics, "integrate", recording)
+    monkeypatch.setattr(dynamics, "_step_loop", recording)
     return runs
+
+
+def _closure_by_integrate(params, pt, max_radial_periods, tol):
+    """closure_check's report, scored on a chain of one-period integrate runs from pt."""
+    T_r = _closure_period(params, pt)
+    period_phi = 2 * math.pi / params.k.value
+    y0 = pt.as_array()
+    scales = np.abs(y0)
+    best = ClosureReport(closed=False, n_radial=0, return_distance=math.inf, period_total=0.0)
+    point = pt
+    for n in range(1, max_radial_periods + 1):
+        traj = integrate(params, point, T_r, tol=1e-12)
+        point = traj.point(-1)
+        scales = np.maximum(scales, np.max(np.abs(traj.y), axis=1))
+        scales[1] = period_phi
+        dy = traj.y[:, -1] - y0
+        dy[1] -= period_phi * np.round(dy[1] / period_phi)
+        distance = float(np.linalg.norm(dy / scales))
+        if distance < best.return_distance:
+            best = ClosureReport(closed=distance < tol, n_radial=n, return_distance=distance,
+                                 period_total=n * T_r)
+        if best.closed:
+            break
+    return best
 
 
 class TestClosure:
@@ -668,6 +696,30 @@ class TestClosure:
         params, E, A, pt = dc_setup(k_text)
         report = closure_check(params, pt, 2 * params.k.c * params.k.d, tol=1e-6)
         assert report.closed and calls == []
+
+    @pytest.mark.parametrize("k_text", ["1", "2", "3", "1/2", "3/2", "2/3"])
+    def test_builds_no_dense_output_or_trajectory(self, monkeypatch, k_text):
+        # closure reads each period's end state off the step loop, so nothing
+        # that only the dense output or a Trajectory needs is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("closure_check built dense output or a Trajectory")
+
+        for name in ("_dense_coefficients", "StackedDense", "Trajectory"):
+            monkeypatch.setattr(dynamics, name, refuse)
+        params, E, A, pt = dc_setup(k_text)
+        report = closure_check(params, pt, 2 * params.k.c * params.k.d, tol=1e-6)
+        assert report.closed and report.n_radial == params.k.d
+
+    @pytest.mark.parametrize("k_text", ["1", "2", "3", "1/2", "3/2", "2/3"])
+    def test_report_matches_a_chain_of_integrate_runs(self, k_text):
+        # the step loop alone against the full integrate path, one T_r run
+        # per period from the last run's end state: the same report, bit for bit
+        params, E, A, pt = dc_setup(k_text)
+        bound = 2 * params.k.c * params.k.d
+        report = closure_check(params, pt, bound, tol=1e-6)
+        oracle = _closure_by_integrate(params, pt, bound, tol=1e-6)
+        assert report.closed and report == oracle
+        assert report.return_distance.hex() == oracle.return_distance.hex()
 
     def test_no_return_below_tol_integrates_the_cap(self, closure_runs):
         # tol = 0 passes no distance, so every period runs up to the cap, and
