@@ -31,8 +31,8 @@ from .systems import (
     PhasePoint,
     RationalIndex,
     TTWParams,
-    angular_invariant,
     bounded_dc_state,
+    energy_and_invariant,
     hamiltonian,
     params_to_text,
     random_dc_state,
@@ -210,7 +210,7 @@ def _resolve_start(args) -> None:
         raise DomainError(f"{' '.join(map(_flag, unread))} would go unread: {start} fix the start")
     try:
         E, A = (args.E, args.A) if from_constants else \
-            (hamiltonian(args.initial, args.params), angular_invariant(args.initial, args.params))
+            energy_and_invariant(args.initial, args.params)
         if not from_constants and args.command not in _BOUNDED_ORBIT_COMMANDS:
             return
         report = validate_bounded(args.params, E, A)
@@ -296,8 +296,8 @@ def cmd_trajectory(args) -> Outcome:
     rows = []
     for i, t in enumerate(traj.t.tolist()):
         pt = traj.point(i)
-        rows.append((t, pt.q1, pt.q2, pt.p1, pt.p2, float(hamiltonian(pt, params)),
-                     float(angular_invariant(pt, params))))
+        H, A = energy_and_invariant(pt, params)
+        rows.append((t, pt.q1, pt.q2, pt.p1, pt.p2, float(H), float(A)))
     _write_csv(args, "trajectory.csv", "t,q1,q2,p1,p2,H,A", rows)
     atomic_write_text(os.path.join(args.out_dir, "trajectory_params.txt"), params_to_text(params))
     H = np.array([row[5] for row in rows])

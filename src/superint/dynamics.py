@@ -11,10 +11,11 @@ system's Hamilton kernel (systems.hamilton_kernel), built once per
 integration with its constants folded.  The twelve stages, the 8th-order
 update and the error sums of a step are straight-line float code,
 generated from the tableau on the first integration, adding the same
-products in the same order as a loop over the tableau.  `integrate` then
-computes every step's dense-output coefficients in blocks, as array
-arithmetic rounding as the scalar loop would, and `StackedDense`
-evaluates them at any array of times in one pass.
+products in the same order as a loop over the tableau.  `integrate`
+returns after the loop: `StackedDense` computes a step's dense-output
+coefficients when a read first touches it, in blocks of array arithmetic
+rounding as the scalar loop would, and evaluates them at any array of
+times in one pass.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .errors import DegenerateOrbitError, DomainError, IntegrationError
 from .systems import (
     DCParams,
     PhasePoint,
-    angular_invariant,
     discriminants,
+    energy_and_invariant,
     hamilton_kernel,
     hamiltonian,
     radial_turning_points,
@@ -158,10 +159,10 @@ _A_NZ = tuple(_nonzero(row) for row in _A)
 _B_NZ, _E3_NZ, _E5_NZ = _nonzero(_B), _nonzero(_E3), _nonzero(_E5)
 _D_NZ = tuple(_nonzero(row) for row in _D)
 # The step stages the dense output reads (stages 1-4 have zero weight in
-# _A[13:] and _D), kept per accepted step for the pass after the loop, and
-# the steps that pass combines per block: 512 was the fastest block size
-# measured, and its arrays take under half a megabyte where one block of a
-# whole long run would double the run's peak memory.
+# _A[13:] and _D), kept per accepted step for the dense output, and the
+# steps it builds per block: 512 was the fastest block size measured, and
+# its arrays take under half a megabyte where one block of a whole long run
+# would double the run's peak memory.
 _DENSE_STAGES = (0, 5, 6, 7, 8, 9, 10, 11, 12)
 _DENSE_BLOCK = 512
 
@@ -234,26 +235,45 @@ def _straight_line_stages():
 
 
 class StackedDense:
-    """DOP853 dense output of every accepted step, from stacked coefficients.
+    """DOP853 dense output of every accepted step, each step's coefficients built on first read.
 
     Step i spans [t[i], t[i+1]], starts at y[i] and has the coefficients
-    F[:, i] (F has shape (7, steps, 4)).  A time goes to the first step whose
-    right end is not below it, times outside [t[0], t[-1]] extrapolate the
-    first or last step, and the interpolant is summed in the Horner order of
-    Hairer, Norsett and Wanner (Solving ODEs I, II.6).  Step choice and sums
-    follow the reference DOP853 dense output, whose values the tests match
-    bit for bit.  A scalar time gives shape (4,), a 1-D array of n times
-    shape (4, n).
+    F[:, i] (F has shape (7, steps, 4)); coefficients(idx) gives them for an
+    index array of steps, shape (7, len(idx), 4).  A step is built when a
+    read first touches it: an array read builds its touched, unbuilt steps
+    in one pass of _DENSE_BLOCK-step blocks, and a scalar read of an unbuilt
+    step builds every remaining one, since scalar reads come in loops.  Once
+    every step is built, coefficients is dropped, and with it the stage
+    buffer it reads.
+
+    A time goes to the first step whose right end is not below it, times
+    outside [t[0], t[-1]] extrapolate the first or last step, and the
+    interpolant is summed in the Horner order of Hairer, Norsett and Wanner
+    (Solving ODEs I, II.6).  Step choice and sums follow the reference
+    DOP853 dense output, whose values the tests match bit for bit.  A
+    scalar time gives shape (4,), a 1-D array of n times shape (4, n).
     """
 
-    def __init__(self, t: np.ndarray, y: np.ndarray, F: np.ndarray):
-        self._t, self._y, self._F = t, y, F
+    def __init__(self, t: np.ndarray, y: np.ndarray, coefficients):
+        self._t, self._y, self._coefficients = t, y, coefficients
+        self._F = np.empty((7, t.size - 1, 4))
+        self._built = np.zeros(t.size - 1, dtype=bool)
         self._h = np.diff(t)
         # counting the inner breakpoints below a time gives its step, already
         # clipped to the first and last
         self._inner = t[1:-1]
-        self._t_list, self._h_list = t.tolist(), self._h.tolist()
-        self._inner_list = self._inner.tolist()
+        self._t_list = None  # t as floats for the scalar path, made on its first read
+
+    def _build(self, touched: np.ndarray) -> None:
+        """Build the steps the boolean mask touched marks that are not built yet."""
+        touched[self._built] = False
+        idx = np.flatnonzero(touched)
+        for a in range(0, idx.size, _DENSE_BLOCK):
+            part = idx[a:a + _DENSE_BLOCK]
+            self._F[:, part] = self._coefficients(part)
+        self._built[idx] = True
+        if self._built.all():
+            self._coefficients = None
 
     def __call__(self, t):
         # a float (np.float64 is one) skips np.ndim, which costs more than the sums
@@ -265,6 +285,10 @@ class StackedDense:
         # seg lies in [0, steps - 1], so mode="clip" moves no index; it only
         # spares np.take its buffered bounds check
         seg = np.searchsorted(self._inner, t, side="left")
+        if self._coefficients is not None:
+            touched = np.zeros(self._built.size, dtype=bool)
+            touched[seg] = True
+            self._build(touched)
         x = t - np.take(self._t, seg, mode="clip")
         x /= np.take(self._h, seg, mode="clip")
         x = x[:, None]
@@ -281,8 +305,13 @@ class StackedDense:
 
     def _at(self, t: float) -> np.ndarray:
         """The same sums in Python floats: one time costs no array set-up."""
-        s = bisect.bisect_left(self._inner_list, t)
-        x = (t - self._t_list[s]) / self._h_list[s]
+        if self._t_list is None:
+            self._t_list = self._t.tolist()
+        ts = self._t_list
+        s = bisect.bisect_left(ts, t, 1, len(ts) - 1) - 1
+        if self._coefficients is not None and not self._built[s]:
+            self._build(~self._built)
+        x = (t - ts[s]) / (ts[s + 1] - ts[s])
         a = b = c = d = 0.0
         # stages 6, 5, ..., 0 take the weights x, 1 - x, x, ..., x
         for w, (f0, f1, f2, f3) in zip((x, 1.0 - x) * 4, reversed(self._F[:, s].tolist())):
@@ -297,7 +326,9 @@ class Trajectory:
 
     t is strictly increasing; y has shape (4, len(t)) in chart order
     (q1, q2, p1, p2), with no energy check.  nfev counts the right-hand-side
-    evaluations and rejected the rejected step attempts.
+    evaluations of the integration and rejected the rejected step attempts;
+    the three dense-output stages of a step are evaluated when a read first
+    touches it (StackedDense), outside nfev.
     """
 
     params: object
@@ -309,8 +340,8 @@ class Trajectory:
     rejected: int
 
     @property
-    def nfev(self) -> int:  # f(y0), the initial-step probe, 12 per try, 3 dense stages per step
-        return 2 + 15 * self.steps + 12 * self.rejected
+    def nfev(self) -> int:  # f(y0), the initial-step probe, 12 per try
+        return 2 + 12 * (self.steps + self.rejected)
 
     def point(self, i: int) -> PhasePoint:
         q1, q2, p1, p2 = self.y[:, i]
@@ -379,13 +410,17 @@ def integrate(params, initial: PhasePoint, t_end: float, tol: float = 1e-10) -> 
     t_end.  A state off the domain of the Hamiltonian has a NaN derivative,
     so a step that reaches one is rejected and shrunk until one of the two
     happens.
+
+    It returns after the step loop: the dense output builds a step's
+    coefficients from the kept stage derivatives when a read first touches
+    it (StackedDense), so steps no read touches cost nothing more.
     """
     f, t, y, Ks, rejected = _step_loop(params, initial, t_end, tol)
     steps = t.size - 1
-    F = _dense_coefficients(f, t, y, np.frombuffer(Ks).reshape(steps, len(_DENSE_STAGES), 4))
-    del Ks  # the stage buffer is the largest array; the dense output needs it no more
-    return Trajectory(params=params, chart=initial.chart, t=t, y=y.T,
-                      dense=StackedDense(t, y, F), steps=steps, rejected=rejected)
+    K = np.frombuffer(Ks).reshape(steps, len(_DENSE_STAGES), 4)
+    dense = StackedDense(t, y, functools.partial(_dense_coefficients, f, t, y, K))
+    return Trajectory(params=params, chart=initial.chart, t=t, y=y.T, dense=dense,
+                      steps=steps, rejected=rejected)
 
 
 def _step_loop(params, initial: PhasePoint, t_end: float, tol: float):
@@ -452,40 +487,37 @@ def _step_loop(params, initial: PhasePoint, t_end: float, tol: float):
     return f, np.frombuffer(ts), np.frombuffer(ys).reshape(len(ts), 4), Ks, rejected
 
 
-def _dense_coefficients(f, t, y, K):
-    """The (7, steps, 4) dense-output coefficients F of every accepted step.
+def _dense_coefficients(f, t, y, K, idx):
+    """The (7, len(idx), 4) dense-output coefficients F of the accepted steps idx.
 
     Step i spans [t[i], t[i+1]] from y[i]; K[i] holds its derivatives of
-    _DENSE_STAGES.  Blocks of _DENSE_BLOCK steps are combined as arrays: the
-    inputs of stages 13-15, their derivatives through the scalar f, and the
-    seven rows of F.  Every sum adds the same products in the same stage
-    order as the scalar step would, and numpy's elementwise * and + round as
-    Python floats do, so F is the scalar loop's to the last bit.
+    _DENSE_STAGES.  The steps are combined as arrays: the inputs of stages
+    13-15, their derivatives through the scalar f, and the seven rows of F.
+    Every sum adds the same products in the same stage order as the scalar
+    step would, and numpy's elementwise * and + round as Python floats do,
+    so F is the scalar loop's to the last bit, whichever steps idx holds.
     """
-    steps = t.size - 1
-    F = np.empty((7, steps, 4))
-    for a in range(0, steps, _DENSE_BLOCK):
-        b = min(a + _DENSE_BLOCK, steps)
-        y0, h = y[a:b], (t[a + 1:b + 1] - t[a:b])[:, None]
-        # one contiguous (n, 4) array per stage
-        block = K[a:b].transpose(1, 0, 2).copy()
-        stage = dict(zip(_DENSE_STAGES, block))
+    y0, y1 = y[idx], y[idx + 1]
+    h = (t[idx + 1] - t[idx])[:, None]
+    # one contiguous (n, 4) array per stage
+    stage = dict(zip(_DENSE_STAGES, K[idx].transpose(1, 0, 2).copy()))
 
-        def combine(weights):
-            """sum_j w_j K_j over the (j, w_j) pairs, in order, from 0.0 as the scalar sum."""
-            acc = np.zeros_like(y0)
-            for j, w in weights:
-                acc += w * stage[j]
-            return acc
+    def combine(weights):
+        """sum_j w_j K_j over the (j, w_j) pairs, in order, from 0.0 as the scalar sum."""
+        acc = np.zeros_like(y0)
+        for j, w in weights:
+            acc += w * stage[j]
+        return acc
 
-        for s in (13, 14, 15):
-            inputs = y0 + combine(_A_NZ[s]) * h
-            stage[s] = np.array([f(*row) for row in inputs.tolist()])
-        dy = np.subtract(y[a + 1:b + 1], y0, out=F[0, a:b])
-        np.subtract(h * stage[0], dy, out=F[1, a:b])
-        np.subtract(2.0 * dy, h * (stage[12] + stage[0]), out=F[2, a:b])
-        for row, weights in enumerate(_D_NZ, start=3):
-            np.multiply(h, combine(weights), out=F[row, a:b])
+    for s in (13, 14, 15):
+        inputs = y0 + combine(_A_NZ[s]) * h
+        stage[s] = np.array([f(*row) for row in inputs.tolist()])
+    F = np.empty((7, idx.size, 4))
+    dy = np.subtract(y1, y0, out=F[0])
+    np.subtract(h * stage[0], dy, out=F[1])
+    np.subtract(2.0 * dy, h * (stage[12] + stage[0]), out=F[2])
+    for row, weights in enumerate(_D_NZ, start=3):
+        np.multiply(h, combine(weights), out=F[row])
     return F
 
 
@@ -585,8 +617,7 @@ def closure_check(params: DCParams, initial: PhasePoint, max_radial_periods: int
     any other.  The steps of all periods count against one _MAX_STEPS
     budget; past it IntegrationError carries the absolute time and state.
     """
-    E = hamiltonian(initial, params)
-    A = angular_invariant(initial, params)
+    E, A = energy_and_invariant(initial, params)
     report = validate_bounded(params, E, A)
     if not report.all_passed:
         raise DomainError(f"initial point fails bounded-motion rows: {report.failed()}")
@@ -691,8 +722,7 @@ def orbit_constants_from_point(params: DCParams, point: PhasePoint) -> OrbitCons
     delta1 hold on every momentum branch, with no integration and no
     branch trial; delta2 follows from C.
     """
-    E = hamiltonian(point, params)
-    A = angular_invariant(point, params)
+    E, A = energy_and_invariant(point, params)
     report = validate_bounded(params, E, A)
     if not report.all_passed:
         raise DomainError(f"point fails bounded-motion rows: {report.failed()}")

@@ -29,8 +29,7 @@ from .systems import (
     DCParams,
     PhasePoint,
     _math_of,
-    angular_invariant,
-    hamiltonian,
+    energy_and_invariant,
 )
 
 # complex-step size: Im F(x + i h) / h is dF/dx to roundoff for any h this small
@@ -43,7 +42,9 @@ class ABQuad:
 
     (A_x, A_y) depends on the angular motion only, (B_x, B_y) on the
     radial motion; both squared norms are functions of H, L1 and the
-    couplings alone.  sqrt_L1 rides along for the integrals' denominators.
+    couplings alone.  sqrt_L1 rides along for the integrals' denominators,
+    and H and L, the energy and the angular invariant (A on the Coulomb
+    side, where L1 = 4A), for the conservation rows.
     """
 
     A_x: float
@@ -51,6 +52,8 @@ class ABQuad:
     B_x: float
     B_y: float
     sqrt_L1: float
+    H: float
+    L: float
 
 
 @dataclass(frozen=True)
@@ -64,14 +67,14 @@ def ab_quantities(p, state: PhasePoint) -> ABQuad:
     The parameter type picks the chart.  On the Coulomb side L1 = 4A, and
     the pairs are the paper's (4 sqrt(A) p_phi sin k phi,
     4A cos k phi - k^2 (alpha - beta)) and (4 sqrt(A) p_r, 4A/r - 2Q).
+    H and L come from one systems.energy_and_invariant evaluation.
     """
     dc = isinstance(p, DCParams)
     chart = DC_CHART if dc else TTW_CHART
     if state.chart != chart:
         raise DomainError(f"ab_quantities needs a {chart} state, got {state.chart}")
-    L1 = angular_invariant(state, p)
-    if dc:
-        L1 = 4.0 * L1
+    H, L = energy_and_invariant(state, p)
+    L1 = 4.0 * L if dc else L
     if L1.real <= 0.0:
         raise DomainError(f"auxiliary quantities need L1 > 0, got {L1}")
     k = p.k.value
@@ -83,7 +86,6 @@ def ab_quantities(p, state: PhasePoint) -> ABQuad:
         angle, p_angle = k * q2, 2.0 * state.p2
         B_x, B_y = 2.0 * sqrtL1 * state.p1, L1 / q1 - 2.0 * p.Q
     else:
-        H = hamiltonian(state, p)
         angle, p_angle = 2.0 * k * q2, state.p2
         # exponential radial variable: exp(-2R) = rho^-2, p_R = rho p_rho
         inv_rho2 = 1.0 / (q1 * q1)
@@ -91,7 +93,7 @@ def ab_quantities(p, state: PhasePoint) -> ABQuad:
         B_x, B_y = 2.0 * sqrtL1 * inv_rho2 * p_R, 2.0 * L1 * inv_rho2 - H
     return ABQuad(A_x=sqrtL1 * m.sin(angle) * p_angle,
                   A_y=L1 * m.cos(angle) - p.alpha * k * k + p.beta * k * k,
-                  B_x=B_x, B_y=B_y, sqrt_L1=sqrtL1)
+                  B_x=B_x, B_y=B_y, sqrt_L1=sqrtL1, H=H, L=L)
 
 
 def _binomial_re_im(x: float, y: float, n: int) -> tuple[float, float]:
@@ -117,13 +119,12 @@ def _phase_difference(p, ab: ABQuad) -> float:
     return 4.0 * p.k.c * sqrtL1 * (M - N)
 
 
-def _trig_form(p, state: PhasePoint, wave, shift: int) -> float:
-    """|B|^c |A|^d wave(angle) / sqrt(L1)^((c + d + shift) % 2).
+def _trig_form(p, ab: ABQuad, wave, shift: int) -> float:
+    """|B|^c |A|^d wave(angle) / sqrt(L1)^((c + d + shift) % 2) of one auxiliary quadruple.
 
     (sin, 1) is the sine variant, (cos, 0) the cosine one; wave = None
     leaves the variant's conserved amplitude, which |L2| never exceeds.
     """
-    ab = ab_quantities(p, state)
     c, d = p.k.c, p.k.d
     phase = 1.0 if wave is None else wave(_phase_difference(p, ab))
     return (math.hypot(ab.B_x, ab.B_y) ** c * math.hypot(ab.A_x, ab.A_y) ** d * phase
@@ -132,30 +133,26 @@ def _trig_form(p, state: PhasePoint, wave, shift: int) -> float:
 
 def l2_trig(p, state: PhasePoint) -> float:
     """Sine-variant higher integral in its trigonometric form."""
-    return _trig_form(p, state, math.sin, 1)
+    return _trig_form(p, ab_quantities(p, state), math.sin, 1)
 
 
-def l2_cos_trig(p, state: PhasePoint) -> float:
-    """Cosine-variant higher integral in its trigonometric form."""
-    return _trig_form(p, state, math.cos, 0)
+def _poly_forms(p, ab: ABQuad) -> tuple[float, float]:
+    """The sine and cosine variants of the higher integral from one pair of binomial sums."""
+    c, d = p.k.c, p.k.d
+    re_B, im_B = _binomial_re_im(ab.B_x, ab.B_y, c)
+    re_A, im_A = _binomial_re_im(ab.A_x, ab.A_y, d)
+    return ((im_B * re_A - im_A * re_B) / ab.sqrt_L1 ** ((c + d - 1) % 2),
+            (re_B * re_A + im_B * im_A) / ab.sqrt_L1 ** ((c + d) % 2))
 
 
 def l2_poly(p, state: PhasePoint) -> float:
     """Sine-variant higher integral assembled from the binomial sums."""
-    ab = ab_quantities(p, state)
-    c, d = p.k.c, p.k.d
-    re_B, im_B = _binomial_re_im(ab.B_x, ab.B_y, c)
-    re_A, im_A = _binomial_re_im(ab.A_x, ab.A_y, d)
-    return (im_B * re_A - im_A * re_B) / ab.sqrt_L1 ** ((c + d - 1) % 2)
+    return _poly_forms(p, ab_quantities(p, state))[0]
 
 
 def l2_cos(p, state: PhasePoint) -> float:
     """Cosine-variant higher integral assembled from the binomial sums."""
-    ab = ab_quantities(p, state)
-    c, d = p.k.c, p.k.d
-    re_B, im_B = _binomial_re_im(ab.B_x, ab.B_y, c)
-    re_A, im_A = _binomial_re_im(ab.A_x, ab.A_y, d)
-    return (re_B * re_A + im_B * im_A) / ab.sqrt_L1 ** ((c + d) % 2)
+    return _poly_forms(p, ab_quantities(p, state))[1]
 
 
 def minimal_integral_degree(k) -> int:
@@ -207,20 +204,20 @@ def conservation_rows(traj):
 
     H and L1 drift relative to their start values, each L2 variant relative
     to its conserved amplitude, which a start where L2 is zero keeps; all
-    scales are floored at 1e-12.
+    scales are floored at 1e-12.  A sample's columns come from one
+    ab_quantities call, which evaluates the barrier once.
     """
     p = traj.params
     tt = np.linspace(traj.t[0], traj.t[-1], 400)
     rows = []
     first = None
     for t, y in zip(tt.tolist(), traj.dense(tt).T.tolist()):
-        s = PhasePoint(*y, traj.chart)
-        vals = (hamiltonian(s, p), angular_invariant(s, p), l2_poly(p, s), l2_cos(p, s))
+        ab = ab_quantities(p, PhasePoint(*y, traj.chart))
+        vals = (ab.H, ab.L) + _poly_forms(p, ab)
         if first is None:
             first = vals
-            scales = [max(v, 1e-12) for v in (abs(vals[0]), abs(vals[1]),
-                                               _trig_form(p, s, None, 1),
-                                               _trig_form(p, s, None, 0))]
+            scales = [max(v, 1e-12) for v in (abs(ab.H), abs(ab.L), _trig_form(p, ab, None, 1),
+                                               _trig_form(p, ab, None, 0))]
         drifts = tuple(abs(v - v0) / w for v, v0, w in zip(vals, first, scales))
         rows.append((t,) + vals + drifts)
     return rows

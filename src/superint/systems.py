@@ -10,10 +10,11 @@ and differ only in the radial term V_r (-Q/r or omega^2 rho^2), so
 H = p1^2 + (p2^2 + B)/q1^2 + V_r.  The kernels _barrier_kernel and
 _radial_kernel are the only code that knows either term, the walls or the
 DC/TTW difference.  Each builds a closure with one system's constants
-folded; Hamilton's equations (hamilton_kernel), the energy
-(energy_kernel) and the angular invariant are built from those closures.
-A loop builds its closures once; a point evaluation builds the ones it
-needs on each call.
+folded; Hamilton's equations (hamilton_kernel) are built from those
+closures once per integration.  A point evaluation builds the ones it
+needs on each call: energy_and_invariant gives H and the angular
+invariant L = p2^2 + B from one radial and one barrier evaluation, so
+H = p1^2 + L/q1^2 + V_r, and hamiltonian is its H.
 """
 
 from __future__ import annotations
@@ -192,18 +193,6 @@ def hamilton_kernel(params):
     return rhs
 
 
-def energy_kernel(params, m=math):
-    """H = p1^2 + (p2^2 + B)/q1^2 + V_r as a closure of (q1, q2, p1, p2), chart unchecked."""
-    radial, barrier = _radial_kernel(params), _barrier_kernel(params, m)
-
-    def energy(q1, q2, p1, p2):
-        V_r, _ = radial(q1)
-        B, _ = barrier(q2)
-        return p1 ** 2 + (p2 ** 2 + B) / (q1 * q1) + V_r
-
-    return energy
-
-
 def _math_of(*values):
     """cmath if any value is complex (a complex step), else math."""
     for value in values:
@@ -217,10 +206,23 @@ def _barrier(params, q2) -> tuple[float, float]:
     return _barrier_kernel(params, _math_of(q2))(q2)
 
 
+def energy_and_invariant(point: PhasePoint, params) -> tuple[float, float]:
+    """(H, L) in the matching chart: L = p2^2 + B and H = p1^2 + L/q1^2 + V_r.
+
+    One radial and one barrier evaluation serve both, and each value is the
+    one hamiltonian and angular_invariant give, to the bit.
+    """
+    _require_chart(point, params)
+    q1 = point.q1
+    V_r, _ = _radial_kernel(params)(q1)
+    B, _ = _barrier(params, point.q2)
+    L = point.p2 ** 2 + B
+    return point.p1 ** 2 + L / (q1 * q1) + V_r, L
+
+
 def hamiltonian(point: PhasePoint, params) -> float:
     """H = p1^2 + (p2^2 + B)/q1^2 + V_r in the matching chart."""
-    _require_chart(point, params)
-    return energy_kernel(params, _math_of(point.q2))(point.q1, point.q2, point.p1, point.p2)
+    return energy_and_invariant(point, params)[0]
 
 
 def angular_invariant(point: PhasePoint, params) -> float:

@@ -10,7 +10,7 @@ from superint.dynamics import (
     orbit_constants_from_point,
     radial_period_closed_form,
 )
-from superint.invariants import l2_cos, l2_poly
+from superint.invariants import _trig_form, ab_quantities, l2_cos, l2_poly
 from superint.systems import (
     DC_CHART,
     TTW_CHART,
@@ -47,6 +47,11 @@ def energy_drift(traj):
     """max |H_i - H_0| / max(|H_0|, 1e-12) over the accepted steps, H evaluated at each."""
     H = np.array([hamiltonian(traj.point(i), traj.params) for i in range(traj.t.size)])
     return float(np.max(np.abs(H - H[0])) / max(abs(H[0]), 1e-12))
+
+
+def l2_cos_trig(p, state):
+    """Cosine-variant higher integral in its trigonometric form, the oracle of l2_cos."""
+    return _trig_form(p, ab_quantities(p, state), math.cos, 0)
 
 
 def potential(params, q1, q2):

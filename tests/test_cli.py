@@ -49,7 +49,7 @@ class TestCommands:
         assert len(lines) >= 3  # header plus one row per accepted step
         data = read_summary(out, "trajectory")["data"]
         assert data["steps"] == len(lines) - 2
-        assert data["nfev"] == 2 + 12 * (data["steps"] + data["rejected"]) + 3 * data["steps"]
+        assert data["nfev"] == 2 + 12 * (data["steps"] + data["rejected"])
 
     def test_conserve(self, tmp_path):
         code, out = run(tmp_path, "conserve", "--k", "3/2", "--omega2", "1",

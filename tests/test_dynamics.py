@@ -130,12 +130,27 @@ def _scipy_rhs(params):
     return lambda t, y: np.array(f(*y.tolist()))
 
 
+def _counting_kernel(calls):
+    """hamilton_kernel with every right-hand-side evaluation appended to calls."""
+    def counted_kernel(params):
+        rhs = hamilton_kernel(params)
+
+        def counted(*args):
+            calls.append(None)
+            return rhs(*args)
+
+        return counted
+
+    return counted_kernel
+
+
 def _reference_dense(traj):
-    """scipy's OdeSolution over Dop853DenseOutput pieces of the trajectory's own steps."""
+    """scipy's OdeSolution over Dop853DenseOutput pieces of the trajectory's own steps,
+    with every step's coefficients from the scalar stage order (_scalar_coefficients)."""
     from scipy.integrate import OdeSolution
     from scipy.integrate._ivp.rk import Dop853DenseOutput
 
-    t, y, F = traj.t, traj.y.T, traj.dense._F
+    t, y, F = traj.t, traj.y.T, _scalar_coefficients(traj.params, traj)
     return OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[i], F[:, i])
                            for i in range(traj.steps)])
 
@@ -156,23 +171,13 @@ class TestStageLoop:
 
     def test_evaluation_count(self, monkeypatch):
         calls = []
-
-        def counted_kernel(params):
-            rhs = hamilton_kernel(params)
-
-            def counted(*args):
-                calls.append(None)
-                return rhs(*args)
-
-            return counted
-
-        monkeypatch.setattr(dynamics, "hamilton_kernel", counted_kernel)
+        monkeypatch.setattr(dynamics, "hamilton_kernel", _counting_kernel(calls))
         params, _, _, pt = dc_setup("3/2")
         for tol in (1e-8, 1e-12):
             calls.clear()
             traj = integrate(params, pt, 40.0, tol=tol)
             assert traj.nfev == len(calls)
-            assert traj.nfev == 2 + 12 * (traj.steps + traj.rejected) + 3 * traj.steps
+            assert traj.nfev == 2 + 12 * (traj.steps + traj.rejected)
         assert traj.rejected > 0
 
     def test_one_kernel_per_integration(self, monkeypatch):
@@ -296,15 +301,21 @@ def _family_run(family, k_text, tol=1e-10):
     return params, pt, t_end, integrate(params, pt, t_end, tol=tol)
 
 
+def _built_coefficients(traj):
+    """The dense output's F once a read has touched every step."""
+    traj.dense(traj.t)
+    return traj.dense._F
+
+
 class TestDenseCoefficients:
-    """The coefficient pass after the step loop gives the scalar loop's F bit for bit."""
+    """The coefficients built on read give the scalar loop's F bit for bit."""
 
     @pytest.mark.parametrize("family", ["dc", "ttw"])
     @pytest.mark.parametrize("k_text", ["1", "3/2", "2/3"])
     def test_match_the_scalar_stage_order(self, family, k_text):
         params, _, _, traj = _family_run(family, k_text)
         assert traj.rejected > 0  # the step controller rejected attempts on this run
-        assert np.array_equal(traj.dense._F, _scalar_coefficients(params, traj))
+        assert np.array_equal(_built_coefficients(traj), _scalar_coefficients(params, traj))
 
     @pytest.mark.parametrize("alpha, beta", [(0.0, 0.3), (0.0, 0.0)])
     def test_zero_coupling_orbit_matches_the_scalar_stage_order(self, alpha, beta):
@@ -313,28 +324,32 @@ class TestDenseCoefficients:
         params = DCParams(Q=1.0, alpha=alpha, beta=beta, k=RationalIndex(3, 2))
         traj = integrate(params, PhasePoint(1.2, 0.9, 0.1, 0.5, DC_CHART), 15.0, tol=1e-10)
         assert traj.steps > 20
-        assert np.array_equal(traj.dense._F, _scalar_coefficients(params, traj))
+        assert np.array_equal(_built_coefficients(traj), _scalar_coefficients(params, traj))
 
     def test_any_block_size(self, monkeypatch):
         params, pt, t_end, traj = _family_run("ttw", "3/2")
         assert traj.steps > 2 * 7
+        F = _built_coefficients(traj)
         for block in (1, 7, traj.steps - 1):  # the last block ragged, or one step alone
             monkeypatch.setattr(dynamics, "_DENSE_BLOCK", block)
             other = integrate(params, pt, t_end, tol=1e-10)
             assert np.array_equal(other.t, traj.t) and np.array_equal(other.y, traj.y)
-            assert np.array_equal(other.dense._F, traj.dense._F)
+            assert np.array_equal(_built_coefficients(other), F)
             assert (other.nfev, other.rejected) == (traj.nfev, traj.rejected)
 
     def test_peak_memory_per_step_of_a_long_run(self):
-        # the stores hold 328 bytes per step (t, y, the 9 stages the pass
-        # reads) and F 224 more; 591 were measured with 512-step blocks and
-        # 1,324 with one block of every step
+        # the stores hold 328 bytes per step (t, y, the 9 stages the build
+        # reads) and F 224 more, and a read of every step builds them all;
+        # 591 were measured with 512-step blocks and 1,324 with one block of
+        # every step
         params = ttw_params("3/2")
         pt = PhasePoint(1.1, 0.3, 0.4, 0.7, TTW_CHART)
-        integrate(params, pt, 1.0, tol=1e-12)  # warm imports and caches
+        warm = integrate(params, pt, 1.0, tol=1e-12)  # warm imports and caches
+        warm.dense(warm.t)
         tracemalloc.start()
         try:
             traj = integrate(params, pt, 200 * ttw_radial_period(params.omega2), tol=1e-12)
+            traj.dense(traj.t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -394,7 +409,7 @@ class TestStackedDense:
 
         rng = np.random.default_rng(5)
         t, y, F = np.array([0.0, 0.5, 1.25, 2.0]), rng.normal(size=(4, 4)), rng.normal(size=(7, 3, 4))
-        dense = StackedDense(t, y, F)
+        dense = StackedDense(t, y, lambda idx: F[:, idx])
         ref = OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[i], F[:, i]) for i in range(3)])
         times = np.concatenate([t, [-0.3, 0.2, 1.0, 2.4]])
         assert np.array_equal(dense(times), ref(times))
@@ -426,6 +441,83 @@ class TestStackedDense:
         finally:
             tracemalloc.stop()
         assert peak < 224 * n
+
+
+@pytest.fixture(scope="module")
+def built_on_read():
+    """Twin integrations of one orbit, so each read order starts unbuilt, and the full pass."""
+    params, E, _, pt = dc_setup("3/2")
+    t_end = 1.5 * radial_period_closed_form(params.Q, E)
+    traj = integrate(params, pt, t_end, tol=1e-10)
+    return (lambda: integrate(params, pt, t_end, tol=1e-10)), _scalar_coefficients(params, traj), \
+        _reference_dense(traj)
+
+
+_READS = {
+    "array": lambda t_end: np.linspace(0.2, 0.4, 40) * t_end,
+    "scalar": lambda t_end: [float(t) for t in np.linspace(0.25, 0.35, 7) * t_end],
+    "repeated": lambda t_end: np.repeat(np.linspace(0.6, 0.7, 10) * t_end, 3),
+    "unsorted": lambda t_end: np.random.default_rng(8).uniform(0.0, t_end, 60),
+    "outside": lambda t_end: np.array([-0.5, -1e-3, t_end + 1e-3, t_end + 0.5]),
+    "empty": lambda t_end: np.empty(0),
+}
+
+
+class TestBuildOnRead:
+    """integrate returns after the step loop; a read builds the steps it first touches."""
+
+    def test_integrate_evaluates_no_dense_stage_and_a_read_three_per_new_step(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dynamics, "hamilton_kernel", _counting_kernel(calls))
+        params = ttw_params("3/2")
+        traj = integrate(params, PhasePoint(1.1, 0.3, 0.4, 0.7, TTW_CHART),
+                         20 * ttw_radial_period(params.omega2), tol=1e-12)
+        assert len(calls) == traj.nfev == 2 + 12 * (traj.steps + traj.rejected)
+        touched = set()
+        for lo, hi in ((0.0, 1.0), (0.3, 0.8), (0.3, 0.8)):
+            tt = np.linspace(lo, hi, 400) * traj.t[-1]
+            seg = set(np.searchsorted(traj.t[1:-1], tt).tolist())
+            calls.clear()
+            traj.dense(tt)
+            assert len(calls) == 3 * len(seg - touched)
+            touched |= seg
+        assert 400 <= len(touched) < traj.steps / 2  # the reads left most steps unbuilt
+
+    def test_a_scalar_read_of_an_unbuilt_step_builds_every_remaining_one(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dynamics, "hamilton_kernel", _counting_kernel(calls))
+        params, E, _, pt = dc_setup("3/2")
+        traj = integrate(params, pt, 1.5 * radial_period_closed_form(params.Q, E), tol=1e-10)
+        t_mid = 0.5 * (traj.t[3] + traj.t[4])
+        for read, new_steps in ((np.array([t_mid]), 1), (t_mid, 0), (traj.t[-2], traj.steps - 1),
+                                (np.array([0.0, traj.t[-1]]), 0)):
+            calls.clear()
+            traj.dense(read)
+            assert len(calls) == 3 * new_steps
+        assert traj.dense._coefficients is None  # the stage buffer is released
+
+    @pytest.mark.parametrize("order", [
+        ("array", "scalar", "repeated", "unsorted", "outside", "empty"),
+        ("empty", "outside", "unsorted", "repeated", "scalar", "array"),
+        ("scalar", "array", "empty", "repeated", "outside", "unsorted"),
+        ("repeated", "array", "outside", "scalar", "unsorted", "empty"),
+    ], ids="-".join)
+    def test_reads_in_any_order_match_the_full_pass(self, built_on_read, order):
+        fresh, F, ref = built_on_read
+        traj = fresh()
+        t_end = traj.t[-1]
+        for kind in order:
+            times = _READS[kind](t_end)
+            if kind == "scalar":
+                for t in times:
+                    assert np.array_equal(traj.dense(t), ref(t))
+            else:
+                out = traj.dense(times)
+                assert out.shape == (4, times.size)
+                assert times.size == 0 or np.array_equal(out, ref(times))  # scipy's takes none
+        traj.dense(traj.t)
+        assert np.array_equal(traj.dense._F, F)
+        assert traj.dense._coefficients is None  # every step built, the stage buffer released
 
 
 class TestRadialPeriod:

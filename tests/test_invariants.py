@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import replace
 
@@ -8,18 +9,20 @@ from conftest import (
     dc_integral_by_pullback,
     dc_setup,
     hamiltonian_gradient,
+    l2_cos_trig,
     ttw_params,
     ttw_radial_period,
 )
 from superint.cli import EXIT_PASS, main
+from superint import systems
 from superint.dynamics import integrate, radial_period_closed_form
 from superint.errors import DomainError
 from superint.invariants import (
     _trig_form,
     ab_quantities,
+    conservation_rows,
     dc_integral,
     l2_cos,
-    l2_cos_trig,
     l2_poly,
     l2_trig,
     lower_degree_variant,
@@ -164,8 +167,9 @@ class TestHigherIntegralForms:
             tc, qc = l2_cos_trig(p, s), l2_cos(p, s)
             assert tc == pytest.approx(qc, rel=1e-9, abs=1e-9 * max(1.0, abs(qc)))
             # the conserved amplitude |B|^c |A|^d / sqrt(L1)^parity bounds |L2|
-            assert abs(q) <= _trig_form(p, s, None, 1) * (1 + 1e-12)
-            assert abs(qc) <= _trig_form(p, s, None, 0) * (1 + 1e-12)
+            ab = ab_quantities(p, s)
+            assert abs(q) <= _trig_form(p, ab, None, 1) * (1 + 1e-12)
+            assert abs(qc) <= _trig_form(p, ab, None, 0) * (1 + 1e-12)
 
     def test_k1_reduction(self, rng):
         # c = d = 1 collapses the sums to a single cross term over sqrt(L1)
@@ -248,6 +252,95 @@ class TestConservation:
         assert len(lines) == 401  # conserve samples the orbit 400 times
         last = [float(x) for x in lines[-1].split(",")]
         assert all(d < 1e-7 for d in last[5:])
+
+
+def _parent_ab(p, s):
+    """(A_x, A_y, B_x, B_y, sqrt_L1) by the formula of the earlier library, which
+    evaluated angular_invariant and, on the oscillator side, hamiltonian for B_y."""
+    dc = isinstance(p, DCParams)
+    L1 = angular_invariant(s, p) * (4.0 if dc else 1.0)
+    k = p.k.value
+    m = cmath if isinstance(L1, complex) or isinstance(s.q2, complex) else math
+    sqrtL1 = m.sqrt(L1)
+    if dc:
+        angle, p_angle = k * s.q2, 2.0 * s.p2
+        B_x, B_y = 2.0 * sqrtL1 * s.p1, L1 / s.q1 - 2.0 * p.Q
+    else:
+        angle, p_angle = 2.0 * k * s.q2, s.p2
+        inv_rho2 = 1.0 / (s.q1 * s.q1)
+        B_x, B_y = 2.0 * sqrtL1 * inv_rho2 * (s.q1 * s.p1), 2.0 * L1 * inv_rho2 - hamiltonian(s, p)
+    return (sqrtL1 * m.sin(angle) * p_angle, L1 * m.cos(angle) - p.alpha * k * k + p.beta * k * k,
+            B_x, B_y, sqrtL1)
+
+
+def _conservation_reference(traj):
+    """conservation_rows as separate per-sample calls: hamiltonian, angular_invariant,
+    l2_poly and l2_cos, each making its own barrier evaluations, and the first
+    sample's amplitude scales from _trig_form."""
+    p = traj.params
+    tt = np.linspace(traj.t[0], traj.t[-1], 400)
+    rows, first = [], None
+    for t, y in zip(tt.tolist(), traj.dense(tt).T.tolist()):
+        s = PhasePoint(*y, traj.chart)
+        vals = (hamiltonian(s, p), angular_invariant(s, p), l2_poly(p, s), l2_cos(p, s))
+        if first is None:
+            first, ab = vals, ab_quantities(p, s)
+            scales = [max(v, 1e-12) for v in (abs(vals[0]), abs(vals[1]),
+                                               _trig_form(p, ab, None, 1), _trig_form(p, ab, None, 0))]
+        rows.append((t,) + vals + tuple(abs(v - v0) / w for v, v0, w in zip(vals, first, scales)))
+    return rows
+
+
+def _orbit(family):
+    """Three radial periods of one TTW orbit, or two of one DC orbit."""
+    if family == "ttw":
+        p = ttw_params("3/2")
+        return integrate(p, interior_ttw_point(p), 3 * ttw_radial_period(p.omega2), tol=1e-11)
+    params, E, _, pt = dc_setup("2/3")
+    return integrate(params, pt, 2 * radial_period_closed_form(params.Q, E), tol=1e-11)
+
+
+class TestOneEvaluationPerState:
+    """A state's H, L1 and both L2 variants come from one ab_quantities call."""
+
+    @pytest.mark.parametrize("family", ["ttw", "dc"])
+    def test_conservation_rows_equal_the_per_sample_calls(self, family):
+        traj = _orbit(family)
+        assert conservation_rows(traj) == _conservation_reference(traj)
+
+    @pytest.mark.parametrize("family", ["ttw", "dc"])
+    def test_ab_quantities_equal_the_earlier_formula(self, family, rng):
+        p = ttw_params("2/3") if family == "ttw" else dc_setup("2/3")[0]
+        draw = random_ttw_state if family == "ttw" else random_dc_state
+        for _ in range(100):
+            pt = draw(rng, p)
+            for field in (None, "q1", "q2", "p1", "p2"):  # real, then each complex step
+                s = pt if field is None else replace(pt, **{field: complex(getattr(pt, field), 1e-20)})
+                ab = ab_quantities(p, s)
+                assert (ab.A_x, ab.A_y, ab.B_x, ab.B_y, ab.sqrt_L1) == _parent_ab(p, s)
+                assert (ab.H, ab.L) == (hamiltonian(s, p), angular_invariant(s, p))
+
+    @pytest.mark.parametrize("family", ["ttw", "dc"])
+    def test_one_barrier_call_per_conservation_sample(self, family, monkeypatch):
+        # separate hamiltonian, angular_invariant, l2_poly and l2_cos calls
+        # evaluated the barrier six times a TTW sample and four times a DC one
+        traj = _orbit(family)
+        traj.dense(traj.t)  # build the dense output before counting
+        calls = []
+        kernel = systems._barrier_kernel
+
+        def counted_kernel(params, m=math):
+            barrier = kernel(params, m)
+
+            def counted(q2):
+                calls.append(q2)
+                return barrier(q2)
+
+            return counted
+
+        monkeypatch.setattr(systems, "_barrier_kernel", counted_kernel)
+        rows = conservation_rows(traj)
+        assert len(calls) == len(rows) == 400
 
 
 class TestPoissonBracket:

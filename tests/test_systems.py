@@ -1,4 +1,6 @@
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +16,12 @@ from superint.systems import (
     PhasePoint,
     RationalIndex,
     TTWParams,
+    _barrier_kernel,
+    _radial_kernel,
     angular_invariant,
     angular_turning_points,
     bounded_dc_state,
+    energy_and_invariant,
     hamilton_kernel,
     hamiltonian,
     params_to_text,
@@ -220,6 +225,24 @@ def test_hamiltonian_splits_into_angular_invariant_and_radial_term(family, rng):
             V_r = params.omega2 * pt.q1 ** 2
         expected = pt.p1 ** 2 + angular_invariant(pt, params) / pt.q1 ** 2 + V_r
         assert hamiltonian(pt, params) == pytest.approx(expected, rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize("family", ["dc", "ttw"])
+def test_energy_and_invariant_are_the_separate_evaluations_to_the_bit(family, rng):
+    # H as a closure of one radial and one barrier kernel evaluated it,
+    # p1^2 + (p2^2 + B)/q1^2 + V_r, and L as angular_invariant gives it, on
+    # real points and on each complex step
+    params, _, _ = _family(family, 0.2, 0.3)
+    draw = random_dc_state if family == "dc" else random_ttw_state
+    for _ in range(100):
+        pt = draw(rng, params)
+        for field in (None, "q1", "q2", "p1", "p2"):
+            s = pt if field is None else replace(pt, **{field: complex(getattr(pt, field), 1e-20)})
+            V_r, _ = _radial_kernel(params)(s.q1)
+            B, _ = _barrier_kernel(params, cmath if isinstance(s.q2, complex) else math)(s.q2)
+            H = s.p1 ** 2 + (s.p2 ** 2 + B) / (s.q1 * s.q1) + V_r
+            assert energy_and_invariant(s, params) == (H, angular_invariant(s, params))
+            assert hamiltonian(s, params) == H
 
 
 @pytest.mark.parametrize("family", ["dc", "ttw"])
