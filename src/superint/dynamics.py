@@ -242,9 +242,12 @@ class StackedDense:
     index array of steps, shape (7, len(idx), 4).  A step is built when a
     read first touches it: an array read builds its touched, unbuilt steps
     in one pass of _DENSE_BLOCK-step blocks, and a scalar read of an unbuilt
-    step builds every remaining one, since scalar reads come in loops.  Once
-    every step is built, coefficients is dropped, and with it the stage
-    buffer it reads.
+    step builds every remaining one.  A step built alone pays the array
+    set-up of a whole block, about 25 times its share of a full block, so
+    building the rest costs less as soon as a run's scalar reads touch one
+    step in 25.  F is allocated by the first read; once every step is built,
+    coefficients is dropped, and with it the stage buffer (288 bytes a step)
+    it reads.
 
     A time goes to the first step whose right end is not below it, times
     outside [t[0], t[-1]] extrapolate the first or last step, and the
@@ -256,7 +259,7 @@ class StackedDense:
 
     def __init__(self, t: np.ndarray, y: np.ndarray, coefficients):
         self._t, self._y, self._coefficients = t, y, coefficients
-        self._F = np.empty((7, t.size - 1, 4))
+        self._F = None  # allocated by the first read: an unread run holds no coefficients
         self._built = np.zeros(t.size - 1, dtype=bool)
         self._h = np.diff(t)
         # counting the inner breakpoints below a time gives its step, already
@@ -266,6 +269,8 @@ class StackedDense:
 
     def _build(self, touched: np.ndarray) -> None:
         """Build the steps the boolean mask touched marks that are not built yet."""
+        if self._F is None:
+            self._F = np.empty((7, self._built.size, 4))
         touched[self._built] = False
         idx = np.flatnonzero(touched)
         for a in range(0, idx.size, _DENSE_BLOCK):

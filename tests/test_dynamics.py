@@ -496,6 +496,31 @@ class TestBuildOnRead:
             assert len(calls) == 3 * new_steps
         assert traj.dense._coefficients is None  # the stage buffer is released
 
+    def test_memory_a_run_holds_unread_part_read_and_built(self):
+        # per step, t, y, h and the 9 stages the build reads take 336 bytes
+        # and F 224 more: an unread run holds no F (350 measured), a part read
+        # run both (590), a built one F without the stages (330); a run that
+        # is never fully read keeps its stages for its whole life
+        params = ttw_params("3/2")
+        pt = PhasePoint(1.1, 0.3, 0.4, 0.7, TTW_CHART)
+        warm = integrate(params, pt, 1.0, tol=1e-12)  # warm imports and caches
+        warm.dense(np.linspace(0.0, 1.0, 5))
+        warm.at_time(0.5)
+        tracemalloc.start()
+        try:
+            traj = integrate(params, pt, 20 * ttw_radial_period(params.omega2), tol=1e-12)
+            unread = tracemalloc.get_traced_memory()[0]
+            traj.dense(np.linspace(0.0, traj.t[-1], 400))
+            part_read = tracemalloc.get_traced_memory()[0]
+            traj.at_time(0.5 * traj.t[-1])
+            built = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert traj.steps > 1_500 and traj.dense._coefficients is None
+        assert unread < 400 * traj.steps
+        assert part_read < 650 * traj.steps
+        assert built < 360 * traj.steps
+
     @pytest.mark.parametrize("order", [
         ("array", "scalar", "repeated", "unsorted", "outside", "empty"),
         ("empty", "outside", "unsorted", "repeated", "scalar", "array"),
