@@ -15,7 +15,9 @@ products in the same order as a loop over the tableau.  `integrate`
 returns after the loop: `StackedDense` computes a step's dense-output
 coefficients when a read first touches it, in blocks of array arithmetic
 rounding as the scalar loop would, and evaluates them at any array of
-times in one pass.
+times in one pass.  The maxima of the radius are the zeros where p1 turns
+negative, bracketed by the accepted steps and closed by regula falsi on
+the dense output (radial_maxima_times).
 """
 
 from __future__ import annotations
@@ -535,62 +537,42 @@ def radial_period_closed_form(Q: float, E: float) -> float:
     return Q * math.pi / (2.0 * (-E) ** 1.5)
 
 
-def _refine_maxima(f, t0, t1, t2):
-    """Successive three-point parabolic interpolation on arrays of brackets t0 < t1 < t2.
+def radial_maxima_times(traj: Trajectory) -> np.ndarray:
+    """Times of the local maxima of q1(t), as the zeros where p1 turns negative.
 
-    f(t, rows) is the objective of brackets rows at times t.  A bracket takes
-    the steps it would take alone, at most 40, and stops as it would alone;
-    the best time of each bracket is returned.
+    Hamilton's equations give q1' = 2 p1, so each maximum lies in an
+    accepted step whose p1 is > 0 at its start and <= 0 at its end: the
+    integrator's own states bracket it, and no scan is needed.  All brackets
+    close together by Illinois regula falsi on the dense p1(t) (Dowell and
+    Jarratt, BIT 11 (1971) 168), each until a round moves neither of its
+    ends, for at most 40 rounds.  p1 crosses zero with a nonzero slope, so
+    its root is sharp, while the top of q1 is flat to roundoff over a band of
+    times no search can narrow.
     """
-    ts = np.stack([t0, t1, t2], axis=1).astype(float)
-    m = ts.shape[0]
-    if m == 0:
-        return np.empty(0)
-    fs = f(ts.ravel(), np.repeat(np.arange(m), 3)).reshape(m, 3)
-    active = np.arange(m)
+    q1, p1 = traj.y[0], traj.y[2]
+    if (q1.max() - q1.min()) / max(abs(q1.max()), 1e-300) < 1e-6:
+        raise DegenerateOrbitError("radial coordinate is constant; no oscillation to measure")
+    i = np.flatnonzero((p1[:-1] > 0.0) & (p1[1:] <= 0.0))
+    peaks = traj.t[i + 1]
+    active = np.arange(i.size)
+    # fa > 0 >= fb throughout; last is +1 when a bracket's last round moved a, -1 when b
+    a, b, fa, fb, last = traj.t[i], peaks.copy(), p1[i], p1[i + 1], np.zeros(i.size)
     for _ in range(40):
-        t, v = ts[active], fs[active]
-        (a, b, c), (fa, fb, fc) = t.T, v.T
-        denom = (b - a) * (fb - fc) - (b - c) * (fb - fa)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_new = b - 0.5 * ((b - a) ** 2 * (fb - fc) - (b - c) ** 2 * (fb - fa)) / denom
-        repeat = np.abs(t_new[:, None] - t) < 1e-15 * np.maximum(1.0, np.abs(t_new))[:, None]
-        go = ((denom != 0.0) & (t.min(axis=1) <= t_new) & (t_new <= t.max(axis=1))
-              & ~repeat.any(axis=1))
-        active, t, v, t_new = active[go], t[go], v[go], t_new[go]
         if active.size == 0:
             break
-        # keep the best three bracketing points of the four
-        t4 = np.column_stack([t, t_new])
-        v4 = np.column_stack([v, f(t_new, active)])
-        order = np.argsort(t4, axis=1)
-        t4, v4 = np.take_along_axis(t4, order, 1), np.take_along_axis(v4, order, 1)
-        keep = np.clip(np.argmax(v4, axis=1) - 1, 0, 1)[:, None] + np.arange(3)
-        ts[active], fs[active] = np.take_along_axis(t4, keep, 1), np.take_along_axis(v4, keep, 1)
-    return ts[np.arange(m), np.argmax(fs, axis=1)]
-
-
-def radial_maxima_times(traj: Trajectory) -> np.ndarray:
-    """Times of the local maxima of q1(t), scanned at 8 dense samples per accepted
-    step and parabolic-refined on dense output.
-
-    The scan grows with the steps, not with the time span, so a long-period
-    orbit costs no more memory than its integration did.  Each bracket is
-    refined on -p1(t)^2, not on q1(t): Hamilton's equations give q1' = 2 p1,
-    so a maximum of q1 is a zero of p1, where -p1^2 has a quadratic peak of
-    height 0 that parabolic steps find in a few calls, while the top of q1
-    is flat to roundoff over a band of times no step can narrow.
-    """
-    x = np.arange(8) / 8.0
-    tt = np.append((traj.t[:-1, None] + np.diff(traj.t)[:, None] * x).ravel(), traj.t[-1])
-    rr = traj.dense(tt)[0]
-    rel_span = (rr.max() - rr.min()) / max(abs(rr.max()), 1e-300)
-    if rel_span < 1e-6:
-        raise DegenerateOrbitError("radial coordinate is constant; no oscillation to measure")
-    interior = (rr[1:-1] > rr[:-2]) & (rr[1:-1] >= rr[2:])
-    idx = np.nonzero(interior)[0] + 1
-    return _refine_maxima(lambda t, rows: -traj.dense(t)[2] ** 2,
-                          tt[idx - 1], tt[idx], tt[idx + 1])
+        c = np.clip(b - fb / (fb - fa) * (b - a), a, b)
+        peaks[active] = c
+        fc = traj.dense(c)[2]
+        left = fc > 0.0
+        moved = np.where(left, c != a, c != b)
+        # Illinois: an end kept for a second round in a row has its value halved
+        fa = np.where(~left & (last < 0.0), 0.5 * fa, fa)
+        fb = np.where(left & (last > 0.0), 0.5 * fb, fb)
+        a, fa = np.where(left, c, a), np.where(left, fc, fa)
+        b, fb = np.where(left, b, c), np.where(left, fb, fc)
+        last = np.where(left, 1.0, -1.0)
+        active, a, b, fa, fb, last = (x[moved] for x in (active, a, b, fa, fb, last))
+    return peaks
 
 
 def measure_radial_period(traj: Trajectory) -> float:

@@ -155,16 +155,6 @@ def l2_cos(p, state: PhasePoint) -> float:
     return _poly_forms(p, ab_quantities(p, state))[1]
 
 
-def minimal_integral_degree(k) -> int:
-    """Lowest momentum degree over the two variants: 2(c + d) - 1."""
-    return 2 * (k.c + k.d) - 1
-
-
-def lower_degree_variant(k) -> str:
-    """Which variant attains the minimal degree ('sin' or 'cos')."""
-    return "sin" if (k.c + k.d) % 2 == 0 else "cos"
-
-
 def poisson_bracket_numeric(F, G, state: PhasePoint) -> BracketEstimate:
     """{F, G} from complex-step partials dF/dx = Im F(x + i h) / h.
 

@@ -209,8 +209,8 @@ def _barrier(params, q2) -> tuple[float, float]:
 def energy_and_invariant(point: PhasePoint, params) -> tuple[float, float]:
     """(H, L) in the matching chart: L = p2^2 + B and H = p1^2 + L/q1^2 + V_r.
 
-    One radial and one barrier evaluation serve both, and each value is the
-    one hamiltonian and angular_invariant give, to the bit.
+    L is the separation constant of the angular motion, A for DC and L1 for
+    TTW.  One radial and one barrier evaluation serve both.
     """
     _require_chart(point, params)
     q1 = point.q1
@@ -223,12 +223,6 @@ def energy_and_invariant(point: PhasePoint, params) -> tuple[float, float]:
 def hamiltonian(point: PhasePoint, params) -> float:
     """H = p1^2 + (p2^2 + B)/q1^2 + V_r in the matching chart."""
     return energy_and_invariant(point, params)[0]
-
-
-def angular_invariant(point: PhasePoint, params) -> float:
-    """Separation constant p2^2 + B of the angular motion: A for DC, L1 for TTW."""
-    _require_chart(point, params)
-    return point.p2 ** 2 + _barrier(params, point.q2)[0]
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from superint.dynamics import (
-    _refine_maxima,
-    integrate,
-    orbit_constants_from_point,
-    radial_period_closed_form,
-)
+from superint.dynamics import integrate, orbit_constants_from_point, radial_period_closed_form
 from superint.invariants import _trig_form, ab_quantities, l2_cos, l2_poly
 from superint.systems import (
     DC_CHART,
@@ -18,6 +13,7 @@ from superint.systems import (
     PhasePoint,
     RationalIndex,
     TTWParams,
+    _barrier,
     bounded_dc_state,
     hamilton_kernel,
     hamiltonian,
@@ -49,6 +45,12 @@ def energy_drift(traj):
     return float(np.max(np.abs(H - H[0])) / max(abs(H[0]), 1e-12))
 
 
+def angular_invariant(point, params):
+    """Separation constant p2^2 + B of the angular motion (A for DC, L1 for TTW), the
+    oracle of the L that systems.energy_and_invariant returns."""
+    return point.p2 ** 2 + _barrier(params, point.q2)[0]
+
+
 def l2_cos_trig(p, state):
     """Cosine-variant higher integral in its trigonometric form, the oracle of l2_cos."""
     return _trig_form(p, ab_quantities(p, state), math.cos, 0)
@@ -75,12 +77,36 @@ def pullback_phase(pt):
     return PhasePoint(rho, 0.5 * pt.q2, rho * pt.p1, 2.0 * pt.p2, TTW_CHART)
 
 
+def _golden_section_minima(f, a, b):
+    """Batched golden-section search for a minimum of f(t, rows) on each bracket [a, b].
+
+    Each round evaluates one new point per bracket and keeps the part holding
+    the lower of its two inner points, until every bracket is a few float
+    spacings wide (71-76 rounds on the criterion-6 orbits), at most 100
+    rounds.  Returns the better inner point of each bracket.
+    """
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    rows = np.arange(a.size)
+    x1, x2 = b - g * (b - a), a + g * (b - a)
+    f1, f2 = f(x1, rows), f(x2, rows)
+    for _ in range(100):
+        if np.all(b - a <= 4.0 * np.spacing(np.abs(b))):
+            break
+        left = f1 <= f2  # a minimum lies in [a, x2]
+        a, b = np.where(left, a, x1), np.where(left, x2, b)
+        x = np.where(left, b - g * (b - a), a + g * (b - a))
+        fx = f(x, rows)
+        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
+        f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
+    return np.where(f1 <= f2, x1, x2)
+
+
 def _min_distance_to_dense(points, dense, t_grid, scales):
     """Largest over points of the distance to a densely sampled curve.
 
     Every local minimum of a point's sampled distance marks a candidate arc,
     and all (point, arc) pairs are refined together in the curve parameter
-    by iterated parabolic interpolation.
+    by golden-section search over the arc's two grid intervals.
     """
     curve = dense(t_grid)[:2].T / scales
     targets = points / scales
@@ -96,10 +122,10 @@ def _min_distance_to_dense(points, dense, t_grid, scales):
 
     def f(t, pairs):
         q = dense(t)[:2] / scales[:, None]
-        return -np.sum((q - targets[owner[pairs]].T) ** 2, axis=0)
+        return np.sum((q - targets[owner[pairs]].T) ** 2, axis=0)
 
-    t_star = _refine_maxima(f, t_grid[j - 1], t_grid[j], t_grid[j + 1])
-    np.minimum.at(best, owner, -f(t_star, np.arange(owner.size)))
+    t_star = _golden_section_minima(f, t_grid[j - 1], t_grid[j + 1])
+    np.minimum.at(best, owner, f(t_star, np.arange(owner.size)))
     return float(np.sqrt(np.max(best)))
 
 

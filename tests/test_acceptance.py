@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import dc_setup, ttw_radial_period
+from conftest import angular_invariant, dc_setup, ttw_radial_period
 from superint.cli import EXIT_PASS, main
 from superint.dynamics import (
     closure_check,
@@ -28,8 +28,6 @@ from superint.invariants import (
     l2_cos,
     l2_poly,
     l2_trig,
-    lower_degree_variant,
-    minimal_integral_degree,
     poisson_bracket_numeric,
 )
 from superint.quantum import (
@@ -60,7 +58,6 @@ from superint.systems import (
     PhasePoint,
     RationalIndex,
     TTWParams,
-    angular_invariant,
     hamiltonian,
     random_ttw_state,
 )
@@ -159,8 +156,9 @@ def test_criterion_4_higher_order_integrals():
         fit = np.polynomial.polynomial.polyval(lams, coeffs)
         worst_fit = max(worst_fit, float(np.max(np.abs(fit - vals)))
                         / max(1.0, float(np.max(np.abs(vals)))))
-        low = l2_poly if lower_degree_variant(k) == "sin" else l2_cos
-        dmin = minimal_integral_degree(k)
+        # the lower-degree variant, of degree 2(c+d)-1, is the sine one when c + d is even
+        low = l2_poly if (k.c + k.d) % 2 == 0 else l2_cos
+        dmin = 2 * (k.c + k.d) - 1
         r1, r2 = (low(p, replace(s, p1=lam * s.p1, p2=lam * s.p2)) / lam ** dmin
                   for lam in (120.0, 240.0))
         assert r1 == pytest.approx(r2, rel=2e-2), f"k={k_text}: minimal degree is not {dmin}"

@@ -6,13 +6,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import dc_setup, energy_drift, ttw_params, ttw_radial_period
+from conftest import angular_invariant, dc_setup, energy_drift, ttw_params, ttw_radial_period
 from superint import dynamics, specfun
 from superint.cli import EXIT_PASS, main
 from superint.dynamics import (
     ClosureReport,
     StackedDense,
-    _refine_maxima,
     closure_check,
     integrate,
     measure_radial_period,
@@ -30,7 +29,6 @@ from superint.systems import (
     DCParams,
     PhasePoint,
     RationalIndex,
-    angular_invariant,
     bounded_dc_state,
     hamilton_kernel,
     hamiltonian,
@@ -575,11 +573,12 @@ class TestRadialPeriod:
         gaps = np.diff(peaks)
         assert np.max(np.abs(gaps - T)) / T < 1e-6
 
-    def test_few_refinement_calls_after_the_scan(self, period_sweep):
-        # q1 peaks where p1 = q1'/2 vanishes, so -p1^2 has a quadratic top of
-        # height 0: measured 5-6 dense calls after the scan on every sweep orbit,
-        # against 23-27 refining q1 itself, whose top is flat to roundoff
+    def test_dense_calls_ask_only_for_the_brackets(self, period_sweep):
+        # the accepted steps where p1 turns negative bracket the maxima, so no
+        # dense call samples the orbit: measured 5-6 calls on every sweep orbit
         for params, E, A, pt, T, traj, consts in period_sweep:
+            p1 = traj.y[2]
+            brackets = np.count_nonzero((p1[:-1] > 0.0) & (p1[1:] <= 0.0))
             sizes = []
 
             def counting(t):
@@ -587,12 +586,12 @@ class TestRadialPeriod:
                 return traj.dense(t)
 
             measure_radial_period(replace(traj, dense=counting))
-            assert sizes[0] == 8 * traj.steps + 1  # the scan
-            assert len(sizes) - 1 <= 8
+            assert brackets >= 2 and max(sizes) <= brackets
+            assert len(sizes) <= 40
 
     def test_peaks_are_zeros_of_p_r(self, period_sweep):
-        # measured: |p_r| at the peaks is at most 1.1e-14 of max |p_r| over
-        # the sweep (1.2e-8 refining q1)
+        # measured: |p_r| at the peaks is at most 1.6e-15 of max |p_r| over
+        # the sweep (1.1e-14 refining -p1^2 by parabolas, 1.2e-8 refining q1)
         for params, E, A, pt, T, traj, consts in period_sweep:
             p_r = traj.dense(radial_maxima_times(traj))[2]
             assert np.max(np.abs(p_r)) / np.max(np.abs(traj.y[2])) < 1e-13
@@ -641,69 +640,40 @@ class TestRadialPeriod:
         with pytest.raises(DegenerateOrbitError):
             measure_radial_period(traj)
 
+    @staticmethod
+    def _stub(q1, p1, t):
+        """A trajectory at the times t whose states and dense output are q1(t) and p1(t),
+        with q2 = p2 = 0."""
+        params, E, A, pt = dc_setup("1")
 
-def _refine_maximum_loop(f, t0, t1, t2, iterations=40):
-    """The scalar per-bracket loop _refine_maxima replaced, kept as its reference.
+        def dense(s):
+            s = np.asarray(s, dtype=float)
+            zero = np.zeros_like(s)
+            return np.array([q1(s), zero, p1(s), zero])
 
-    Squares are written as products, as numpy squares arrays; a scalar
-    ``x ** 2`` goes through libm pow and can differ in the last bit.
-    """
-    ts = [t0, t1, t2]
-    fs = [f(t) for t in ts]
-    for _ in range(iterations):
-        (a, b, c), (fa, fb, fc) = ts, fs
-        denom = (b - a) * (fb - fc) - (b - c) * (fb - fa)
-        if denom == 0.0:
-            break
-        t_new = b - 0.5 * ((b - a) * (b - a) * (fb - fc) - (b - c) * (b - c) * (fb - fa)) / denom
-        if not (min(ts) <= t_new <= max(ts)) or \
-                any(abs(t_new - t) < 1e-15 * max(1.0, abs(t_new)) for t in ts):
-            break
-        ts.append(t_new)
-        fs.append(f(t_new))
-        order = np.argsort(ts)
-        ts = [ts[i] for i in order]
-        fs = [fs[i] for i in order]
-        j = int(np.argmax(fs))
-        lo = 0 if j == 0 else len(ts) - 3 if j == len(ts) - 1 else j - 1
-        ts, fs = ts[lo:lo + 3], fs[lo:lo + 3]
-    return ts[int(np.argmax(fs))]
+        return replace(integrate(params, pt, 1.0), t=t, y=dense(t), dense=dense)
 
+    def test_zero_of_p_r_at_a_step_end_is_counted_once(self):
+        # q1 = 3 - (t - 1)^2 peaks at the step end t = 1, where p1 = 1 - t is exactly 0
+        traj = self._stub(lambda t: 3.0 - (t - 1.0) ** 2, lambda t: 1.0 - t,
+                          np.linspace(0.0, 2.0, 9))
+        assert traj.y[2, 4] == 0.0
+        assert radial_maxima_times(traj).tolist() == [1.0]
 
-class TestRefineMaxima:
-    def test_batch_matches_one_bracket_calls_and_the_scalar_loop(self):
-        c = np.linspace(0.3, 2.9, 9)
-        h = np.linspace(0.01, 0.4, 9)
-        f = lambda t, rows: np.cos(t - c[rows]) + 0.2 * np.sin(3.0 * (t - c[rows]))
-        t0, t1, t2 = c - h, c + 0.3 * h, c + 1.1 * h
-        t1[4] = t2[4] - 1e-3  # a bracket with its best point at an end
-        batch = _refine_maxima(f, t0, t1, t2)
-        for i in range(c.size):
-            scalar = lambda t: float(f(np.array([t]), np.array([i]))[0])
-            assert _refine_maximum_loop(scalar, t0[i], t1[i], t2[i]) == batch[i]
-            one = _refine_maxima(lambda t, rows: f(t, rows + i), t0[i:i + 1], t1[i:i + 1],
-                                 t2[i:i + 1])
-            assert one.tobytes() == batch[i:i + 1].tobytes()
+    def test_start_at_the_outer_turning_point_is_not_a_maximum(self):
+        # q1 = 2 + cos t starts at its top, where p1 = -sin(t)/2 is 0
+        traj = self._stub(lambda t: 2.0 + np.cos(t), lambda t: -0.5 * np.sin(t),
+                          np.linspace(0.0, 3.0 * math.pi, 61))
+        peaks = radial_maxima_times(traj)
+        assert peaks.size == 1 and peaks[0] == pytest.approx(2.0 * math.pi, abs=1e-12)
 
-    def test_recovers_known_maxima(self):
-        c = np.linspace(0.3, 2.9, 9)
-        h = np.linspace(0.01, 0.3, 9)
-        t = _refine_maxima(lambda t, rows: -np.sin(t - c[rows]) ** 2, c - h, c + 0.3 * h,
-                           c + 1.1 * h)
-        assert np.max(np.abs(t - c)) < 1e-12
-
-    def test_monotone_bracket_returns_its_best_point(self):
-        t = _refine_maxima(lambda t, rows: t, np.array([0.0, 5.0]), np.array([1.0, 6.0]),
-                           np.array([2.0, 7.0]))
-        assert t.tolist() == [2.0, 7.0]
-
-    def test_empty_batch_never_calls_the_objective(self):
-        def f(t, rows):
-            raise AssertionError("objective called on an empty batch")
-
-        empty = np.empty(0)
-        t = _refine_maxima(f, empty, empty, empty)
-        assert isinstance(t, np.ndarray) and t.size == 0
+    def test_start_with_p_r_negative(self):
+        # q1 = 2 - sin t falls first; its maxima are at 3 pi/2 and 7 pi/2
+        traj = self._stub(lambda t: 2.0 - np.sin(t), lambda t: -0.5 * np.cos(t),
+                          np.linspace(0.0, 4.0 * math.pi - 1.0, 80))
+        assert radial_maxima_times(traj) == pytest.approx([1.5 * math.pi, 3.5 * math.pi],
+                                                          abs=1e-12)
+        assert measure_radial_period(traj) == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
 def _placement_case(k_text, r_frac, u_frac):
@@ -806,9 +776,8 @@ class TestClosure:
     @pytest.mark.parametrize("k_text", ["1", "2", "3", "1/2", "3/2", "2/3"])
     def test_few_refinement_calls_on_the_span_holding_the_return(self, monkeypatch, k_text):
         # the state is read at each span's end, where the return can only
-        # happen, so no span refines a minimum or reads the dense output
+        # happen, so no span reads the dense output
         calls = []
-        monkeypatch.setattr(dynamics, "_refine_maxima", lambda *a: calls.append("refine"))
         monkeypatch.setattr(StackedDense, "__call__", lambda *a: calls.append("dense"))
         params, E, A, pt = dc_setup(k_text)
         report = closure_check(params, pt, 2 * params.k.c * params.k.d, tol=1e-6)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    angular_invariant,
     dc_integral_by_pullback,
     dc_setup,
     hamiltonian_gradient,
@@ -25,8 +26,6 @@ from superint.invariants import (
     l2_cos,
     l2_poly,
     l2_trig,
-    lower_degree_variant,
-    minimal_integral_degree,
     poisson_bracket_numeric,
 )
 from superint.stackel import pushforward_phase
@@ -35,7 +34,6 @@ from superint.systems import (
     DCParams,
     PhasePoint,
     RationalIndex,
-    angular_invariant,
     hamiltonian,
     random_dc_state,
     random_ttw_state,
@@ -214,8 +212,8 @@ class TestHigherIntegralForms:
         # the lower-degree variant scales as lambda^(2(c+d)-1) at large lambda
         p = ttw_params(k_text)
         k = p.k
-        deg = minimal_integral_degree(k)
-        fn = l2_poly if lower_degree_variant(k) == "sin" else l2_cos
+        deg = 2 * (k.c + k.d) - 1
+        fn = l2_poly if (k.c + k.d) % 2 == 0 else l2_cos  # the sine variant when c + d is even
         s = random_ttw_state(rng, p)
         ratios = []
         for lam in (60.0, 120.0, 240.0):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hamiltonian_gradient, potential
+from conftest import angular_invariant, hamiltonian_gradient, potential
 from superint.errors import DomainError, SingularityError, UsageError
 from superint.systems import (
     DC_CHART,
@@ -18,7 +18,6 @@ from superint.systems import (
     TTWParams,
     _barrier_kernel,
     _radial_kernel,
-    angular_invariant,
     angular_turning_points,
     bounded_dc_state,
     energy_and_invariant,
@@ -230,7 +229,7 @@ def test_hamiltonian_splits_into_angular_invariant_and_radial_term(family, rng):
 @pytest.mark.parametrize("family", ["dc", "ttw"])
 def test_energy_and_invariant_are_the_separate_evaluations_to_the_bit(family, rng):
     # H as a closure of one radial and one barrier kernel evaluated it,
-    # p1^2 + (p2^2 + B)/q1^2 + V_r, and L as angular_invariant gives it, on
+    # p1^2 + (p2^2 + B)/q1^2 + V_r, and L as the oracle p2^2 + B gives it, on
     # real points and on each complex step
     params, _, _ = _family(family, 0.2, 0.3)
     draw = random_dc_state if family == "dc" else random_ttw_state
