@@ -598,15 +598,14 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(build_parser(), argv)
         _validate(args)
+        args.out_dir = args.out_dir or os.environ.get("SUPERINT_OUTDIR", ".")
+        os.makedirs(args.out_dir, exist_ok=True)  # a file at or above it is an OSError
     except (OSError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:  # a start point's values too large for floats
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-    args.out_dir = args.out_dir or os.environ.get("SUPERINT_OUTDIR", ".")
-    os.makedirs(args.out_dir, exist_ok=True)
 
     try:
         criteria, data = args.run(args)

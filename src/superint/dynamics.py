@@ -50,17 +50,12 @@ TOL_MIN, TOL_MAX = 1e-14, 1e-3
 _MAX_STEPS = 100_000
 
 # The DOP853 tableau of Hairer, Norsett and Wanner (Solving ODEs I, II.5-II.6).
-# Stage s starts from y + h sum_j _A[s][j] K[j] at time t + _C[s] h (the
-# equations are autonomous, so _C only documents the nodes).  Stages 0-11
+# Stage s starts from y + h sum_j _A[s][j] K[j] (the equations are
+# autonomous, so the nodes, the row sums of _A, are not needed).  Stages 0-11
 # make the step, stage 12 is the derivative at its end, so _A[12] holds the
 # weights of the 8th-order solution, and stages 13-15 serve only the dense
 # output.  _E5 and _E3 weigh the 5th- and 3rd-order error estimates, and _D
 # gives the interpolant coefficients F[3:].
-_C = (
-    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
-    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
-    0.8571428571428571, 1.0, 1.0, 0.1, 0.2, 0.7777777777777778
-)
 _A = (
     (),
     (0.05260015195876773,),
@@ -362,13 +357,15 @@ class Trajectory:
 class OrbitConstants:
     """Separation constants and phases fixing one bounded orbit.
 
-    C satisfies C = -2 sqrt(A) c delta2 + (c + d) pi / 2.
+    C is the phase of the orbit equation and delta1 that of the radial time
+    law -X_t = sin(4 (-E)^{3/2} (t + delta1) / Q + 2 sqrt(-E) r p_r / Q),
+    X_t = (-2 E r - Q) / sqrt(D1).  Read off the state x(t) of one orbit,
+    C stays fixed (mod 2 pi) and delta1(x(t)) = delta1(x(0)) + t (mod T_r).
     """
 
     E: float
     A: float
     delta1: float
-    delta2: float
     C: float
 
 
@@ -680,26 +677,8 @@ def orbit_residual(params: DCParams, consts: OrbitConstants, r, phi):
     return base - np.copysign(wing, base)
 
 
-def time_equation_residual(params: DCParams, consts: OrbitConstants, t: float,
-                           r: float, p_r: float) -> float:
-    """Residual of the radial time law at the state (t, r, p_r).
-
-    The closed form's phase term 2 sqrt(-E) sqrt(W) / Q, with
-    W = E r^2 + Q r - A, carries the sign of p_r; on the energy shell
-    W = r^2 p_r^2, so the term is 2 sqrt(-E) r p_r / Q and needs no branch.
-    Off the shell the residual does not vanish.
-    """
-    E, Q = consts.E, params.Q
-    D1 = Q * Q + 4.0 * consts.A * E
-    if D1 <= 0.0:
-        raise DomainError("time equation needs D1 > 0")
-    nu = (-E) ** 1.5
-    phase = 4.0 * nu * (t + consts.delta1) / Q + 2.0 * math.sqrt(-E) * r * p_r / Q
-    return (-2.0 * E * r - Q) / math.sqrt(D1) + math.sin(phase)
-
-
 def orbit_constants_from_point(params: DCParams, point: PhasePoint) -> OrbitConstants:
-    """Read (E, A, delta1, delta2, C) off one phase point of a bounded orbit.
+    """Read (E, A, delta1, C) off one phase point of a bounded orbit, at t = 0.
 
     E = H and A = p_phi^2 + B come from the point, and so does every square
     root of the closed-form laws, as a momentum:
@@ -707,7 +686,8 @@ def orbit_constants_from_point(params: DCParams, point: PhasePoint) -> OrbitCons
     and 1 - X_t^2 = -4 E r^2 p_r^2 / D1, where X_t = (-2 E r - Q) / sqrt(D1).
     Each angle is then one atan2 of a cosine and a signed sine, so C and
     delta1 hold on every momentum branch, with no integration and no
-    branch trial; delta2 follows from C.
+    branch trial.  A point failing a bounded-motion row (D1 > 0 among them)
+    raises DomainError.
     """
     E, A = energy_and_invariant(point, params)
     report = validate_bounded(params, E, A)
@@ -724,5 +704,4 @@ def orbit_constants_from_point(params: DCParams, point: PhasePoint) -> OrbitCons
     radial = 2.0 * math.sqrt(-E) * r * p_r
     X_t = (-2.0 * E * r - Q) / sqrtD1
     delta1 = Q / (4.0 * (-E) ** 1.5) * (math.atan2(-X_t, -radial / sqrtD1) - radial / Q)
-    delta2 = ((c + d) * math.pi / 2.0 - C) / (2.0 * sqrtA * c)
-    return OrbitConstants(E=E, A=A, delta1=delta1, delta2=delta2, C=C)
+    return OrbitConstants(E=E, A=A, delta1=delta1, C=C)

@@ -255,6 +255,24 @@ def test_bad_configuration_exits_usage(tmp_path, capsys, argv, flag):
     assert not any(out.iterdir())  # rejected before the command ran
 
 
+@pytest.mark.parametrize("under, from_environment", [(False, False), (True, False), (False, True)],
+                         ids=["file", "under-a-file", "environment"])
+def test_out_dir_at_or_under_a_file_exits_usage(tmp_path, capsys, monkeypatch, under,
+                                                from_environment):
+    # the output directory cannot be made there, which is the caller's to fix: exit 2
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    out_dir = str(blocker / "out" if under else blocker)
+    argv = ["degeneracy", "--k", "2", "--N-max", "5"]
+    if from_environment:
+        monkeypatch.setenv("SUPERINT_OUTDIR", out_dir)
+    else:
+        argv += ["--out-dir", out_dir]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("command", ["wavefunction-residual", "orthogonality"])
 @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
 @pytest.mark.parametrize("value", [quantum.COUPLING_FLOOR, quantum.COUPLING_FLOOR - 0.05])
