@@ -594,12 +594,12 @@ def closure_check(params: DCParams, initial: PhasePoint, max_radial_periods: int
     n T_r; no pass at all reports n_radial = 0 at distance inf.  It never
     reads the predicted first return (d periods for k = c/d).
 
-    The return metric is the Euclidean distance in (r, phi mod 2 pi/k,
-    p_r, p_phi) with each coordinate scaled by its largest magnitude along
-    the orbit so far, and phi by the period 2 pi/k it is wrapped by, so a
-    start at a turning point (where p_r or p_phi vanishes) is measured like
-    any other.  The steps of all periods count against one _MAX_STEPS
-    budget; past it IntegrationError carries the absolute time and state.
+    The return metric is the Euclidean distance in (r, phi mod 2 pi/k, p_r,
+    p_phi), each scaled by its largest magnitude along the orbit so far, p_r
+    by the largest speed sqrt(p_r^2 + p_phi^2 / r^2) and phi by the period
+    2 pi/k, so a start at a turning point or on a circle is measured like any
+    other.  The steps of all periods count against one _MAX_STEPS budget;
+    past it IntegrationError carries the absolute time and state.
     """
     E, A = energy_and_invariant(initial, params)
     report = validate_bounded(params, E, A)
@@ -621,6 +621,7 @@ def closure_check(params: DCParams, initial: PhasePoint, max_radial_periods: int
                 f"spent before t = {max_radial_periods * T_r}", t_last=n * T_r, state_last=point)
         scales = np.maximum(scales, np.max(np.abs(y), axis=0))
         scales[1] = period_phi
+        scales[2] = max(scales[2], np.max(np.hypot(y[:, 2], y[:, 3] / y[:, 0])))
         dy = y[-1] - y0
         dy[1] -= period_phi * np.round(dy[1] / period_phi)
         distance = float(np.linalg.norm(dy / scales))

@@ -182,10 +182,15 @@ def _radial_factor(spec: WavefunctionSpec, q1):
     q1 = np.asarray(q1, dtype=float)
     if np.any(q1 <= 0.0):
         raise DomainError("wavefunction needs q1 > 0")
-    sqrtA = math.sqrt(spec.A)
-    x, nu = (2.0 * math.sqrt(-spec.E) * q1, 2.0 * sqrtA) if isinstance(spec.params, DCParams) \
-        else (math.sqrt(spec.params.omega2) * q1 ** 2, sqrtA)
-    return q1 ** sqrtA * np.exp(-0.5 * x) * specfun.laguerre(spec.n, nu, x)
+    x = 2.0 * math.sqrt(-spec.E) * q1 if isinstance(spec.params, DCParams) \
+        else math.sqrt(spec.params.omega2) * q1 ** 2
+    return q1 ** math.sqrt(spec.A) * np.exp(-0.5 * x) * _laguerre(spec, x)
+
+
+def _laguerre(spec: WavefunctionSpec, x):
+    """The state's L_n^nu(x): nu = 2 sqrt(A) on the Coulomb side, sqrt(A) on the oscillator side."""
+    nu = (2.0 if isinstance(spec.params, DCParams) else 1.0) * math.sqrt(spec.A)
+    return specfun.laguerre(spec.n, nu, x)
 
 
 def _angular_factor(spec: WavefunctionSpec, q2):
@@ -196,8 +201,12 @@ def _angular_factor(spec: WavefunctionSpec, q2):
     sinu = np.sin(u)
     if np.any(cosu <= 0.0) or np.any(sinu <= 0.0):
         raise DomainError("wavefunction evaluated on or beyond a wall of the cell")
-    return (cosu ** spec.a * sinu ** spec.b
-            * specfun.jacobi(spec.m, spec.a - 0.5, spec.b - 0.5, -np.cos(2.0 * u)))
+    return cosu ** spec.a * sinu ** spec.b * _jacobi(spec, -np.cos(2.0 * u))
+
+
+def _jacobi(spec: WavefunctionSpec, z):
+    """The state's P_m^{(a-1/2, b-1/2)}(z), z = -cos 2u."""
+    return specfun.jacobi(spec.m, spec.a - 0.5, spec.b - 0.5, z)
 
 
 def wavefunction(spec: WavefunctionSpec, q1, q2):
@@ -360,68 +369,41 @@ def residual_with_refinement(params: DCParams, E: float, psi, grid: GridSpec,
     return res, ratio, grid
 
 
-def _radial_cutoff(spec1: WavefunctionSpec, spec2: WavefunctionSpec) -> float:
-    """Radius beyond which the slower envelope is twelve decades below its peak."""
-    s = max(math.sqrt(spec1.A) + spec1.n, math.sqrt(spec2.A) + spec2.n)
-    kappa = min(math.sqrt(-spec1.E), math.sqrt(-spec2.E))
-    log_env = lambda r: s * math.log(r) - kappa * r
-    r_peak = max(s / kappa, 1.0 / kappa)
-    target = log_env(r_peak) + math.log(1e-12)
-    hi = r_peak
-    while log_env(hi) > target:
-        hi *= 2.0
-    lo = r_peak
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if log_env(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+def _overlap_sums(spec1: WavefunctionSpec, spec2: WavefunctionSpec) -> tuple[float, float, float]:
+    """(log mass, radial sum, angular sum), exact Gauss rules of max(n_i) + 1, max(m_i) + 1 nodes.
 
-
-def _panel_rule(n: int, cuts) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of an n-point Gauss-Legendre rule on each panel between cuts."""
-    nodes, weights = zip(*(specfun.quadrature_nodes(n, lo, hi)
-                           for lo, hi in zip(cuts[:-1], cuts[1:])))
-    return np.concatenate(nodes), np.concatenate(weights)
+    In s = K r, K = kappa_1 + kappa_2, kappa = sqrt(-E), r R_1 R_2 dr is s^alpha
+    e^-s L_1 L_2 ds / K^(alpha+1), alpha = sqrt(A_1) + sqrt(A_2) + 1: Gauss-Laguerre
+    of mass Gamma(alpha+1) / K^(alpha+1).  In z = -cos 2u, Phi_1 Phi_2 du is a system
+    constant times (1-z)^p (1+z)^q P_1 P_2 dz, p = a - 1/2, q = b - 1/2: Gauss-Jacobi,
+    whose first diagonal entry (q-p)/(p+q+2) is 0/0 in the general form at p = q = 0.
+    """
+    kappa1, kappa2 = math.sqrt(-spec1.E), math.sqrt(-spec2.E)
+    K, alpha = kappa1 + kappa2, math.sqrt(spec1.A) + math.sqrt(spec2.A) + 1.0
+    j = np.arange(max(spec1.n, spec2.n) + 1)
+    s, w = specfun.gauss_rule(2 * j + alpha + 1.0, np.sqrt(j[1:] * (j[1:] + alpha)))
+    radial = w @ (_laguerre(spec1, 2.0 * kappa1 / K * s) * _laguerre(spec2, 2.0 * kappa2 / K * s))
+    p, q = spec1.a - 0.5, spec1.b - 0.5
+    i = np.arange(1, max(spec1.m, spec2.m) + 1)
+    t = 2 * i + p + q
+    z, w = specfun.gauss_rule(
+        np.append((q - p) / (p + q + 2.0), (q * q - p * p) / (t * (t + 2.0))),
+        2.0 / t * np.sqrt(i * (i + p) * (i + q) * (i + p + q) / ((t - 1.0) * (t + 1.0))))
+    angular = w @ (_jacobi(spec1, z) * _jacobi(spec2, z))
+    return math.lgamma(alpha + 1.0) - (alpha + 1.0) * math.log(K), float(radial), float(angular)
 
 
 def orthogonality_check(spec1: WavefunctionSpec, spec2: WavefunctionSpec) -> float:
     """Normalized overlap of two Coulomb-side states of the same system under r dr dphi.
 
-    Quadrature runs over the wedge cell with the radial range truncated
-    where the envelope falls twelve decades below its peak; each axis is
-    split into two panels, because the integrand has limited smoothness at
-    the r = 0 and wall endpoints.  Both states separate, psi = R(r) Phi(phi),
-    so the tensor-product rule on those panels factors: every overlap and
-    norm is (sum of w r R_1 R_2 over the r nodes) times (sum of w Phi_1
-    Phi_2 over the phi nodes), O(n_r + n_phi) work per state.  The 140 x 120
-    point rule is confirmed against a 196 x 168 one, 1.4 times finer on each axis.
+    Each separated factor is a weight times a polynomial, so every overlap and
+    norm is one exact Gauss sum per axis (``_overlap_sums``).
     """
     if spec1.params != spec2.params:
         raise DomainError("overlap needs two states of the same system")
-    r_cut = _radial_cutoff(spec1, spec2)
-    cell = math.pi / spec1.params.k.value
-    eps_f = 1e-9 * cell
-    r_mid = min(max(math.sqrt(spec1.A) / math.sqrt(-spec1.E), 0.2 * r_cut), 0.8 * r_cut)
-
-    def inner(nr, nf):
-        rv, rw = _panel_rule(nr, (1e-12, r_mid, r_cut))
-        fv, fw = _panel_rule(nf, (eps_f, 0.5 * cell, cell - eps_f))
-        rw = rw * rv  # the r of the measure r dr dphi
-        R1, R2 = _radial_factor(spec1, rv), _radial_factor(spec2, rv)
-        F1, F2 = _angular_factor(spec1, fv), _angular_factor(spec2, fv)
-        overlap = (rw @ (R1 * R2)) * (fw @ (F1 * F2))
-        norm1 = (rw @ (R1 * R1)) * (fw @ (F1 * F1))
-        norm2 = (rw @ (R2 * R2)) * (fw @ (F2 * F2))
-        return float(overlap / math.sqrt(norm1 * norm2))
-
-    coarse = inner(140, 120)
-    fine = inner(196, 168)
-    if abs(fine - coarse) > 1e-8 + 1e-8 * abs(fine):
-        raise AccuracyError(f"overlap quadrature not converged: {coarse} vs {fine}")
-    return fine
+    (mass, rad, ang), (mass1, rad1, ang1), (mass2, rad2, ang2) = (
+        _overlap_sums(spec1, spec2), _overlap_sums(spec1, spec1), _overlap_sums(spec2, spec2))
+    return rad * ang * math.exp(mass - 0.5 * (mass1 + mass2)) / math.sqrt(rad1 * ang1 * rad2 * ang2)
 
 
 def ttw_bound_state(params: TTWParams, n: int, m: int):

@@ -112,3 +112,19 @@ def quadrature_nodes(n, lo, hi):
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
     return mid + half * t, half * w
+
+
+def gauss_rule(diag, off):
+    """Gauss (nodes, weights) of a unit-mass weight from its Jacobi matrix's diagonals.
+
+    Exact to degree 2 len(diag) - 1 (Golub and Welsch, Math. Comp. 23 (1969)
+    221).  The weights are Christoffel numbers 1 / sum_j p_j(x_i)^2 over the
+    orthonormal recurrence, not squared eigenvector components, whose 1e-16
+    absolute error swamps the small weights of the outer nodes.
+    """
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    prev, cur, total = 0.0, np.ones_like(x), np.ones_like(x)
+    for j in range(len(off)):
+        prev, cur = cur, ((x - diag[j]) * cur - (off[j - 1] if j else 0.0) * prev) / off[j]
+        total += cur * cur
+    return x, 1.0 / total

@@ -6,6 +6,8 @@ import pytest
 
 from superint.dynamics import integrate, orbit_constants_from_point, radial_period_closed_form
 from superint.invariants import _trig_form, ab_quantities, l2_cos, l2_poly
+from superint.quantum import wavefunction
+from superint.specfun import quadrature_nodes
 from superint.systems import (
     DC_CHART,
     TTW_CHART,
@@ -167,6 +169,55 @@ def dc_integral_by_pullback(params, state, variant="sin"):
                     beta=params.beta, k=params.k)
     mapped = pullback_phase(state)
     return l2_poly(ttw, mapped) if variant == "sin" else l2_cos(ttw, mapped)
+
+
+def _radial_cutoff(spec1, spec2):
+    """Radius beyond which the slower envelope of two states is twelve decades below its peak."""
+    s = max(math.sqrt(spec1.A) + spec1.n, math.sqrt(spec2.A) + spec2.n)
+    kappa = min(math.sqrt(-spec1.E), math.sqrt(-spec2.E))
+    log_env = lambda r: s * math.log(r) - kappa * r
+    r_peak = max(s / kappa, 1.0 / kappa)
+    target = log_env(r_peak) + math.log(1e-12)
+    hi = r_peak
+    while log_env(hi) > target:
+        hi *= 2.0
+    lo = r_peak
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if log_env(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def tensor_grid_overlap(spec1, spec2, n_radial=196, n_angular=168):
+    """The normalized overlap of two Coulomb-side states summed over a full 2-D grid,
+    the oracle for quantum.orthogonality_check.
+
+    Gauss-Legendre on two panels per axis, with r cut where the envelope is
+    twelve decades down and phi kept 1e-9 of the cell clear of the walls;
+    the panels split each axis where the integrand's endpoint behaviour
+    would slow a single rule.  It evaluates the whole states, whose gauge
+    factors leave the float range on its grid at large m: at k = 3/2 it
+    reads 0 or NaN from m = 26 on.
+    """
+    r_cut = _radial_cutoff(spec1, spec2)
+    cell = math.pi / spec1.params.k.value
+    eps_f = 1e-9 * cell
+    r_mid = min(max(math.sqrt(spec1.A) / math.sqrt(-spec1.E), 0.2 * r_cut), 0.8 * r_cut)
+    overlap = norm1 = norm2 = 0.0
+    for r_pan in ((1e-12, r_mid), (r_mid, r_cut)):
+        rv, rw = quadrature_nodes(n_radial, *r_pan)
+        for f_pan in ((eps_f, 0.5 * cell), (0.5 * cell, cell - eps_f)):
+            fv, fw = quadrature_nodes(n_angular, *f_pan)
+            W = np.outer(rw * rv, fw)
+            p1 = wavefunction(spec1, rv[:, None], fv[None, :])
+            p2 = wavefunction(spec2, rv[:, None], fv[None, :])
+            overlap += float(np.sum(W * p1 * p2))
+            norm1 += float(np.sum(W * p1 * p1))
+            norm2 += float(np.sum(W * p2 * p2))
+    return overlap / math.sqrt(norm1 * norm2)
 
 
 def ttw_params(k_text, omega2=1.0, alpha=0.3, beta=0.45):

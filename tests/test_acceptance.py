@@ -105,9 +105,9 @@ def test_criterion_3_implicit_orbit(period_sweep):
         for t in np.linspace(0.0, traj.t[-1], 700):
             s = traj.at_time(t)
             worst = max(worst, abs(orbit_residual(params, consts, s.q1, s.q2)))
-        _, r2 = radial_turning_points(params.Q, E, A)
+        r1, r2 = radial_turning_points(params.Q, E, A)
         s = traj.at_time(0.13 * T)
-        r_pert = s.q1 * 1.05 if s.q1 * 1.05 < r2 else s.q1 * 0.95
+        r_pert = r1 + 0.25 * (r2 - r1) if s.q1 > 0.5 * (r1 + r2) else r2 - 0.25 * (r2 - r1)
         weakest_control = min(weakest_control,
                               abs(orbit_residual(params, consts, r_pert, s.q2)))
     ok = worst <= 1e-6 and weakest_control > 1e-3

@@ -317,6 +317,46 @@ def test_closure_from_a_turning_point_start(tmp_path, argv, d):
     assert read_summary(out, "closure")["data"]["n_radial"] == d
 
 
+# r = 2A/Q, the circular radius of k = 1, Q = 1, alpha = 0.2, beta = 0.3 with
+# phi = 1 and p_phi = 0.25; a start at r (1 + eps) has eccentricity about eps
+CIRCULAR_R = 0.9074474359419589
+NEAR_CIRCULAR = ("--k", "1", "--Q", "1", "--alpha", "0.2", "--beta", "0.3",
+                 "--q2", "1", "--p1", "0", "--p2", "0.25")
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-7, 1e-2])
+def test_closure_from_a_circular_start(tmp_path, eps):
+    # p_r stays at roundoff on a circular orbit, so the return metric scales it by
+    # the orbit's largest speed, and the orbit closes after d = 1 radial period
+    code, out = run(tmp_path, "closure", *NEAR_CIRCULAR, "--q1", repr(CIRCULAR_R * (1 + eps)))
+    assert code == EXIT_PASS
+    assert read_summary(out, "closure")["data"]["n_radial"] == 1
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.03, 0.01, 5e-3])
+def test_orbit_residual_on_a_narrow_annulus(tmp_path, eps):
+    # the off-orbit control sits a quarter of the annulus in from a turning point,
+    # so it stays inside [r1, r2]; below eps ~ 2e-3 the on-orbit equation's own
+    # 1/sqrt(D1) conditioning exits 3, which the control does not touch
+    code, out = run(tmp_path, "orbit-residual", *NEAR_CIRCULAR,
+                    "--q1", repr(CIRCULAR_R * (1 + eps)))
+    assert code == EXIT_PASS
+    control = next(c for c in read_summary(out, "orbit-residual")["criteria"]
+                   if c["name"] == "off_orbit_control")
+    assert control["value"] > 0.1
+
+
+@pytest.mark.parametrize("states", ["58,0;59,0", "0,32;1,32", "0,40;1,40"])
+def test_orthogonality_at_large_indices(tmp_path, states):
+    # the Gauss rules evaluate the polynomials only, so no gauge factor overflows
+    code, out = run(tmp_path, "orthogonality", "--k", "3/2", "--Q", "1", "--alpha", "0.2",
+                    "--beta", "0.3", "--states", states)
+    assert code == EXIT_PASS
+    rows = [row.split(",") for row in (out / "orthogonality.csv").read_text().split()[1:]]
+    cross = [abs(float(v)) for i, j, v in rows if i != j]
+    assert cross and max(cross) < 1e-13
+
+
 def test_config_file_integer_index(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("k=2\nN_max=0\n")  # N_max = 0 is one level, still a check

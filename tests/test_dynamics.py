@@ -720,6 +720,7 @@ def _closure_by_integrate(params, pt, max_radial_periods, tol):
         point = traj.point(-1)
         scales = np.maximum(scales, np.max(np.abs(traj.y), axis=1))
         scales[1] = period_phi
+        scales[2] = max(scales[2], np.max(np.hypot(traj.y[2], traj.y[3] / traj.y[0])))
         dy = traj.y[:, -1] - y0
         dy[1] -= period_phi * np.round(dy[1] / period_phi)
         distance = float(np.linalg.norm(dy / scales))
@@ -960,9 +961,9 @@ class TestOrbitEquation:
         consts = orbit_constants_from_point(params, pt)
         T = radial_period_closed_form(params.Q, E)
         traj = integrate(params, pt, T, tol=1e-12)
-        _, r2 = radial_turning_points(params.Q, E, A)
+        r1, r2 = radial_turning_points(params.Q, E, A)
         s = traj.at_time(0.13 * T)
-        r_pert = s.q1 * 1.05 if s.q1 * 1.05 < r2 else s.q1 * 0.95
+        r_pert = r1 + 0.25 * (r2 - r1) if s.q1 > 0.5 * (r1 + r2) else r2 - 0.25 * (r2 - r1)
         assert abs(orbit_residual(params, consts, r_pert, s.q2)) > 1e-3
 
     def test_angular_periodicity(self, k_text, sign_r, sign_phi):

@@ -1,13 +1,14 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import potential
-from superint import quantum, specfun
+from conftest import potential, tensor_grid_overlap
+from superint import quantum
 from superint.cli import EXIT_PASS, main
 from superint.errors import DomainError
 from superint.quantum import (
@@ -480,27 +481,6 @@ class TestStreamedResidual:
         assert not res <= 1e-5
 
 
-def _tensor_grid_overlap(spec1, spec2, n_radial=196, n_angular=168):
-    """The normalized overlap summed over the full 2-D tensor grid of every
-    panel pair: the reference the separable sums must reproduce."""
-    r_cut = quantum._radial_cutoff(spec1, spec2)
-    cell = math.pi / spec1.params.k.value
-    eps_f = 1e-9 * cell
-    r_mid = min(max(math.sqrt(spec1.A) / math.sqrt(-spec1.E), 0.2 * r_cut), 0.8 * r_cut)
-    overlap = norm1 = norm2 = 0.0
-    for r_pan in ((1e-12, r_mid), (r_mid, r_cut)):
-        rv, rw = specfun.quadrature_nodes(n_radial, *r_pan)
-        for f_pan in ((eps_f, 0.5 * cell), (0.5 * cell, cell - eps_f)):
-            fv, fw = specfun.quadrature_nodes(n_angular, *f_pan)
-            W = np.outer(rw * rv, fw)
-            p1 = wavefunction(spec1, rv[:, None], fv[None, :])
-            p2 = wavefunction(spec2, rv[:, None], fv[None, :])
-            overlap += float(np.sum(W * p1 * p2))
-            norm1 += float(np.sum(W * p1 * p1))
-            norm2 += float(np.sum(W * p2 * p2))
-    return overlap / math.sqrt(norm1 * norm2)
-
-
 ORTHO_STATES = [(0, 0), (1, 0), (0, 1), (1, 1)]
 # (k, alpha, beta, state 1, state 2): every k = 3/2 pair and self-norm, and
 # one pair each at k = 1 and k = 2
@@ -519,22 +499,68 @@ class TestOrthogonality:
     def test_separable_sums_match_tensor_grid(self, k_text, alpha, beta, nm1, nm2):
         p = DCParams(Q=1.0, alpha=alpha, beta=beta, k=RationalIndex.from_string(k_text))
         s1, s2 = bound_state(p, *nm1), bound_state(p, *nm2)
-        assert abs(orthogonality_check(s1, s2) - _tensor_grid_overlap(s1, s2)) <= 1e-14
+        assert abs(orthogonality_check(s1, s2) - tensor_grid_overlap(s1, s2)) <= 1e-14
 
     def test_peak_memory_below_one_grid(self):
         s1, s2 = bound_state(self.params, 0, 0), bound_state(self.params, 1, 1)
-        orthogonality_check(s1, s2)  # builds the cached rules
+        orthogonality_check(s1, s2)  # one-time costs of the first call stay out of the peak
         tracemalloc.start()
         try:
             orthogonality_check(s1, s2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 196 * 168  # one float grid of the fine rule
+        assert peak < 8 * 196 * 168  # one float grid of the oracle's panel rule
 
-    def test_same_state_normalized(self):
-        s = bound_state(self.params, 0, 0)
-        assert orthogonality_check(s, s) == pytest.approx(1.0, rel=1e-12)
+    @pytest.mark.parametrize("n", [0, 1, 5, 30, 60])
+    @pytest.mark.parametrize("m", [0, 3, 40])
+    def test_radial_norm_is_the_closed_form(self, n, m):
+        # int r R^2 dr = (2n + nu + 1) Gamma(n + nu + 1) / n! (2 kappa)^-(nu + 2),
+        # nu = 2 sqrt(A), compared in logs, since it overflows at m = 40
+        s = bound_state(self.params, n, m)
+        nu, kappa = 2.0 * math.sqrt(s.A), math.sqrt(-s.E)
+        exact = (math.log(2 * n + nu + 1) + math.lgamma(n + nu + 1) - math.lgamma(n + 1)
+                 - (nu + 2) * math.log(2 * kappa))
+        log_mass, radial, _ = quantum._overlap_sums(s, s)
+        assert abs(math.expm1(log_mass + math.log(radial) - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha,beta", [(0.2, 0.3), (0.0, 0.0), (0.75, 2.0)])
+    @pytest.mark.parametrize("m", [0, 1, 3, 40])
+    def test_angular_norm_is_the_closed_form(self, alpha, beta, m):
+        # Jacobi h_m (DLMF 18.3) over the mass h_0 of its weight (1-z)^p (1+z)^q:
+        # h_m / h_0 = Gamma(m+p+1) Gamma(m+q+1) Gamma(p+q+2)
+        #             / ((2m+p+q+1) Gamma(p+1) Gamma(q+1) Gamma(m+p+q+1) m!)
+        s = bound_state(DCParams(Q=1.0, alpha=alpha, beta=beta, k=RationalIndex(3, 2)), 0, m)
+        p, q = s.a - 0.5, s.b - 0.5
+        g = math.lgamma
+        exact = math.exp(g(m + p + 1) + g(m + q + 1) + g(p + q + 2) - g(p + 1) - g(q + 1)
+                         - g(m + p + q + 1) - g(m + 1)) / (2 * m + p + q + 1)
+        assert quantum._overlap_sums(s, s)[2] == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("k_text,alpha,beta", [
+        ("3/2", 0.2, 0.3), ("1", 0.2, 0.3), ("2/3", 0.2, 0.3), ("2", -0.2, 0.1), ("1", 0.75, 2.0),
+    ])
+    def test_every_cross_pair_below_three_is_orthogonal(self, k_text, alpha, beta):
+        p = DCParams(Q=1.0, alpha=alpha, beta=beta, k=RationalIndex.from_string(k_text))
+        specs = [bound_state(p, n, m) for n in range(4) for m in range(4)]
+        worst = max(abs(orthogonality_check(s1, s2))
+                    for i, s1 in enumerate(specs) for s2 in specs[i + 1:])
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("nm1,nm2", [((58, 0), (59, 0)), ((0, 32), (1, 32)),
+                                         ((0, 40), (1, 40)), ((0, 40), (0, 41))])
+    def test_large_indices_stay_orthogonal(self, nm1, nm2):
+        overlap = orthogonality_check(bound_state(self.params, *nm1), bound_state(self.params, *nm2))
+        assert abs(overlap) < 1e-13
+
+    def test_off_shell_energy_breaks_orthogonality(self):
+        # negative control: the second state at E (1 + 1e-6) is not an eigenstate,
+        # and the exact rules read the overlap the panel oracle reads
+        s1, s2 = bound_state(self.params, 0, 0), bound_state(self.params, 1, 0)
+        off = replace(s2, E=s2.E * (1.0 + 1e-6))
+        overlap = orthogonality_check(s1, off)
+        assert abs(overlap) > 1e-7
+        assert overlap == pytest.approx(tensor_grid_overlap(s1, off), rel=1e-6)
 
     def test_different_angular_index(self):
         s1 = bound_state(self.params, 0, 0)

@@ -193,3 +193,25 @@ class TestQuadrature:
             t[0] = 0.0
         with pytest.raises(ValueError):
             w[0] = 0.0
+
+
+class TestGaussRule:
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    def test_legendre_matrix_gives_the_legendre_rule(self, n):
+        # Legendre's Jacobi matrix: diagonal 0, off-diagonal j / sqrt(4 j^2 - 1);
+        # the weight 1 on [-1, 1] has mass 2
+        j = np.arange(1, n)
+        x, w = specfun.gauss_rule(np.zeros(n), j / np.sqrt(4.0 * j * j - 1.0))
+        t, v = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - t)) <= 1e-14
+        assert np.max(np.abs(w / (0.5 * v) - 1.0)) <= 1e-11
+
+    @pytest.mark.parametrize("n", [5, 40])
+    def test_laguerre_tail_weights_keep_their_relative_accuracy(self, n):
+        # Laguerre's: diagonal 2j + 1, off-diagonal j; at n = 40 the last weight
+        # is 2.7e-61, far below the 1e-16 absolute error of eigenvector weights
+        j = np.arange(n)
+        x, w = specfun.gauss_rule(2.0 * j + 1.0, j[1:].astype(float))
+        t, v = np.polynomial.laguerre.laggauss(n)
+        assert np.max(np.abs(x / t - 1.0)) <= 1e-13
+        assert np.max(np.abs(w / v - 1.0)) <= 1e-11
