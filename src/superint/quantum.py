@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import specfun
 from .errors import AccuracyError, DomainError
@@ -246,10 +247,11 @@ class GridSpec:
 # its stencil arithmetic.  A chunk's psi rows and its residual and scratch
 # buffers stay in the L2 cache (2 MB per core on the 2-vCPU Xeon measured);
 # a psi block is larger, since each psi call pays a per-call cost on its
-# phi row.  On the nine-state ladder, 256 KB chunks ran 26% faster than one
-# chunk per 1 MB block, and 64, 128 and 512 KB chunks 18%, 5% and 16% slower
-# than 256 KB; blocks of 0.5 to 4 MB were within the run-to-run spread, and
-# 0.25 MB blocks 26% slower.
+# phi row.  On the nine-state ladder (best of 21 ladders, one pinned vCPU),
+# 256 KB chunks of 1 MB blocks took 0.56 s; one chunk per block was 22%
+# slower, and 64, 128 and 512 KB chunks 16%, 6% and 10% slower.  Blocks of
+# 2 and 4 MB were within the run-to-run spread but hold more memory, and
+# 0.5 and 0.25 MB blocks were 18% and 43% slower.
 _BLOCK_BYTES = 2 ** 20
 _CHUNK_BYTES = 2 ** 18
 
@@ -267,7 +269,7 @@ def dc_operator_residual(params: DCParams, E: float, psi, grid: GridSpec) -> flo
     With V = V_r(r) + B(phi)/r^2 the five-point stencil at node (i, j),
     divided by its positive angular weight side_i = 1/(r_i h_phi)^2, is
 
-        (g_i + beta_j) psi - (psi[j+1] + psi[j-1]) - a_i psi[i+1] - b_i psi[i-1],
+        (-b_i psi[i-1] + g_i psi - a_i psi[i+1]) + beta_j psi - psi[j+1] - psi[j-1],
 
     where beta = h_phi^2 B + 2, g = (2/h_r^2 + V_r - E)(r h_phi)^2 and
     a, b = (1/h_r^2 +- 1/(2 h_r r))(r h_phi)^2.  Each row's max|.| is then
@@ -280,10 +282,14 @@ def dc_operator_residual(params: DCParams, E: float, psi, grid: GridSpec) -> flo
     them.  A separable state then costs O(rows + n_phi) kernel work and one
     outer product per block.  The stencil runs over row chunks of a block,
     small enough that a chunk's psi rows and its residual and scratch
-    buffers (both allocated once) stay in cache: eight array passes and
-    two row reductions per chunk, and two reductions per block for max|psi|.
-    Every node is computed by the same operations whatever the block and
-    chunk heights, so the result does not depend on them.
+    buffers (both allocated once) stay in cache.  Per chunk, the radial
+    half is one batched matmul of each row's (-b_i, g_i, -a_i) with a
+    read-only window of that row and its two neighbours (built once per
+    block), then four array passes add beta_j psi and the angular
+    neighbours, and two row reductions take max|.|; two reductions per
+    block give max|psi|.  Every node is computed by the same fixed
+    three-term product and the same passes whatever the block and chunk
+    heights, so the result does not depend on them.
     """
     rr, ff = grid.axes()
     k = params.k.value
@@ -303,6 +309,7 @@ def dc_operator_residual(params: DCParams, E: float, psi, grid: GridSpec) -> flo
     a = (1.0 / hr ** 2 + 1.0 / (2.0 * hr * ri)) * inv_side
     b = (1.0 / hr ** 2 - 1.0 / (2.0 * hr * ri)) * inv_side
     side = 1.0 / inv_side
+    radial_row = np.stack([-b, g, -a], axis=1)[:, None, :]  # (rows, 1, 3)
     height = max(1, _BLOCK_BYTES // (8 * ff.size))
     chunk = max(1, _CHUNK_BYTES // (8 * ff.size))
     acc_buf = np.empty((min(chunk, height, ri.size), B.size))
@@ -311,23 +318,22 @@ def dc_operator_residual(params: DCParams, E: float, psi, grid: GridSpec) -> flo
     for i0 in range(1, rr.size - 1, height):
         i1 = min(i0 + height, rr.size - 1)
         block = np.broadcast_to(psi(rr[i0 - 1:i1 + 1, None], phi), (i1 - i0 + 2, ff.size))
+        # window[i] is the read-only (3, n_phi - 2) view of rows i-1, i, i+1
+        window = sliding_window_view(block[:, 1:-1], 3, axis=0).transpose(0, 2, 1)
         for c0 in range(i0, i1, chunk):
             c1 = min(c0 + chunk, i1)
             rows = slice(c0 - 1, c1 - 1)
-            near = block[c0 - i0:c1 - i0 + 2]  # the chunk's rows and their halo
+            mid = block[c0 - i0 + 1:c1 - i0 + 1]  # the chunk's rows
             acc, tmp = acc_buf[:c1 - c0], tmp_buf[:c1 - c0]
-            np.add(g[rows, None], beta, out=acc)
-            acc *= near[1:-1, 1:-1]
-            acc -= near[1:-1, 2:]
-            acc -= near[1:-1, :-2]
-            np.multiply(a[rows, None], near[2:, 1:-1], out=tmp)
-            acc -= tmp
-            np.multiply(b[rows, None], near[:-2, 1:-1], out=tmp)
-            acc -= tmp
+            np.matmul(radial_row[rows], window[c0 - i0:c1 - i0], out=acc[:, None])
+            np.multiply(beta, mid[:, 1:-1], out=tmp)
+            acc += tmp
+            acc -= mid[:, 2:]
+            acc -= mid[:, :-2]
             # np.maximum and max keep a NaN row visible
             worst.append((np.maximum(acc.max(1), -acc.min(1)) * side[rows]).max())
         psi_max.append(_abs_max(block))
-        del block, near  # so the next block is never built while this one is alive
+        del block, window, mid  # so the next block is never built while this one is alive
     # np.max over the block maxima keeps a NaN block visible
     scale = abs(E) * float(np.max(psi_max))
     if scale == 0.0:

@@ -316,7 +316,7 @@ def _full_grid_residual(params, E, psi, grid):
     hr = rr[1] - rr[0]
     hf = ff[1] - ff[0]
     R, F = np.meshgrid(rr, ff, indexing="ij")
-    psi_grid = psi(R, F)
+    psi_grid = np.broadcast_to(psi(R, F), R.shape)
     interior = psi_grid[1:-1, 1:-1]
     d2r = (psi_grid[2:, 1:-1] - 2.0 * interior + psi_grid[:-2, 1:-1]) / hr ** 2
     d1r = (psi_grid[2:, 1:-1] - psi_grid[:-2, 1:-1]) / (2.0 * hr)
@@ -439,10 +439,14 @@ class TestStreamedResidual:
         assert grid.axes()[0].size - 2 > _block_height(grid)
         _assert_matches_full_grid(dc, E_tilde, mapped, grid)
 
+    # the angular-only and constant callables give blocks of stride-0 rows,
+    # which the radial contraction reads outside BLAS
     @pytest.mark.parametrize("psi", [
         lambda r, phi: np.exp(-r) * np.sin(phi) + 0.1 * np.cos(r * phi),
         lambda r, phi: r * np.exp(-r),
-    ], ids=["sum_of_terms", "radial_only"])
+        lambda r, phi: np.sin(phi) + 0.5,
+        lambda r, phi: np.float64(1.5),
+    ], ids=["sum_of_terms", "radial_only", "angular_only", "constant"])
     def test_broadcasting_non_product_callable(self, psi):
         p, spec, _ = self._state()
         grid = default_grid(spec, n_r=500, n_phi=340)
@@ -478,6 +482,21 @@ class TestStreamedResidual:
         assert math.isnan(dc_operator_residual(p, spec.E, bad, grid))
         res, _, finest = residual_with_refinement(p, spec.E, bad, grid)
         assert finest.axes()[0].size > 2 * _block_height(finest)
+        assert not res <= 1e-5
+
+    # (row, column) of the +inf on the 41 x 29 grid in blocks of 7 rows and
+    # chunks of 3: the last row of one block, in the halo of the next, and the
+    # first row of a block's second chunk, in the halo of its first
+    @pytest.mark.parametrize("i,j", [(21, 14), (4, 14)], ids=["interior", "chunk_halo"])
+    def test_inf_stays_visible(self, monkeypatch, i, j):
+        p, spec, psi = self._state()
+        grid = default_grid(spec, n_r=40, n_phi=28)
+        rr, ff = grid.axes()
+        monkeypatch.setattr(quantum, "_BLOCK_BYTES", 8 * ff.size * 7)
+        monkeypatch.setattr(quantum, "_CHUNK_BYTES", 8 * ff.size * 3)
+        bad = _value_at(psi, rr[i], ff[j], np.inf)
+        assert not dc_operator_residual(p, spec.E, bad, grid) <= 1e-5
+        res, _, _ = residual_with_refinement(p, spec.E, bad, grid)
         assert not res <= 1e-5
 
 
