@@ -668,8 +668,8 @@ def orbit_residual(params: DCParams, consts: OrbitConstants, r, phi):
     c, d = params.k.c, params.k.d
     X_r, X_phi = _arcsin_arguments(params, consts.E, consts.A, r, phi)
     # one clamp per argument; the recurrence then takes them as they are
-    X_r = specfun.clamp_unit(X_r, eps=1e-9)
-    X_phi = specfun.clamp_unit(X_phi, eps=1e-9)
+    X_r = specfun.clamp_unit(X_r)
+    X_phi = specfun.clamp_unit(X_phi)
     cheb = specfun.chebyshev_recurrence
     base = -cheb(c, X_r) + math.cos(consts.C) * cheb(d, X_phi)
     wing = (math.sin(consts.C) * cheb(d - 1, X_phi, second_kind=True)

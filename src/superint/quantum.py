@@ -334,11 +334,12 @@ def dc_operator_residual(params: DCParams, E: float, psi, grid: GridSpec) -> flo
             worst.append((np.maximum(acc.max(1), -acc.min(1)) * side[rows]).max())
         psi_max.append(_abs_max(block))
         del block, window, mid  # so the next block is never built while this one is alive
-    # np.max over the block maxima keeps a NaN block visible
+    # np.max over the block maxima keeps a NaN block visible; an infinite
+    # scale, from a node no stencil reads, would turn the residual into 0
     scale = abs(E) * float(np.max(psi_max))
     if scale == 0.0:
         raise DomainError("wavefunction vanishes identically on the grid")
-    return float(np.max(worst)) / scale
+    return float(np.max(worst)) / scale if math.isfinite(scale) else math.nan
 
 
 def default_grid(spec: WavefunctionSpec, n_r: int = 380, n_phi: int = 260) -> GridSpec:

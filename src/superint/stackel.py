@@ -8,7 +8,8 @@ obeys H~(image point) = rho^-2 (H - E) pointwise; V need not separate.  An
 oscillator term omega^2 rho^2 of V becomes the constant omega^2 of W, and
 the energy becomes a Coulomb term -E/(2r).  TTW to DC is one instance: the
 image of the TTW potential is the DC potential at Q = E/2 plus omega^2, so
-(H_DC - E~) = rho^-2 (H - E) with E~ = -omega^2.
+(H_DC - E~) = rho^-2 (H - E) with E~ = -omega^2.  Time changes by
+d tau = rho^2 dt, in closed form along a TTW orbit (``_exchange_time``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import specfun
 from .errors import DomainError
 from .systems import (
     DC_CHART,
@@ -120,15 +120,17 @@ def _exchange_time(ttw_traj) -> np.ndarray:
     """tau_i = int_0^t_i rho^2 ds at every accepted step end of a TTW trajectory.
 
     On the energy shell (H~ - E~) = rho^-2 (H - E) makes the image of the
-    TTW flow at time t the DC flow at time tau(t).  Each step takes an
-    8-point Gauss-Legendre rule on the dense output's rho^2, a polynomial of
-    degree 14 in the step variable, so the rule is exact to roundoff.
+    TTW flow at time t the DC flow at time tau(t).  Along the orbit
+    d(rho p_rho)/dt = 2H - 4 omega^2 rho^2, so tau = (2H t - [rho p_rho]_0^t)
+    / (4 omega^2) exactly, with H at the start: Kepler's equation, since
+    rho p_rho = 2 r p_r.  It needs omega^2 > 0, as every bounded orbit does.
     """
-    x, w = specfun.quadrature_nodes(8, 0.0, 1.0)
-    h = np.diff(ttw_traj.t)
-    rho = ttw_traj.dense((ttw_traj.t[:-1, None] + h[:, None] * x).ravel())[0]
-    rho2 = (rho * rho).reshape(h.size, x.size)
-    return np.concatenate(([0.0], np.cumsum(h * (rho2 @ w))))
+    omega2 = ttw_traj.params.omega2
+    if omega2 <= 0.0:
+        raise DomainError("the exchange time needs omega^2 > 0")
+    H = hamiltonian(ttw_traj.point(0), ttw_traj.params)
+    virial = ttw_traj.y[0] * ttw_traj.y[2]
+    return (2.0 * H * (ttw_traj.t - ttw_traj.t[0]) - (virial - virial[0])) / (4.0 * omega2)
 
 
 def mapped_orbit_hausdorff(ttw_traj, dc_traj) -> float:

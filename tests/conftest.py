@@ -7,7 +7,6 @@ import pytest
 from superint.dynamics import integrate, orbit_constants_from_point, radial_period_closed_form
 from superint.invariants import _trig_form, ab_quantities, l2_cos, l2_poly
 from superint.quantum import wavefunction
-from superint.specfun import quadrature_nodes
 from superint.systems import (
     DC_CHART,
     TTW_CHART,
@@ -191,6 +190,28 @@ def _radial_cutoff(spec1, spec2):
     return hi
 
 
+def legendre_nodes(n, lo, hi):
+    """The n-point Gauss-Legendre (nodes, weights) on [lo, hi], straight from numpy."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    mid = 0.5 * (hi + lo)
+    half = 0.5 * (hi - lo)
+    return mid + half * t, half * w
+
+
+def exchange_time_by_quadrature(ttw_traj):
+    """tau_i = int_0^t_i rho^2 ds by an 8-point Gauss-Legendre rule on each accepted step,
+    the oracle for stackel._exchange_time.
+
+    The dense output's rho^2 is a polynomial of degree 14 in the step
+    variable, so the rule is exact to roundoff.
+    """
+    x, w = legendre_nodes(8, 0.0, 1.0)
+    h = np.diff(ttw_traj.t)
+    rho = ttw_traj.dense((ttw_traj.t[:-1, None] + h[:, None] * x).ravel())[0]
+    rho2 = (rho * rho).reshape(h.size, x.size)
+    return np.concatenate(([0.0], np.cumsum(h * (rho2 @ w))))
+
+
 def tensor_grid_overlap(spec1, spec2, n_radial=196, n_angular=168):
     """The normalized overlap of two Coulomb-side states summed over a full 2-D grid,
     the oracle for quantum.orthogonality_check.
@@ -208,9 +229,9 @@ def tensor_grid_overlap(spec1, spec2, n_radial=196, n_angular=168):
     r_mid = min(max(math.sqrt(spec1.A) / math.sqrt(-spec1.E), 0.2 * r_cut), 0.8 * r_cut)
     overlap = norm1 = norm2 = 0.0
     for r_pan in ((1e-12, r_mid), (r_mid, r_cut)):
-        rv, rw = quadrature_nodes(n_radial, *r_pan)
+        rv, rw = legendre_nodes(n_radial, *r_pan)
         for f_pan in ((eps_f, 0.5 * cell), (0.5 * cell, cell - eps_f)):
-            fv, fw = quadrature_nodes(n_angular, *f_pan)
+            fv, fw = legendre_nodes(n_angular, *f_pan)
             W = np.outer(rw * rv, fw)
             p1 = wavefunction(spec1, rv[:, None], fv[None, :])
             p2 = wavefunction(spec2, rv[:, None], fv[None, :])

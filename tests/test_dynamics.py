@@ -994,8 +994,8 @@ class TestScalarPath:
         assert np.array_equal(_bits(floats), _bits(residual))
         # the clamp and both recurrences at every degree the residual reads
         X = np.concatenate(dynamics._arcsin_arguments(params, consts.E, consts.A, r, phi))
-        clamped = specfun.clamp_unit(X, eps=1e-9)
-        floats = [specfun.clamp_unit(x, eps=1e-9) for x in X.tolist()]
+        clamped = specfun.clamp_unit(X)
+        floats = [specfun.clamp_unit(x) for x in X.tolist()]
         assert all(type(v) is float for v in floats)
         assert np.array_equal(_bits(floats), _bits(clamped))
         for n, second_kind in ((c, False), (d, False), (d - 1, True), (0, False)):
@@ -1017,12 +1017,12 @@ class TestScalarPath:
         over = 1.0 + 2e-9
         for x in (over, -over, np.array([0.5, -over]), np.array([over, math.nan])):
             with pytest.raises(DomainError):
-                specfun.clamp_unit(x, eps=1e-9)
+                specfun.clamp_unit(x)
         edge = 1.0 + 5e-10
-        assert specfun.clamp_unit(edge, eps=1e-9) == 1.0
-        assert specfun.clamp_unit(-edge, eps=1e-9) == -1.0
-        assert math.isnan(specfun.clamp_unit(math.nan, eps=1e-9))
-        out = specfun.clamp_unit(np.array([math.nan, edge, -edge, 0.25]), eps=1e-9)
+        assert specfun.clamp_unit(edge) == 1.0
+        assert specfun.clamp_unit(-edge) == -1.0
+        assert math.isnan(specfun.clamp_unit(math.nan))
+        out = specfun.clamp_unit(np.array([math.nan, edge, -edge, 0.25]))
         assert math.isnan(out[0]) and out[1:].tolist() == [1.0, -1.0, 0.25]
 
 

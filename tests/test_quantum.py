@@ -485,9 +485,11 @@ class TestStreamedResidual:
         assert not res <= 1e-5
 
     # (row, column) of the +inf on the 41 x 29 grid in blocks of 7 rows and
-    # chunks of 3: the last row of one block, in the halo of the next, and the
-    # first row of a block's second chunk, in the halo of its first
-    @pytest.mark.parametrize("i,j", [(21, 14), (4, 14)], ids=["interior", "chunk_halo"])
+    # chunks of 3: the last row of one block, in the halo of the next, the
+    # first row of a block's second chunk, in the halo of its first, and a
+    # corner, which no stencil reads but max|psi| does
+    @pytest.mark.parametrize("i,j", [(21, 14), (4, 14), (40, 28)],
+                             ids=["interior", "chunk_halo", "corner"])
     def test_inf_stays_visible(self, monkeypatch, i, j):
         p, spec, psi = self._state()
         grid = default_grid(spec, n_r=40, n_phi=28)

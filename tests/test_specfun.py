@@ -146,55 +146,6 @@ class TestJacobi:
         assert abs(residual) / scale < 5e-5
 
 
-class TestQuadrature:
-    def test_single_node_is_midpoint(self):
-        x, w = specfun.quadrature_nodes(1, -1.0, 1.0)
-        assert x.tolist() == [pytest.approx(0.0)] and w.tolist() == [pytest.approx(2.0)]
-
-    def test_exact_for_quadratic(self):
-        x, w = specfun.quadrature_nodes(2, -1.0, 1.0)
-        value = np.sum(w * x * x)
-        assert value == pytest.approx(2.0 / 3.0, abs=1e-14)
-
-    def test_exact_for_quintic(self):
-        x, w = specfun.quadrature_nodes(3, 0.0, 1.0)
-        value = np.sum(w * x ** 5)
-        assert value == pytest.approx(1.0 / 6.0, abs=1e-14)
-
-    def test_degenerate_interval(self):
-        with pytest.raises(DomainError):
-            specfun.quadrature_nodes(4, 1.0, 1.0)
-
-    def test_bad_count(self):
-        with pytest.raises(DomainError):
-            specfun.quadrature_nodes(0, 0.0, 1.0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 12))
-    def test_exactness_degree(self, n):
-        # degree 2n - 1 monomial integrates exactly on [0, 1]
-        d = 2 * n - 1
-        x, w = specfun.quadrature_nodes(n, 0.0, 1.0)
-        value = np.sum(w * x ** d)
-        assert value == pytest.approx(1.0 / (d + 1), rel=1e-13)
-
-    def test_returned_arrays_are_fresh(self):
-        x0, w0 = specfun.quadrature_nodes(7, -1.0, 1.0)
-        x_ref, w_ref = x0.copy(), w0.copy()
-        x0[:] = 0.0
-        w0 *= 2.0
-        x1, w1 = specfun.quadrature_nodes(7, -1.0, 1.0)
-        assert np.array_equal(x1, x_ref) and np.array_equal(w1, w_ref)
-
-    def test_cached_rule_is_read_only(self):
-        t, w = specfun._legendre_rule(7)
-        assert specfun._legendre_rule(7)[0] is t
-        with pytest.raises(ValueError):
-            t[0] = 0.0
-        with pytest.raises(ValueError):
-            w[0] = 0.0
-
-
 class TestGaussRule:
     @pytest.mark.parametrize("n", [1, 2, 7, 60])
     def test_legendre_matrix_gives_the_legendre_rule(self, n):

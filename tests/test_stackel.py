@@ -4,7 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import hausdorff_search, potential, pullback_phase, ttw_radial_period
+from conftest import (
+    exchange_time_by_quadrature,
+    hausdorff_search,
+    potential,
+    pullback_phase,
+    ttw_radial_period,
+)
 from superint.dynamics import (
     integrate,
     orbit_constants_from_point,
@@ -339,6 +345,38 @@ class TestTrajectoryMap:
         dc, E_tilde = ttw_to_dc(ttw, hamiltonian(s0, ttw))
         T_dc = radial_period_closed_form(dc.Q, E_tilde)
         assert _exchange_time(traj)[-1] == pytest.approx(n * T_dc, rel=1e-10)
+
+    @pytest.mark.parametrize("k_text,omega2", CORRESPONDENCE_CASES)
+    def test_exchange_time_matches_quadrature_at_every_step(self, k_text, omega2):
+        # the closed form against 8-point Gauss-Legendre on the dense output's
+        # rho^2: 5.9e-13, 3.4e-12 and 6.9e-13 of tau_end measured
+        traj, _ = correspondence_orbits(k_text, omega2)
+        tau, reference = _exchange_time(traj), exchange_time_by_quadrature(traj)
+        assert np.max(np.abs(tau - reference)) <= 1e-10 * reference[-1]
+
+    @pytest.mark.parametrize("k_text,omega2", CORRESPONDENCE_CASES)
+    def test_exchange_time_at_a_wrong_omega2_is_detected(self, k_text, omega2):
+        # negative control: the orbit at omega^2 (1 + 1e-6), read with omega^2,
+        # is off the quadrature by 3.8e-7 to 8.0e-7 of tau_end
+        traj, _ = correspondence_orbits(k_text, omega2)
+        ttw = traj.params
+        moved = integrate(replace(ttw, omega2=omega2 * (1.0 + 1e-6)), traj.point(0), traj.t[-1],
+                          tol=1e-12)
+        reference = exchange_time_by_quadrature(moved)
+        tau = _exchange_time(replace(moved, params=ttw))
+        assert np.max(np.abs(tau - reference)) > 1e-10 * reference[-1]
+
+    @pytest.mark.parametrize("omega2", [0.0, -0.5])
+    def test_exchange_time_needs_positive_omega2(self, omega2):
+        ttw = TTWParams(omega2=omega2, alpha=0.2, beta=0.3, k=RationalIndex(1))
+        traj = integrate(ttw, ttw_orbit_start(ttw), 0.5, tol=1e-12)
+        with pytest.raises(DomainError):
+            _exchange_time(traj)
+
+    def test_correspondence_leaves_the_ttw_dense_output_unbuilt(self):
+        traj, dc_traj = correspondence_orbits("3/2", 0.25)
+        mapped_orbit_hausdorff(traj, dc_traj)
+        assert traj.dense._F is None
 
     def test_circular_orbit_corresponds_at_roundoff(self):
         # p_r vanishes along the whole orbit; the distance must not divide by it
