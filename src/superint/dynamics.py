@@ -659,21 +659,20 @@ def orbit_residual(params: DCParams, consts: OrbitConstants, r, phi):
     which flips at every angular turning point; a position alone does not
     fix it, so the residual takes the sign of smaller magnitude and
     vanishes along the whole orbit fixed by consts.  The function is
-    exactly periodic in phi with period 2 pi / k.  Each argument is clamped
-    to [-1, 1] within 1e-9, which absorbs turning-point excursions caused
-    by state error; genuinely off-annulus points still raise a domain error.
-    Operators and ufuncs apply to r and phi as given: floats give a float,
-    arrays an array of the same values.
+    exactly periodic in phi with period 2 pi / k.  T_c takes any X_r, and
+    the angular root takes the positive part of its radicand, so a sample
+    that state error puts just past an angular turning point reads as at
+    it.  A point off the radial annulus reads |residual| >= T_c(|X_r|) - 1
+    > 0, and NaN stays NaN.  Operators and ufuncs apply to r and phi as
+    given: floats give a float, arrays an array of the same values.
     """
     c, d = params.k.c, params.k.d
     X_r, X_phi = _arcsin_arguments(params, consts.E, consts.A, r, phi)
-    # one clamp per argument; the recurrence then takes them as they are
-    X_r = specfun.clamp_unit(X_r)
-    X_phi = specfun.clamp_unit(X_phi)
     cheb = specfun.chebyshev_recurrence
     base = -cheb(c, X_r) + math.cos(consts.C) * cheb(d, X_phi)
+    radicand = 1.0 - X_phi * X_phi
     wing = (math.sin(consts.C) * cheb(d - 1, X_phi, second_kind=True)
-            * np.sqrt(1.0 - X_phi * X_phi))
+            * np.sqrt(radicand * (radicand > 0.0)))
     # base + wing or base - wing, whichever is smaller in magnitude
     return base - np.copysign(wing, base)
 

@@ -361,7 +361,8 @@ def residual_with_refinement(params: DCParams, E: float, psi, grid: GridSpec,
 
     Returns (residual, convergence_ratio, grid) from the finest level
     reached; the ratio between consecutive levels certifies the O(h^2)
-    behavior (it approaches 4 under halving).
+    behavior (it approaches 4 under halving).  A NaN residual gives a NaN
+    ratio, and only an exact zero gives inf.
     """
     res_prev = dc_operator_residual(params, E, psi, grid)
     ratio = math.nan
@@ -369,7 +370,7 @@ def residual_with_refinement(params: DCParams, E: float, psi, grid: GridSpec,
     for _ in range(3):
         grid = grid.refined()
         res = dc_operator_residual(params, E, psi, grid)
-        ratio = res_prev / res if res > 0.0 else math.inf
+        ratio = res_prev / res if res != 0.0 else math.inf
         if res <= target:
             break
         res_prev = res

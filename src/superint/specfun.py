@@ -2,18 +2,14 @@
 
 All polynomial values come from forward three-term recurrences; the
 trigonometric / hypergeometric closed forms are reserved for tests.
-Every evaluator accepts scalars or numpy arrays in ``x``.  Gauss rules come
-from one builder, ``gauss_rule``, over a weight's Jacobi matrix.
+Every evaluator accepts scalars or numpy arrays in ``x``, and the Chebyshev
+recurrence any real x.  Gauss rules come from one builder, ``gauss_rule``,
+over a weight's Jacobi matrix.
 """
 
 import numpy as np
 
 from .errors import DomainError
-
-# Inputs within CLAMP_EPS of the ends of [-1, 1] are snapped to the end;
-# anything further out is rejected.  The orbit residual's arcsin arguments
-# carry the integrator's error, hence a tolerance well above roundoff.
-CLAMP_EPS = 1e-9
 
 
 def _check_degree(n):
@@ -21,22 +17,8 @@ def _check_degree(n):
         raise DomainError(f"polynomial degree must be a non-negative integer, got {n!r}")
 
 
-def clamp_unit(x):
-    """Snap x into [-1, 1] when within CLAMP_EPS of the ends, else raise.
-
-    Only operators touch x, so a float comes back a float and an array an
-    array of the same values: x is divided by |x| beyond the ends, which is
-    exactly +-1, and by 1.0 within them, which keeps x, -0.0 and NaN as they are.
-    """
-    a = abs(x)
-    if np.count_nonzero(a > 1.0 + CLAMP_EPS):
-        worst = float(np.max(a))
-        raise DomainError(f"argument {worst} lies outside [-1, 1] beyond tolerance {CLAMP_EPS}")
-    return x / (a * (a > 1.0) + (a <= 1.0))
-
-
 def chebyshev_recurrence(n, x, second_kind=False):
-    """T_n(x), or U_n(x) with second_kind, for n >= 0 and x already in [-1, 1].
+    """T_n(x), or U_n(x) with second_kind, for n >= 0 and any real x.
 
     Both kinds share T_0 = U_0 = 1 and the step 2 x cur - prev; only the
     degree-one start differs (x against 2x).  Only operators touch x, so a

@@ -306,8 +306,8 @@ def validate_bounded(p: DCParams, E: float, A: float) -> BoundednessReport:
     return BoundednessReport(rows=rows, D1=D1, D2=D2, r1=r1, r2=r2, u1=u1, u2=u2)
 
 
-def bounded_dc_state(p: DCParams, E: float, A: float, r_frac: float = 0.5,
-                     u_frac: float = 0.5) -> PhasePoint:
+def bounded_dc_state(p: DCParams, E: float, A: float, r_frac: float,
+                     u_frac: float) -> PhasePoint:
     """Construct a phase point on the (E, A) shell of a bounded orbit.
 
     r_frac and u_frac place the point inside the radial annulus and the

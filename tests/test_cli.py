@@ -333,17 +333,30 @@ def test_closure_from_a_circular_start(tmp_path, eps):
     assert read_summary(out, "closure")["data"]["n_radial"] == 1
 
 
-@pytest.mark.parametrize("eps", [0.05, 0.03, 0.01, 5e-3])
+@pytest.mark.parametrize("eps", [0.05, 0.03, 0.01, 5e-3, 2e-3, 1e-4, 2e-5])
 def test_orbit_residual_on_a_narrow_annulus(tmp_path, eps):
     # the off-orbit control sits a quarter of the annulus in from a turning point,
-    # so it stays inside [r1, r2]; below eps ~ 2e-3 the on-orbit equation's own
-    # 1/sqrt(D1) conditioning exits 3, which the control does not touch
+    # so it stays inside [r1, r2]; an on-orbit sample whose X_r state error puts
+    # just past +-1 reads T_c there, unclamped, and stays within the 1e-6 bound
     code, out = run(tmp_path, "orbit-residual", *NEAR_CIRCULAR,
                     "--q1", repr(CIRCULAR_R * (1 + eps)))
     assert code == EXIT_PASS
     control = next(c for c in read_summary(out, "orbit-residual")["criteria"]
                    if c["name"] == "off_orbit_control")
     assert control["value"] > 0.1
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-7, 0.0])
+def test_orbit_residual_below_the_conditioning_floor_fails_as_a_criterion(tmp_path, eps):
+    # the on-orbit residual grows as 1/sqrt(D1) times the state error, so near a
+    # circle it passes the 1e-6 bound no more: the run writes its summary and
+    # exits 1, the on-orbit criterion failing and the off-orbit control passing
+    code, out = run(tmp_path, "orbit-residual", *NEAR_CIRCULAR,
+                    "--q1", repr(CIRCULAR_R * (1 + eps)))
+    assert code == EXIT_CRITERION
+    criteria = {c["name"]: c for c in read_summary(out, "orbit-residual")["criteria"]}
+    assert not criteria["max_on_orbit_residual"]["passed"]
+    assert criteria["off_orbit_control"]["passed"]
 
 
 @pytest.mark.parametrize("states", ["58,0;59,0", "0,32;1,32", "0,40;1,40"])

@@ -966,6 +966,48 @@ class TestOrbitEquation:
         r_pert = r1 + 0.25 * (r2 - r1) if s.q1 > 0.5 * (r1 + r2) else r2 - 0.25 * (r2 - r1)
         assert abs(orbit_residual(params, consts, r_pert, s.q2)) > 1e-3
 
+    @pytest.mark.parametrize("where", ["inside_r1", "outside_r2"])
+    def test_off_annulus_point_reads_a_large_residual(self, k_text, sign_r, sign_phi, where):
+        # X_r lies past +-1 there; T_c is a polynomial, so the residual is finite
+        # and at least T_c(|X_r|) - 1, with no domain error
+        params, E, A, pt = dc_setup(k_text, sign_r, sign_phi)
+        consts = orbit_constants_from_point(params, pt)
+        r1, r2 = radial_turning_points(params.Q, E, A)
+        r = 0.9 * r1 if where == "inside_r1" else 1.1 * r2
+        residual = orbit_residual(params, consts, r, pt.q2)
+        X_r = dynamics._arcsin_arguments(params, E, A, r, pt.q2)[0]
+        floor = math.cosh(params.k.c * math.acosh(abs(X_r))) - 1.0
+        assert math.isfinite(residual) and floor > 1e-3
+        assert abs(residual) >= floor * (1.0 - 1e-12)
+
+    def test_sample_just_past_an_angular_turning_point_reads_as_at_it(
+            self, k_text, sign_r, sign_phi):
+        # state error can put X_phi a hair past +-1; the angular root then reads
+        # 0, as at the turning point, where the residual is -T_c(X_r) + cos C (+-1)^d
+        params, E, A, pt = dc_setup(k_text, sign_r, sign_phi)
+        consts = orbit_constants_from_point(params, pt)
+        report = validate_bounded(params, E, A)
+        k, c, d = params.k.value, params.k.c, params.k.d
+        for u in (report.u1, report.u2):
+            turn = 2.0 * math.acos(math.sqrt(u)) / k
+            phi = np.array([turn - 1e-9, turn + 1e-9])
+            X_r, X_phi = dynamics._arcsin_arguments(params, E, A, pt.q1, phi)
+            past = np.argmax(np.abs(X_phi))
+            assert abs(X_phi[past]) > 1.0
+            edge = math.copysign(1.0, X_phi[past])
+            expected = -math.cos(c * math.acos(X_r)) + math.cos(consts.C) * edge ** d
+            residual = orbit_residual(params, consts, pt.q1, phi)
+            assert abs(residual[past] - expected) < 1e-6
+
+    def test_nan_sample_reads_nan(self, k_text, sign_r, sign_phi):
+        params, E, A, pt = dc_setup(k_text, sign_r, sign_phi)
+        consts = orbit_constants_from_point(params, pt)
+        assert math.isnan(orbit_residual(params, consts, math.nan, pt.q2))
+        assert math.isnan(orbit_residual(params, consts, pt.q1, math.nan))
+        out = orbit_residual(params, consts, np.array([math.nan, pt.q1, pt.q1]),
+                             np.array([pt.q2, math.nan, pt.q2]))
+        assert np.isnan(out[:2]).all() and abs(out[2]) < 1e-10
+
     def test_angular_periodicity(self, k_text, sign_r, sign_phi):
         params, E, A, pt = dc_setup(k_text, sign_r, sign_phi)
         consts = orbit_constants_from_point(params, pt)
@@ -992,15 +1034,12 @@ class TestScalarPath:
                   for ri, phi_i in zip(r.tolist(), phi.tolist())]
         assert all(isinstance(v, float) for v in floats)
         assert np.array_equal(_bits(floats), _bits(residual))
-        # the clamp and both recurrences at every degree the residual reads
+        # both recurrences at every degree the residual reads, on the unclamped
+        # arguments
         X = np.concatenate(dynamics._arcsin_arguments(params, consts.E, consts.A, r, phi))
-        clamped = specfun.clamp_unit(X)
-        floats = [specfun.clamp_unit(x) for x in X.tolist()]
-        assert all(type(v) is float for v in floats)
-        assert np.array_equal(_bits(floats), _bits(clamped))
         for n, second_kind in ((c, False), (d, False), (d - 1, True), (0, False)):
-            values = specfun.chebyshev_recurrence(n, clamped, second_kind)
-            floats = [specfun.chebyshev_recurrence(n, x, second_kind) for x in clamped.tolist()]
+            values = specfun.chebyshev_recurrence(n, X, second_kind)
+            floats = [specfun.chebyshev_recurrence(n, x, second_kind) for x in X.tolist()]
             assert all(type(v) is float for v in floats)
             assert np.array_equal(_bits(floats), _bits(values))
 
@@ -1012,18 +1051,6 @@ class TestScalarPath:
             values = [s.q1, s.q2, s.p1, s.p2]
             assert all(type(v) is float for v in values) and s.chart == DC_CHART
             assert np.array_equal(_bits(values), _bits(traj.dense(t)))
-
-    def test_clamp_rejects_beyond_eps_and_passes_nan(self):
-        over = 1.0 + 2e-9
-        for x in (over, -over, np.array([0.5, -over]), np.array([over, math.nan])):
-            with pytest.raises(DomainError):
-                specfun.clamp_unit(x)
-        edge = 1.0 + 5e-10
-        assert specfun.clamp_unit(edge) == 1.0
-        assert specfun.clamp_unit(-edge) == -1.0
-        assert math.isnan(specfun.clamp_unit(math.nan))
-        out = specfun.clamp_unit(np.array([math.nan, edge, -edge, 0.25]))
-        assert math.isnan(out[0]) and out[1:].tolist() == [1.0, -1.0, 0.25]
 
 
 class TestTimeEquation:

@@ -498,8 +498,11 @@ class TestStreamedResidual:
         monkeypatch.setattr(quantum, "_CHUNK_BYTES", 8 * ff.size * 3)
         bad = _value_at(psi, rr[i], ff[j], np.inf)
         assert not dc_operator_residual(p, spec.E, bad, grid) <= 1e-5
-        res, _, _ = residual_with_refinement(p, spec.E, bad, grid)
+        res, ratio, _ = residual_with_refinement(p, spec.E, bad, grid)
         assert not res <= 1e-5
+        # each placement reads NaN at the finest level, and a NaN residual
+        # gives a NaN ratio, not the inf of a residual that dropped to zero
+        assert math.isnan(ratio)
 
 
 ORTHO_STATES = [(0, 0), (1, 0), (0, 1), (1, 1)]

@@ -10,13 +10,13 @@ from superint.errors import DomainError
 
 
 def chebyshev_T(n, x):
-    """T_n(x) by clamp_unit, then the recurrence orbit_residual runs."""
-    return specfun.chebyshev_recurrence(n, specfun.clamp_unit(x))
+    """T_n(x) by the recurrence orbit_residual runs."""
+    return specfun.chebyshev_recurrence(n, x)
 
 
 def chebyshev_U(n, x):
     """U_n(x) the same way."""
-    return specfun.chebyshev_recurrence(n, specfun.clamp_unit(x), second_kind=True)
+    return specfun.chebyshev_recurrence(n, x, second_kind=True)
 
 
 class TestChebyshevFirstKind:
@@ -37,13 +37,6 @@ class TestChebyshevFirstKind:
         assert chebyshev_T(n, x) == pytest.approx(
             math.cos(n * math.acos(x)), abs=1e-12)
 
-    def test_clamps_roundoff_overshoot(self):
-        assert chebyshev_T(4, 1.0 + 5e-13) == pytest.approx(1.0)
-
-    def test_rejects_far_outside(self):
-        with pytest.raises(DomainError):
-            chebyshev_T(4, 1.01)
-
     def test_array_input(self):
         x = np.array([-0.5, 0.0, 0.5])
         np.testing.assert_allclose(chebyshev_T(2, x), 2 * x * x - 1, atol=1e-15)
@@ -53,13 +46,22 @@ class TestChebyshevFirstKind:
         assert type(chebyshev_U(0, 0.2)) is float
 
 
-class TestClampUnit:
-    def test_nan_and_signed_zero_pass_through(self):
-        assert math.isnan(specfun.clamp_unit(math.nan))
-        assert math.copysign(1.0, specfun.clamp_unit(-0.0)) == -1.0
-        out = specfun.clamp_unit(np.array([np.nan, -0.0, 1.0 + 5e-13, -1.0 - 5e-13]))
-        assert math.isnan(out[0]) and math.copysign(1.0, out[1]) == -1.0
-        assert out[2:].tolist() == [1.0, -1.0]
+class TestChebyshevOffTheInterval:
+    """Outside [-1, 1] the recurrence is the hyperbolic form; the orbit residual
+    reads T_c there for any point off the radial annulus."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 30), st.floats(1.0, 3.0), st.sampled_from([-1.0, 1.0]))
+    def test_first_kind_matches_cosh_form(self, n, a, sign):
+        expected = sign ** n * math.cosh(n * math.acosh(a))
+        assert chebyshev_T(n, sign * a) == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 30), st.floats(1.0001, 3.0), st.sampled_from([-1.0, 1.0]))
+    def test_second_kind_matches_sinh_form(self, n, a, sign):
+        theta = math.acosh(a)
+        expected = sign ** n * math.sinh((n + 1) * theta) / math.sinh(theta)
+        assert chebyshev_U(n, sign * a) == pytest.approx(expected, rel=1e-12)
 
 
 class TestChebyshevSecondKind:
