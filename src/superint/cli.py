@@ -209,19 +209,16 @@ def _resolve_start(args) -> None:
     if unread:
         raise DomainError(f"{' '.join(map(_flag, unread))} would go unread: {start} fix the start")
     try:
-        E, A = (args.E, args.A) if from_constants else \
-            energy_and_invariant(args.initial, args.params)
-        if not from_constants and args.command not in _BOUNDED_ORBIT_COMMANDS:
+        if from_constants:
+            args.initial = bounded_dc_state(args.params, args.E, args.A,
+                                            r_frac=0.35 if args.r_frac is None else args.r_frac,
+                                            u_frac=0.6 if args.u_frac is None else args.u_frac)
             return
-        report = validate_bounded(args.params, E, A)
+        E, A = energy_and_invariant(args.initial, args.params)
+        if args.command in _BOUNDED_ORBIT_COMMANDS:
+            validate_bounded(args.params, E, A)
     except DomainError as exc:  # a point on a wall or at r = 0 has no energy, nor an orbit
         raise DomainError(f"{start}: {exc}") from exc
-    if not report.all_passed:
-        raise DomainError(f"{start} describe no bounded orbit: they fail the rows {report.failed()}")
-    if from_constants:
-        args.initial = bounded_dc_state(args.params, E, A,
-                                        r_frac=0.35 if args.r_frac is None else args.r_frac,
-                                        u_frac=0.6 if args.u_frac is None else args.u_frac)
 
 
 def _load_config_file(path: str) -> dict:

@@ -602,9 +602,7 @@ def closure_check(params: DCParams, initial: PhasePoint, max_radial_periods: int
     past it IntegrationError carries the absolute time and state.
     """
     E, A = energy_and_invariant(initial, params)
-    report = validate_bounded(params, E, A)
-    if not report.all_passed:
-        raise DomainError(f"initial point fails bounded-motion rows: {report.failed()}")
+    validate_bounded(params, E, A)
 
     T_r = radial_period_closed_form(params.Q, E)
     period_phi = 2.0 * math.pi / params.k.value
@@ -664,7 +662,9 @@ def orbit_residual(params: DCParams, consts: OrbitConstants, r, phi):
     that state error puts just past an angular turning point reads as at
     it.  A point off the radial annulus reads |residual| >= T_c(|X_r|) - 1
     > 0, and NaN stays NaN.  Operators and ufuncs apply to r and phi as
-    given: floats give a float, arrays an array of the same values.
+    given: floats give a float, arrays an array of the same values.  r must
+    be positive: at r = 0 a float raises ZeroDivisionError, while an array
+    reads X_r = inf there, so -inf for c <= 2 and NaN from c = 3 on.
     """
     c, d = params.k.c, params.k.d
     X_r, X_phi = _arcsin_arguments(params, consts.E, consts.A, r, phi)
@@ -690,14 +690,12 @@ def orbit_constants_from_point(params: DCParams, point: PhasePoint) -> OrbitCons
     raises DomainError.
     """
     E, A = energy_and_invariant(point, params)
-    report = validate_bounded(params, E, A)
-    if not report.all_passed:
-        raise DomainError(f"point fails bounded-motion rows: {report.failed()}")
+    D1, D2 = validate_bounded(params, E, A)
 
     Q, k, c, d = params.Q, params.k.value, params.k.c, params.k.d
     r, phi, p_r, p_phi = point.q1, point.q2, point.p1, point.p2
     X_r, X_phi = _arcsin_arguments(params, E, A, r, phi)
-    sqrtA, sqrtD1, sqrtD2 = math.sqrt(A), math.sqrt(report.D1), math.sqrt(report.D2)
+    sqrtA, sqrtD1, sqrtD2 = math.sqrt(A), math.sqrt(D1), math.sqrt(D2)
     C = (d * math.atan2(sqrtA * p_phi * math.sin(k * phi) / sqrtD2, X_phi)
          + c * math.atan2(2.0 * sqrtA * p_r / sqrtD1, X_r))
 

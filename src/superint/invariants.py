@@ -24,8 +24,6 @@ import numpy as np
 
 from .errors import DomainError
 from .systems import (
-    DC_CHART,
-    TTW_CHART,
     DCParams,
     PhasePoint,
     _math_of,
@@ -67,12 +65,10 @@ def ab_quantities(p, state: PhasePoint) -> ABQuad:
     The parameter type picks the chart.  On the Coulomb side L1 = 4A, and
     the pairs are the paper's (4 sqrt(A) p_phi sin k phi,
     4A cos k phi - k^2 (alpha - beta)) and (4 sqrt(A) p_r, 4A/r - 2Q).
-    H and L come from one systems.energy_and_invariant evaluation.
+    H and L come from one systems.energy_and_invariant evaluation, which
+    raises UsageError on a state of the other chart.
     """
     dc = isinstance(p, DCParams)
-    chart = DC_CHART if dc else TTW_CHART
-    if state.chart != chart:
-        raise DomainError(f"ab_quantities needs a {chart} state, got {state.chart}")
     H, L = energy_and_invariant(state, p)
     L1 = 4.0 * L if dc else L
     if L1.real <= 0.0:

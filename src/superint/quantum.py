@@ -342,7 +342,7 @@ def dc_operator_residual(params: DCParams, E: float, psi, grid: GridSpec) -> flo
     return float(np.max(worst)) / scale if math.isfinite(scale) else math.nan
 
 
-def default_grid(spec: WavefunctionSpec, n_r: int = 380, n_phi: int = 260) -> GridSpec:
+def default_grid(spec: WavefunctionSpec, n_r: int, n_phi: int) -> GridSpec:
     """A window holding the bulk of a Coulomb-side state, clear of walls and origin."""
     kappa = math.sqrt(-spec.E)
     sqrtA = math.sqrt(spec.A)

@@ -68,7 +68,7 @@ def ttw_to_dc(ttw: TTWParams, E_source: float) -> tuple[DCParams, float]:
 
     Matching the -E/(2r) term of the image against -Q/r forces
     Q = E_source / 2; the image energy is E~ = -omega^2.  E_source <= 0
-    yields Q <= 0, which the bounded-motion report flags downstream.
+    yields Q <= 0, which systems.validate_bounded rejects downstream.
     """
     dc = DCParams(Q=0.5 * E_source, alpha=ttw.alpha, beta=ttw.beta, k=ttw.k)
     return dc, -ttw.omega2

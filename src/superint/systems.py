@@ -225,26 +225,6 @@ def hamiltonian(point: PhasePoint, params) -> float:
     return energy_and_invariant(point, params)[0]
 
 
-@dataclass(frozen=True)
-class BoundednessReport:
-    """Pass/fail per bounded-motion restriction plus the derived quantities."""
-
-    rows: dict
-    D1: float
-    D2: float
-    r1: float | None
-    r2: float | None
-    u1: float | None
-    u2: float | None
-
-    @property
-    def all_passed(self) -> bool:
-        return all(self.rows.values())
-
-    def failed(self):
-        return [name for name, ok in self.rows.items() if not ok]
-
-
 def discriminants(p: DCParams, E: float, A: float) -> tuple[float, float]:
     """D1 = Q^2 + 4AE (radial) and D2 (angular) for the given constants."""
     k2 = p.k.value ** 2
@@ -284,8 +264,12 @@ def angular_turning_points(p: DCParams, A: float) -> tuple[float, float]:
     return (u_small, u_big) if u_small <= u_big else (u_big, u_small)
 
 
-def validate_bounded(p: DCParams, E: float, A: float) -> BoundednessReport:
-    """Evaluate every bounded-trajectory restriction and report each row."""
+def validate_bounded(p: DCParams, E: float, A: float) -> tuple[float, float]:
+    """The one bounded-orbit gate: (D1, D2) if (E, A) pass every restriction.
+
+    The rows are checked in a fixed order, and DomainError names every one
+    that fails.
+    """
     D1, D2 = discriminants(p, E, A)
     k2 = p.k.value ** 2
     rows = {
@@ -298,12 +282,10 @@ def validate_bounded(p: DCParams, E: float, A: float) -> BoundednessReport:
         "beta_positive": p.beta > 0.0,
         "alpha_positive": p.alpha > 0.0,
     }
-    r1 = r2 = u1 = u2 = None
-    if rows["D1_positive"] and rows["E_negative"]:
-        r1, r2 = radial_turning_points(p.Q, E, A)
-    if rows["D2_positive"] and A != 0.0:
-        u1, u2 = angular_turning_points(p, A)
-    return BoundednessReport(rows=rows, D1=D1, D2=D2, r1=r1, r2=r2, u1=u1, u2=u2)
+    failed = [name for name, ok in rows.items() if not ok]
+    if failed:
+        raise DomainError(f"no bounded orbit: fails the rows {failed}")
+    return D1, D2
 
 
 def bounded_dc_state(p: DCParams, E: float, A: float, r_frac: float,
@@ -311,18 +293,21 @@ def bounded_dc_state(p: DCParams, E: float, A: float, r_frac: float,
     """Construct a phase point on the (E, A) shell of a bounded orbit.
 
     r_frac and u_frac place the point inside the radial annulus and the
-    angular band; both momenta are non-negative.
+    angular band; both momenta are non-negative.  At a turning point a
+    momentum square is a difference of terms of size A (angular) and Q/r
+    (radial), so a negative part below 1e-10 of that size is rounding and
+    reads as 0.
     """
-    report = validate_bounded(p, E, A)
-    if not report.all_passed:
-        raise DomainError(f"constants fail bounded-motion rows: {report.failed()}")
-    r = report.r1 + r_frac * (report.r2 - report.r1)
-    u = report.u1 + u_frac * (report.u2 - report.u1)
+    validate_bounded(p, E, A)
+    r1, r2 = radial_turning_points(p.Q, E, A)
+    u1, u2 = angular_turning_points(p, A)
+    r = r1 + r_frac * (r2 - r1)
+    u = u1 + u_frac * (u2 - u1)
     k = p.k.value
     phi = 2.0 * math.acos(math.sqrt(u)) / k
     pphi2 = A - _barrier(p, phi)[0]
     pr2 = (E * r * r + p.Q * r - A) / (r * r)
-    if pphi2 < -1e-12 or pr2 < -1e-12:
+    if pphi2 < -1e-10 * A or pr2 < -1e-10 * p.Q / r:
         raise DomainError("shell construction produced a negative momentum square")
     return PhasePoint(r, phi, math.sqrt(max(pr2, 0.0)), math.sqrt(max(pphi2, 0.0)), DC_CHART)
 

@@ -309,9 +309,13 @@ def test_run_past_the_step_budget_exits_numerical(tmp_path, capsys, monkeypatch,
     (["closure", "--E", "-0.2", "--A", "0.9", "--u-frac", "1"], 1),
     (["closure", "--k", "3/2", "--Q", "1", "--alpha", "0.2", "--beta", "0.3", "--E", "-0.2",
       "--A", "0.9", "--r-frac", "0"], 2),
-], ids=["k1-u-frac-1", "k3/2-r-frac-0"])
+    (["closure", "--k", "2/3", "--Q", "2.7263740497941926", "--alpha", "0.4750989704636613",
+      "--beta", "0.057706944459510995", "--E", "-0.16564158978301624",
+      "--A", "8.484030634546151", "--u-frac", "1"], 3),
+], ids=["k1-u-frac-1", "k3/2-r-frac-0", "k2/3-u-frac-1-rounding"])
 def test_closure_from_a_turning_point_start(tmp_path, argv, d):
-    # a start where p_phi or p_r vanishes closes after d radial periods like any other
+    # a start where p_phi or p_r vanishes closes after d radial periods like any
+    # other, also where the momentum square rounds to a little below 0
     code, out = run(tmp_path, *argv)
     assert code == EXIT_PASS
     assert read_summary(out, "closure")["data"]["n_radial"] == d
@@ -747,15 +751,19 @@ _POINT_OF_NO_BOUNDED_ORBIT = ["--k", "1", "--Q", "1", "--alpha", "0.2", "--beta"
       "--p1", "0.1", "--p2", "0.2"], ["--E", "--A"], []),
     (["trajectory", "--family", "ttw", "--A", "0.9", "--q1", "1", "--q2", "0.3",
       "--p1", "0.1", "--p2", "0.2"], ["--A"], []),
+    # the float angle cannot reach the wall here, and p_phi^2 = -1.3e-3 A
+    (["closure", "--k", "2", "--Q", "1e4", "--alpha", "0.1463082726435886",
+      "--beta", "0.001182222066641795", "--E=-1e-3", "--A", "9012473933.936289",
+      "--u-frac", "1"], ["--E", "--A"], []),
 ], ids=["closure-E", "closure-E-k1", "closure-alpha", "orbit-residual-E", "orbit-residual-A",
         "trajectory-E", "closure-point", "orbit-residual-point", "closure-integrator-tol",
         "orbit-residual-integrator-tol", "trajectory-tol", "trajectory-ttw-E-A",
-        "trajectory-ttw-A"])
+        "trajectory-ttw-A", "closure-u-frac-short-of-the-wall"])
 def test_constants_of_no_bounded_orbit_exit_usage(tmp_path, capsys, argv, flags, rows):
     # --E/--A or a closure/orbit-residual phase point that fail a bounded-motion
-    # row, an integrator tolerance outside the integrator's range, and --E/--A
-    # on an oscillator start (which would ignore them) are invalid arguments,
-    # not numerical failures
+    # row, --E/--A whose shell point cannot be built, an integrator tolerance
+    # outside the integrator's range, and --E/--A on an oscillator start (which
+    # would ignore them) are invalid arguments, not numerical failures
     code, out = run(tmp_path, *argv)
     assert code == EXIT_USAGE
     err = capsys.readouterr().err

@@ -28,6 +28,7 @@ from superint.systems import (
     DCParams,
     PhasePoint,
     RationalIndex,
+    angular_turning_points,
     bounded_dc_state,
     hamilton_kernel,
     hamiltonian,
@@ -925,7 +926,9 @@ class TestOrbitConstants:
             params = DCParams(Q=rng.uniform(0.5, 2.0), alpha=rng.uniform(0.05, 0.5),
                               beta=rng.uniform(0.05, 0.5), k=k)
             E, A = rng.uniform(-0.5, -0.05), rng.uniform(0.1, 4.0)
-            if not validate_bounded(params, E, A).all_passed:
+            try:
+                validate_bounded(params, E, A)
+            except DomainError:
                 continue
             x = bounded_dc_state(params, E, A, r_frac=rng.uniform(0.02, 0.98),
                                  u_frac=rng.uniform(0.02, 0.98))
@@ -934,6 +937,19 @@ class TestOrbitConstants:
             phase = _phase_difference(params, ab_quantities(params, x))
             deviations.append(math.remainder(phase + C - (k.c + k.d) * math.pi / 2, 2 * math.pi))
         assert np.max(np.abs(deviations)) < 1e-12
+
+
+@pytest.mark.parametrize("k_text, expected", [("1", -math.inf), ("3", math.nan)])
+def test_orbit_residual_at_the_origin(k_text, expected):
+    # r must be positive: at r = 0 a float divides by zero, and an array reads
+    # X_r = inf, so T_c(X_r) is inf for c <= 2 and inf - inf = NaN from c = 3 on
+    params, E, A, pt = dc_setup(k_text)
+    consts = orbit_constants_from_point(params, pt)
+    with pytest.raises(ZeroDivisionError):
+        orbit_residual(params, consts, 0.0, pt.q2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residual = orbit_residual(params, consts, np.array([0.0]), np.array([pt.q2]))
+    np.testing.assert_array_equal(residual, [expected])
 
 
 @pytest.mark.parametrize("k_text, sign_r, sign_phi",
@@ -986,9 +1002,8 @@ class TestOrbitEquation:
         # 0, as at the turning point, where the residual is -T_c(X_r) + cos C (+-1)^d
         params, E, A, pt = dc_setup(k_text, sign_r, sign_phi)
         consts = orbit_constants_from_point(params, pt)
-        report = validate_bounded(params, E, A)
         k, c, d = params.k.value, params.k.c, params.k.d
-        for u in (report.u1, report.u2):
+        for u in angular_turning_points(params, A):
             turn = 2.0 * math.acos(math.sqrt(u)) / k
             phi = np.array([turn - 1e-9, turn + 1e-9])
             X_r, X_phi = dynamics._arcsin_arguments(params, E, A, pt.q1, phi)
@@ -1092,7 +1107,8 @@ class TestTimeEquation:
         pt = PhasePoint(1.0, 1.0, 0.0, 1.0, DC_CHART)
         E, A = hamiltonian(pt, params), angular_invariant(pt, params)
         assert (E, A) == (-1.0, 1.0)
-        assert validate_bounded(params, E, A).failed() == ["D1_positive"]
+        with pytest.raises(DomainError, match=r"fails the rows \['D1_positive'\]$"):
+            validate_bounded(params, E, A)
         with pytest.raises(DomainError, match="D1_positive"):
             orbit_constants_from_point(params, pt)
 

@@ -17,7 +17,7 @@ from conftest import (
 from superint.cli import EXIT_PASS, main
 from superint import systems
 from superint.dynamics import integrate, radial_period_closed_form
-from superint.errors import DomainError
+from superint.errors import DomainError, UsageError
 from superint.invariants import (
     _trig_form,
     ab_quantities,
@@ -497,10 +497,10 @@ class TestCoulombPullback:
 
     def test_requires_dc_chart(self):
         params, _, _, _ = dc_setup("1")
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError):
             dc_integral(params, PhasePoint(1.0, 0.3, 0.1, 0.2, TTW_CHART))
         # the parameter type picks the chart, so a DC point fails oscillator params
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError):
             ab_quantities(ttw_params("1"), dc_setup("1")[3])
 
     def test_unknown_variant(self):

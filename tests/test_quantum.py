@@ -256,7 +256,7 @@ class TestSchrodingerResidual:
     def test_second_order_convergence(self, k_text, alpha, beta, n, m):
         p = DCParams(Q=1.0, alpha=alpha, beta=beta, k=RationalIndex.from_string(k_text))
         spec = bound_state(p, n, m)
-        grid = default_grid(spec)
+        grid = default_grid(spec, 380, 260)
         coarse = schrodinger_residual(spec, grid)
         fine = schrodinger_residual(spec, grid.refined())
         assert 2.5 < coarse / fine < 6.5
@@ -278,7 +278,7 @@ class TestSchrodingerResidual:
             return (r ** sqrtA * np.exp(+kappa * r)
                     * np.cos(0.5 * phi) * np.sin(0.5 * phi))
 
-        res = dc_operator_residual(p, spec.E, wrong, default_grid(spec))
+        res = dc_operator_residual(p, spec.E, wrong, default_grid(spec, 380, 260))
         assert res > 1e-1
 
     def test_wrong_energy_rejected(self):
@@ -286,7 +286,7 @@ class TestSchrodingerResidual:
         spec = bound_state(p, 0, 0)
         res = dc_operator_residual(p, spec.E * 1.05,
                                    lambda r, phi: wavefunction(spec, r, phi),
-                                   default_grid(spec))
+                                   default_grid(spec, 380, 260))
         assert res > 1e-2
 
     def test_known_failing_state_is_discretization_error(self):

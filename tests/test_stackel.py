@@ -277,7 +277,8 @@ class TestParameterExchange:
         p = TTWParams(omega2=1.0, alpha=0.2, beta=0.3, k=RationalIndex(1))
         dc, _ = ttw_to_dc(p, -1.0)
         assert dc.Q < 0
-        assert not validate_bounded(dc, -0.5, 0.5).rows["Q_positive"]
+        with pytest.raises(DomainError, match="'Q_positive'"):
+            validate_bounded(dc, -0.5, 0.5)
 
 
 class TestTrajectoryMap:

@@ -20,6 +20,7 @@ from superint.systems import (
     _radial_kernel,
     angular_turning_points,
     bounded_dc_state,
+    discriminants,
     energy_and_invariant,
     hamilton_kernel,
     hamiltonian,
@@ -394,32 +395,79 @@ class TestTurningPoints:
         assert u1 * u2 == pytest.approx(alpha * k2 / (4 * A), rel=1e-10, abs=1e-13)
 
 
-class TestBoundednessReport:
+def _bounded_shells(rng, draws):
+    """Constants over Q in [0.5, 3], -E in [0.05, 1], alpha, beta in [0.01, 1] and six k,
+    kept when they pass the gate."""
+    for i in range(draws):
+        p = DCParams(Q=rng.uniform(0.5, 3.0), alpha=rng.uniform(0.01, 1.0),
+                     beta=rng.uniform(0.01, 1.0),
+                     k=RationalIndex.from_string(["1", "2", "3", "1/2", "3/2", "2/3"][i % 6]))
+        E = -rng.uniform(0.05, 1.0)
+        A = rng.uniform(0.0, p.Q ** 2 / (-4.0 * E))
+        try:
+            validate_bounded(p, E, A)
+        except DomainError:
+            continue
+        yield p, E, A
+
+
+class TestValidateBounded:
     def test_all_rows_pass(self):
         p = DCParams(Q=1.0, alpha=0.1, beta=0.1, k=RationalIndex(1))
-        report = validate_bounded(p, -0.1, 1.0)
-        assert report.D1 == pytest.approx(0.6)
-        assert report.all_passed
-        assert 0 < report.u1 < report.u2 < 1
-        assert 0 < report.r1 < report.r2
+        D1, _ = validate_bounded(p, -0.1, 1.0)
+        assert D1 == pytest.approx(0.6)
+        u1, u2 = angular_turning_points(p, 1.0)
+        r1, r2 = radial_turning_points(p.Q, -0.1, 1.0)
+        assert 0 < u1 < u2 < 1
+        assert 0 < r1 < r2
 
     def test_positive_energy_fails(self):
         p = DCParams(Q=1.0, alpha=0.1, beta=0.1, k=RationalIndex(1))
-        report = validate_bounded(p, 1.0, 1.0)
-        assert not report.rows["E_negative"]
-        assert report.r2 is None  # no outer turning point to report
+        with pytest.raises(DomainError, match=r"no bounded orbit: fails the rows \['E_negative'\]$"):
+            validate_bounded(p, 1.0, 1.0)
 
     def test_zero_alpha_fails_its_row(self):
         p = DCParams(Q=1.0, alpha=0.0, beta=0.1, k=RationalIndex(1))
-        report = validate_bounded(p, -0.1, 1.0)
-        assert not report.rows["alpha_positive"]
-        assert "alpha_positive" in report.failed()
+        with pytest.raises(DomainError, match=r"fails the rows \['alpha_positive'\]$"):
+            validate_bounded(p, -0.1, 1.0)
+
+    def test_every_failed_row_is_named_in_order(self):
+        p = DCParams(Q=-1.0, alpha=0.0, beta=0.1, k=RationalIndex(1))
+        with pytest.raises(DomainError,
+                           match=r"fails the rows \['Q_positive', 'E_negative', 'alpha_positive'\]$"):
+            validate_bounded(p, 1.0, 1.0)
+
+    def test_passing_shell_returns_the_discriminants(self, rng):
+        shells = list(_bounded_shells(rng, 200))
+        assert len(shells) > 50
+        for p, E, A in shells:
+            assert validate_bounded(p, E, A) == discriminants(p, E, A)
 
     def test_shell_state_reproduces_constants(self):
         p = DCParams(Q=1.0, alpha=0.2, beta=0.3, k=RationalIndex(3, 2))
         pt = bounded_dc_state(p, -0.2, 0.9, r_frac=0.3, u_frac=0.7)
         assert hamiltonian(pt, p) == pytest.approx(-0.2, abs=1e-13)
         assert angular_invariant(pt, p) == pytest.approx(0.9, abs=1e-13)
+
+    def test_turning_point_corners_build_on_the_shell(self, rng):
+        # at a turning point a momentum square is a difference of terms of size A
+        # (angular) or Q/r (radial) that rounds to a little below 0: it reads 0
+        built = 0
+        for p, E, A in _bounded_shells(rng, 1500):
+            for r_frac in (0.0, 1.0):
+                for u_frac in (0.0, 1.0):
+                    H, L = energy_and_invariant(bounded_dc_state(p, E, A, r_frac, u_frac), p)
+                    assert H == pytest.approx(E, rel=1e-10) and L == pytest.approx(A, rel=1e-10)
+                    built += 1
+        assert built > 2000
+
+    def test_an_angle_short_of_the_wall_still_raises(self):
+        # Q = 1e4 at k = 2: the float angle cannot reach the wall, and there
+        # p_phi^2 = -1.3e-3 A, no rounding
+        p = DCParams(Q=1e4, alpha=0.1463082726435886, beta=0.001182222066641795,
+                     k=RationalIndex(2))
+        with pytest.raises(DomainError, match="negative momentum square"):
+            bounded_dc_state(p, -1e-3, 9012473933.936289, r_frac=0.35, u_frac=1.0)
 
 
 def _params_from_text(text):
