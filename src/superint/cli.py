@@ -358,11 +358,7 @@ def cmd_orbit_residual(args) -> Outcome:
     rows = list(zip(tt.tolist(), r.tolist(), phi.tolist(), residual.tolist()))
     _write_csv(args, "orbit_residual.csv", "t,r,phi,residual", rows)
     worst = max(abs(row[3]) for row in rows)
-    # off-orbit negative control, the quarter point of [r1, r2] farther from the sample
-    s = traj.at_time(0.13 * T)
-    r1, r2 = dynamics.radial_turning_points(params.Q, consts.E, consts.A)
-    r_pert = r1 + 0.25 * (r2 - r1) if s.q1 > 0.5 * (r1 + r2) else r2 - 0.25 * (r2 - r1)
-    control = abs(dynamics.orbit_residual(params, consts, r_pert, s.q2))
+    control = dynamics.off_orbit_control(params, consts, traj)
     return [
         _criterion("max_on_orbit_residual", worst, args.tol),
         _criterion("off_orbit_control", control, 1e-3, passed=control > 1e-3),

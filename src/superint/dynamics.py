@@ -35,7 +35,6 @@ from .errors import DegenerateOrbitError, DomainError, IntegrationError
 from .systems import (
     DCParams,
     PhasePoint,
-    discriminants,
     energy_and_invariant,
     hamilton_kernel,
     hamiltonian,
@@ -357,6 +356,9 @@ class Trajectory:
 class OrbitConstants:
     """Separation constants and phases fixing one bounded orbit.
 
+    D1 = Q^2 + 4AE and D2 are the discriminants that systems.validate_bounded
+    returned for (E, A), both > 0, and r1 <= r2 the radial turning points
+    (systems.radial_turning_points); the orbit formulas read them from here.
     C is the phase of the orbit equation and delta1 that of the radial time
     law -X_t = sin(4 (-E)^{3/2} (t + delta1) / Q + 2 sqrt(-E) r p_r / Q),
     X_t = (-2 E r - Q) / sqrt(D1).  Read off the state x(t) of one orbit,
@@ -365,6 +367,10 @@ class OrbitConstants:
 
     E: float
     A: float
+    D1: float
+    D2: float
+    r1: float
+    r2: float
     delta1: float
     C: float
 
@@ -633,15 +639,13 @@ def closure_check(params: DCParams, initial: PhasePoint, max_radial_periods: int
 
 # --- closed-form trajectory equations -------------------------------------
 
-def _arcsin_arguments(params: DCParams, E, A, r, phi):
+def _arcsin_arguments(params: DCParams, A, D1, D2, r, phi):
     """The pair (X_r, X_phi) entering the orbit and phase equations.
 
+    D1 and D2 are the discriminants of the bounded-orbit gate, both > 0.
     The angular argument carries k^2 (alpha - beta) / 4; turning-point
     algebra forces this sign (X_phi = +-1 exactly at u = u1, u2).
     """
-    D1, D2 = discriminants(params, E, A)
-    if D1 <= 0.0 or D2 <= 0.0:
-        raise DomainError("orbit equations need D1 > 0 and D2 > 0")
     k = params.k.value
     X_r = (2.0 * A - params.Q * r) / (r * math.sqrt(D1))
     s = np.sin(0.5 * k * phi)
@@ -656,18 +660,19 @@ def orbit_residual(params: DCParams, consts: OrbitConstants, r, phi):
     The square-root factor in the closed form carries the sign of p_phi,
     which flips at every angular turning point; a position alone does not
     fix it, so the residual takes the sign of smaller magnitude and
-    vanishes along the whole orbit fixed by consts.  The function is
-    exactly periodic in phi with period 2 pi / k.  T_c takes any X_r, and
-    the angular root takes the positive part of its radicand, so a sample
-    that state error puts just past an angular turning point reads as at
-    it.  A point off the radial annulus reads |residual| >= T_c(|X_r|) - 1
-    > 0, and NaN stays NaN.  Operators and ufuncs apply to r and phi as
-    given: floats give a float, arrays an array of the same values.  r must
-    be positive: at r = 0 a float raises ZeroDivisionError, while an array
-    reads X_r = inf there, so -inf for c <= 2 and NaN from c = 3 on.
+    vanishes along the whole orbit fixed by consts, whose D1 and D2 it
+    reads.  The function is exactly periodic in phi with period 2 pi / k.
+    T_c takes any X_r, and the angular root takes the positive part of its
+    radicand, so a sample that state error puts just past an angular
+    turning point reads as at it.  A point off the radial annulus reads
+    |residual| >= T_c(|X_r|) - 1 > 0, and NaN stays NaN.  Operators and
+    ufuncs apply to r and phi as given: floats give a float, arrays an
+    array of the same values.  r must be positive: at r = 0 a float
+    divides by zero (ZeroDivisionError), while an array reads X_r = inf
+    there, so -inf for c <= 2 and NaN from c = 3 on.
     """
     c, d = params.k.c, params.k.d
-    X_r, X_phi = _arcsin_arguments(params, consts.E, consts.A, r, phi)
+    X_r, X_phi = _arcsin_arguments(params, consts.A, consts.D1, consts.D2, r, phi)
     cheb = specfun.chebyshev_recurrence
     base = -cheb(c, X_r) + math.cos(consts.C) * cheb(d, X_phi)
     radicand = 1.0 - X_phi * X_phi
@@ -687,14 +692,16 @@ def orbit_constants_from_point(params: DCParams, point: PhasePoint) -> OrbitCons
     Each angle is then one atan2 of a cosine and a signed sine, so C and
     delta1 hold on every momentum branch, with no integration and no
     branch trial.  A point failing a bounded-motion row (D1 > 0 among them)
-    raises DomainError.
+    raises DomainError; the constants carry the gate's D1 and D2 and the
+    radial turning points.
     """
     E, A = energy_and_invariant(point, params)
     D1, D2 = validate_bounded(params, E, A)
+    r1, r2 = radial_turning_points(params.Q, E, A)
 
     Q, k, c, d = params.Q, params.k.value, params.k.c, params.k.d
     r, phi, p_r, p_phi = point.q1, point.q2, point.p1, point.p2
-    X_r, X_phi = _arcsin_arguments(params, E, A, r, phi)
+    X_r, X_phi = _arcsin_arguments(params, A, D1, D2, r, phi)
     sqrtA, sqrtD1, sqrtD2 = math.sqrt(A), math.sqrt(D1), math.sqrt(D2)
     C = (d * math.atan2(sqrtA * p_phi * math.sin(k * phi) / sqrtD2, X_phi)
          + c * math.atan2(2.0 * sqrtA * p_r / sqrtD1, X_r))
@@ -702,4 +709,19 @@ def orbit_constants_from_point(params: DCParams, point: PhasePoint) -> OrbitCons
     radial = 2.0 * math.sqrt(-E) * r * p_r
     X_t = (-2.0 * E * r - Q) / sqrtD1
     delta1 = Q / (4.0 * (-E) ** 1.5) * (math.atan2(-X_t, -radial / sqrtD1) - radial / Q)
-    return OrbitConstants(E=E, A=A, delta1=delta1, C=C)
+    return OrbitConstants(E=E, A=A, D1=D1, D2=D2, r1=r1, r2=r2, delta1=delta1, C=C)
+
+
+def off_orbit_control(params: DCParams, consts: OrbitConstants, traj: Trajectory) -> float:
+    """|orbit residual| at a point off the orbit: the negative control of the orbit equation.
+
+    The sample is the run's state at t = min(0.13 T_r, end of the run), so
+    a short run is read at its end, never extrapolated past it.  The control
+    point keeps the sample's phi and moves r to the quarter point of
+    [r1, r2] farther from it, inside the annulus and off the orbit.
+    """
+    T_r = radial_period_closed_form(params.Q, consts.E)
+    s = traj.at_time(min(0.13 * T_r, traj.t[-1]))
+    r1, r2 = consts.r1, consts.r2
+    r = r1 + 0.25 * (r2 - r1) if s.q1 > 0.5 * (r1 + r2) else r2 - 0.25 * (r2 - r1)
+    return abs(orbit_residual(params, consts, r, s.q2))

@@ -234,16 +234,14 @@ def discriminants(p: DCParams, E: float, A: float) -> tuple[float, float]:
 
 
 def radial_turning_points(Q: float, E: float, A: float) -> tuple[float, float]:
-    """The two roots of E r^2 + Q r - A = 0, ordered r1 <= r2."""
+    """The two roots of E r^2 + Q r - A = 0, ordered r1 <= r2 as -2E > 0."""
     D1 = Q * Q + 4.0 * A * E
     if D1 <= 0.0:
         raise DomainError(f"no real radial turning points (D1 = {D1})")
     if E >= 0.0:
         raise DomainError("unbounded radial motion (E >= 0)")
     root = math.sqrt(D1)
-    r1 = (Q - root) / (-2.0 * E)
-    r2 = (Q + root) / (-2.0 * E)
-    return (r1, r2) if r1 <= r2 else (r2, r1)
+    return (Q - root) / (-2.0 * E), (Q + root) / (-2.0 * E)
 
 
 def angular_turning_points(p: DCParams, A: float) -> tuple[float, float]:

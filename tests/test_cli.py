@@ -76,6 +76,22 @@ class TestCommands:
         control = next(c for c in summary["criteria"] if c["name"] == "off_orbit_control")
         assert control["value"] > 1e-3
 
+    def test_orbit_residual_control_sample_lies_inside_a_short_run(self, tmp_path, monkeypatch):
+        # a run shorter than 0.13 T_r takes the control sample at its end, not off
+        # the dense output extrapolated past it
+        reads = []
+        at_time = dynamics.Trajectory.at_time
+
+        def recording_at_time(traj, t):
+            reads.append((t, traj.t[-1]))
+            return at_time(traj, t)
+
+        monkeypatch.setattr(dynamics.Trajectory, "at_time", recording_at_time)
+        code, out = run(tmp_path, "orbit-residual", "--k", "3/2", "--Q", "1", "--alpha", "0.2",
+                        "--beta", "0.3", "--E", "-0.2", "--A", "0.9", "--periods", "0.05")
+        assert code == EXIT_PASS
+        assert reads and all(t <= t_end for t, t_end in reads)
+
     def test_stackel_verify(self, tmp_path):
         code, out = run(tmp_path, "stackel-verify", "--k", "3/2", "--omega2", "1",
                         "--alpha", "0.2", "--beta", "0.3", "--n-points", "50")

@@ -15,6 +15,7 @@ from superint.dynamics import (
     closure_check,
     integrate,
     measure_radial_period,
+    off_orbit_control,
     radial_maxima_times,
     orbit_constants_from_point,
     orbit_residual,
@@ -900,6 +901,23 @@ class TestOrbitConstants:
             assert X_r == pytest.approx(expected, abs=1e-12)
             assert X_t == pytest.approx(-expected, abs=1e-12)
 
+    @pytest.mark.parametrize("k_text", ["1", "3/2", "2/3", "2"])
+    def test_carries_the_gate_discriminants_and_turning_points(self, k_text):
+        params, E, A, pt = dc_setup(k_text)
+        consts = orbit_constants_from_point(params, pt)
+        D1, D2 = validate_bounded(params, consts.E, consts.A)
+        r1, r2 = radial_turning_points(params.Q, consts.E, consts.A)
+        assert np.array_equal(_bits([consts.D1, consts.D2, consts.r1, consts.r2]),
+                              _bits([D1, D2, r1, r2]))
+
+    @pytest.mark.parametrize("k_text", ["1", "3/2", "2/3", "2"])
+    def test_orbit_residual_reads_the_carried_discriminant(self, k_text):
+        # the residual takes D1 from the constants, not recomputed from (E, A)
+        params, E, A, pt = dc_setup(k_text)
+        consts = orbit_constants_from_point(params, pt)
+        assert abs(orbit_residual(params, consts, pt.q1, pt.q2)) < 1e-10
+        assert abs(orbit_residual(params, replace(consts, D1=4 * consts.D1), pt.q1, pt.q2)) > 1e-3
+
     @pytest.mark.parametrize("k_text, sign_r, sign_phi",
                              [_branch_case(*orbit) for orbit in PHASE_ORBITS])
     def test_phases_read_anywhere_on_the_orbit_agree(self, k_text, sign_r, sign_phi):
@@ -977,10 +995,7 @@ class TestOrbitEquation:
         consts = orbit_constants_from_point(params, pt)
         T = radial_period_closed_form(params.Q, E)
         traj = integrate(params, pt, T, tol=1e-12)
-        r1, r2 = radial_turning_points(params.Q, E, A)
-        s = traj.at_time(0.13 * T)
-        r_pert = r1 + 0.25 * (r2 - r1) if s.q1 > 0.5 * (r1 + r2) else r2 - 0.25 * (r2 - r1)
-        assert abs(orbit_residual(params, consts, r_pert, s.q2)) > 1e-3
+        assert off_orbit_control(params, consts, traj) > 1e-3
 
     @pytest.mark.parametrize("where", ["inside_r1", "outside_r2"])
     def test_off_annulus_point_reads_a_large_residual(self, k_text, sign_r, sign_phi, where):
@@ -991,7 +1006,7 @@ class TestOrbitEquation:
         r1, r2 = radial_turning_points(params.Q, E, A)
         r = 0.9 * r1 if where == "inside_r1" else 1.1 * r2
         residual = orbit_residual(params, consts, r, pt.q2)
-        X_r = dynamics._arcsin_arguments(params, E, A, r, pt.q2)[0]
+        X_r = dynamics._arcsin_arguments(params, consts.A, consts.D1, consts.D2, r, pt.q2)[0]
         floor = math.cosh(params.k.c * math.acosh(abs(X_r))) - 1.0
         assert math.isfinite(residual) and floor > 1e-3
         assert abs(residual) >= floor * (1.0 - 1e-12)
@@ -1006,7 +1021,7 @@ class TestOrbitEquation:
         for u in angular_turning_points(params, A):
             turn = 2.0 * math.acos(math.sqrt(u)) / k
             phi = np.array([turn - 1e-9, turn + 1e-9])
-            X_r, X_phi = dynamics._arcsin_arguments(params, E, A, pt.q1, phi)
+            X_r, X_phi = dynamics._arcsin_arguments(params, consts.A, consts.D1, consts.D2, pt.q1, phi)
             past = np.argmax(np.abs(X_phi))
             assert abs(X_phi[past]) > 1.0
             edge = math.copysign(1.0, X_phi[past])
@@ -1051,7 +1066,8 @@ class TestScalarPath:
         assert np.array_equal(_bits(floats), _bits(residual))
         # both recurrences at every degree the residual reads, on the unclamped
         # arguments
-        X = np.concatenate(dynamics._arcsin_arguments(params, consts.E, consts.A, r, phi))
+        X = np.concatenate(dynamics._arcsin_arguments(params, consts.A, consts.D1, consts.D2,
+                                                     r, phi))
         for n, second_kind in ((c, False), (d, False), (d - 1, True), (0, False)):
             values = specfun.chebyshev_recurrence(n, X, second_kind)
             floats = [specfun.chebyshev_recurrence(n, x, second_kind) for x in X.tolist()]
