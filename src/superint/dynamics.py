@@ -35,10 +35,12 @@ from .errors import DegenerateOrbitError, DomainError, IntegrationError
 from .systems import (
     DCParams,
     PhasePoint,
+    Shell,
     energy_and_invariant,
     hamilton_kernel,
     hamiltonian,
-    radial_turning_points,
+    radial_period_closed_form,  # re-exported: perfbench and the scripts call dynamics.<name>
+    radial_turning_points,  # re-exported, as above
     validate_bounded,
 )
 
@@ -356,9 +358,9 @@ class Trajectory:
 class OrbitConstants:
     """Separation constants and phases fixing one bounded orbit.
 
-    D1 = Q^2 + 4AE and D2 are the discriminants that systems.validate_bounded
-    returned for (E, A), both > 0, and r1 <= r2 the radial turning points
-    (systems.radial_turning_points); the orbit formulas read them from here.
+    shell is the Shell that systems.validate_bounded returned for (E, A);
+    the orbit formulas read its discriminants D1 = Q^2 + 4AE and D2, the
+    radial turning points r1 <= r2 and the radial period T_r from it.
     C is the phase of the orbit equation and delta1 that of the radial time
     law -X_t = sin(4 (-E)^{3/2} (t + delta1) / Q + 2 sqrt(-E) r p_r / Q),
     X_t = (-2 E r - Q) / sqrt(D1).  Read off the state x(t) of one orbit,
@@ -367,10 +369,7 @@ class OrbitConstants:
 
     E: float
     A: float
-    D1: float
-    D2: float
-    r1: float
-    r2: float
+    shell: Shell
     delta1: float
     C: float
 
@@ -531,15 +530,6 @@ def _dense_coefficients(f, t, y, K, idx):
     return F
 
 
-def radial_period_closed_form(Q: float, E: float) -> float:
-    """Q pi / (2 (-E)^(3/2)), the exact radial period of the bounded motion."""
-    if E >= 0.0:
-        raise DomainError("radial motion is unbounded for E >= 0")
-    if Q <= 0.0:
-        raise DomainError("need Q > 0 for a bounded well")
-    return Q * math.pi / (2.0 * (-E) ** 1.5)
-
-
 def radial_maxima_times(traj: Trajectory) -> np.ndarray:
     """Times of the local maxima of q1(t), as the zeros where p1 turns negative.
 
@@ -591,14 +581,15 @@ def closure_check(params: DCParams, initial: PhasePoint, max_radial_periods: int
     """Read the return to the start at each radial period's end, n = 1, ..., max_radial_periods.
 
     With A = p_phi^2 + B conserved, (r, p_r) is a one-dimensional Kepler
-    motion of exact period T_r = Q pi / (2 (-E)^(3/2)), so the state can
-    return only at t = n T_r.  Each pass runs the step loop of integrate
-    over exactly T_r from the previous pass's last accepted state and scores
-    its end state, so no stretch of orbit is integrated twice, and no dense
-    output, Trajectory or energy pass is built.  The loop stops at the first
-    n below tol, else reports the n of least distance, with period_total =
-    n T_r; no pass at all reports n_radial = 0 at distance inf.  It never
-    reads the predicted first return (d periods for k = c/d).
+    motion of exact period T_r = Q pi / (2 (-E)^(3/2)), the T_r of the
+    gate's shell, so the state can return only at t = n T_r.  Each pass
+    runs the step loop of integrate over exactly T_r from the previous
+    pass's last accepted state and scores its end state, so no stretch of
+    orbit is integrated twice, and no dense output, Trajectory or energy
+    pass is built.  The loop stops at the first n below tol, else reports
+    the n of least distance, with period_total = n T_r; no pass at all
+    reports n_radial = 0 at distance inf.  It never reads the predicted
+    first return (d periods for k = c/d).
 
     The return metric is the Euclidean distance in (r, phi mod 2 pi/k, p_r,
     p_phi), each scaled by its largest magnitude along the orbit so far, p_r
@@ -607,10 +598,7 @@ def closure_check(params: DCParams, initial: PhasePoint, max_radial_periods: int
     other.  The steps of all periods count against one _MAX_STEPS budget;
     past it IntegrationError carries the absolute time and state.
     """
-    E, A = energy_and_invariant(initial, params)
-    validate_bounded(params, E, A)
-
-    T_r = radial_period_closed_form(params.Q, E)
+    T_r = validate_bounded(params, *energy_and_invariant(initial, params)).T_r
     period_phi = 2.0 * math.pi / params.k.value
     y0 = initial.as_array()
     scales = np.abs(y0)
@@ -639,18 +627,18 @@ def closure_check(params: DCParams, initial: PhasePoint, max_radial_periods: int
 
 # --- closed-form trajectory equations -------------------------------------
 
-def _arcsin_arguments(params: DCParams, A, D1, D2, r, phi):
+def _arcsin_arguments(params: DCParams, A, shell: Shell, r, phi):
     """The pair (X_r, X_phi) entering the orbit and phase equations.
 
-    D1 and D2 are the discriminants of the bounded-orbit gate, both > 0.
+    D1 and D2 are the shell's discriminants, both > 0.
     The angular argument carries k^2 (alpha - beta) / 4; turning-point
     algebra forces this sign (X_phi = +-1 exactly at u = u1, u2).
     """
     k = params.k.value
-    X_r = (2.0 * A - params.Q * r) / (r * math.sqrt(D1))
+    X_r = (2.0 * A - params.Q * r) / (r * math.sqrt(shell.D1))
     s = np.sin(0.5 * k * phi)
     s2 = s * s  # a numpy float's ** 2 is pow, which may round unlike an array's square
-    X_phi = (2.0 * A * s2 - A + k * k * (params.alpha - params.beta) / 4.0) / math.sqrt(D2)
+    X_phi = (2.0 * A * s2 - A + k * k * (params.alpha - params.beta) / 4.0) / math.sqrt(shell.D2)
     return X_r, X_phi
 
 
@@ -660,8 +648,8 @@ def orbit_residual(params: DCParams, consts: OrbitConstants, r, phi):
     The square-root factor in the closed form carries the sign of p_phi,
     which flips at every angular turning point; a position alone does not
     fix it, so the residual takes the sign of smaller magnitude and
-    vanishes along the whole orbit fixed by consts, whose D1 and D2 it
-    reads.  The function is exactly periodic in phi with period 2 pi / k.
+    vanishes along the whole orbit fixed by consts, whose shell's D1 and
+    D2 it reads.  The function is exactly periodic in phi with period 2 pi / k.
     T_c takes any X_r, and the angular root takes the positive part of its
     radicand, so a sample that state error puts just past an angular
     turning point reads as at it.  A point off the radial annulus reads
@@ -672,7 +660,7 @@ def orbit_residual(params: DCParams, consts: OrbitConstants, r, phi):
     there, so -inf for c <= 2 and NaN from c = 3 on.
     """
     c, d = params.k.c, params.k.d
-    X_r, X_phi = _arcsin_arguments(params, consts.A, consts.D1, consts.D2, r, phi)
+    X_r, X_phi = _arcsin_arguments(params, consts.A, consts.shell, r, phi)
     cheb = specfun.chebyshev_recurrence
     base = -cheb(c, X_r) + math.cos(consts.C) * cheb(d, X_phi)
     radicand = 1.0 - X_phi * X_phi
@@ -692,24 +680,22 @@ def orbit_constants_from_point(params: DCParams, point: PhasePoint) -> OrbitCons
     Each angle is then one atan2 of a cosine and a signed sine, so C and
     delta1 hold on every momentum branch, with no integration and no
     branch trial.  A point failing a bounded-motion row (D1 > 0 among them)
-    raises DomainError; the constants carry the gate's D1 and D2 and the
-    radial turning points.
+    raises DomainError; the constants carry the gate's shell.
     """
     E, A = energy_and_invariant(point, params)
-    D1, D2 = validate_bounded(params, E, A)
-    r1, r2 = radial_turning_points(params.Q, E, A)
+    shell = validate_bounded(params, E, A)
 
     Q, k, c, d = params.Q, params.k.value, params.k.c, params.k.d
     r, phi, p_r, p_phi = point.q1, point.q2, point.p1, point.p2
-    X_r, X_phi = _arcsin_arguments(params, A, D1, D2, r, phi)
-    sqrtA, sqrtD1, sqrtD2 = math.sqrt(A), math.sqrt(D1), math.sqrt(D2)
+    X_r, X_phi = _arcsin_arguments(params, A, shell, r, phi)
+    sqrtA, sqrtD1, sqrtD2 = math.sqrt(A), math.sqrt(shell.D1), math.sqrt(shell.D2)
     C = (d * math.atan2(sqrtA * p_phi * math.sin(k * phi) / sqrtD2, X_phi)
          + c * math.atan2(2.0 * sqrtA * p_r / sqrtD1, X_r))
 
     radial = 2.0 * math.sqrt(-E) * r * p_r
     X_t = (-2.0 * E * r - Q) / sqrtD1
     delta1 = Q / (4.0 * (-E) ** 1.5) * (math.atan2(-X_t, -radial / sqrtD1) - radial / Q)
-    return OrbitConstants(E=E, A=A, D1=D1, D2=D2, r1=r1, r2=r2, delta1=delta1, C=C)
+    return OrbitConstants(E=E, A=A, shell=shell, delta1=delta1, C=C)
 
 
 def off_orbit_control(params: DCParams, consts: OrbitConstants, traj: Trajectory) -> float:
@@ -720,8 +706,8 @@ def off_orbit_control(params: DCParams, consts: OrbitConstants, traj: Trajectory
     point keeps the sample's phi and moves r to the quarter point of
     [r1, r2] farther from it, inside the annulus and off the orbit.
     """
-    T_r = radial_period_closed_form(params.Q, consts.E)
-    s = traj.at_time(min(0.13 * T_r, traj.t[-1]))
-    r1, r2 = consts.r1, consts.r2
+    shell = consts.shell
+    s = traj.at_time(min(0.13 * shell.T_r, traj.t[-1]))
+    r1, r2 = shell.r1, shell.r2
     r = r1 + 0.25 * (r2 - r1) if s.q1 > 0.5 * (r1 + r2) else r2 - 0.25 * (r2 - r1)
     return abs(orbit_residual(params, consts, r, s.q2))

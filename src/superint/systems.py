@@ -225,17 +225,33 @@ def hamiltonian(point: PhasePoint, params) -> float:
     return energy_and_invariant(point, params)[0]
 
 
-def discriminants(p: DCParams, E: float, A: float) -> tuple[float, float]:
-    """D1 = Q^2 + 4AE (radial) and D2 (angular) for the given constants."""
-    k2 = p.k.value ** 2
-    D1 = p.Q ** 2 + 4.0 * A * E
-    D2 = (A - k2 * (p.beta + p.alpha) / 4.0) ** 2 - p.alpha * p.beta * k2 * k2 / 4.0
-    return D1, D2
+@dataclass(frozen=True)
+class Shell:
+    """The bounded (E, A) shell that validate_bounded passed, and nothing else builds.
+
+    D1 = Q^2 + 4AE and D2 are the radial and angular discriminants, both
+    > 0; r1 <= r2 are the radial turning points, u1 <= u2 the bounds of
+    cos^2(k phi / 2) in the angular band, and T_r = Q pi / (2 (-E)^(3/2))
+    the exact radial period.
+    """
+
+    D1: float
+    D2: float
+    r1: float
+    r2: float
+    u1: float
+    u2: float
+    T_r: float
+
+
+def _radial_discriminant(Q: float, E: float, A: float) -> float:
+    """D1 = Q^2 + 4AE, with Q^2 the correctly rounded Q * Q."""
+    return Q * Q + 4.0 * A * E
 
 
 def radial_turning_points(Q: float, E: float, A: float) -> tuple[float, float]:
     """The two roots of E r^2 + Q r - A = 0, ordered r1 <= r2 as -2E > 0."""
-    D1 = Q * Q + 4.0 * A * E
+    D1 = _radial_discriminant(Q, E, A)
     if D1 <= 0.0:
         raise DomainError(f"no real radial turning points (D1 = {D1})")
     if E >= 0.0:
@@ -244,32 +260,26 @@ def radial_turning_points(Q: float, E: float, A: float) -> tuple[float, float]:
     return (Q - root) / (-2.0 * E), (Q + root) / (-2.0 * E)
 
 
-def angular_turning_points(p: DCParams, A: float) -> tuple[float, float]:
-    """Roots u1 <= u2 of the quadratic bounding cos^2(k phi / 2)."""
-    _, D2 = discriminants(p, 0.0, A)
-    if D2 <= 0.0:
-        raise DomainError(f"no real angular turning points (D2 = {D2})")
-    if A == 0.0:
-        raise DomainError("angular quadratic degenerates at A = 0")
-    k2 = p.k.value ** 2
-    b = A + (p.alpha - p.beta) * k2 / 4.0
-    cterm = p.alpha * k2 / 4.0
-    root = math.sqrt(D2)
-    # stable quadratic roots of A u^2 - b u + cterm = 0
-    q = 0.5 * (b + root) if b >= 0.0 else 0.5 * (b - root)
-    u_big = q / A
-    u_small = cterm / q if q != 0.0 else (b - root) / (2.0 * A)
-    return (u_small, u_big) if u_small <= u_big else (u_big, u_small)
+def radial_period_closed_form(Q: float, E: float) -> float:
+    """Q pi / (2 (-E)^(3/2)), the exact radial period of the bounded motion."""
+    if E >= 0.0:
+        raise DomainError("radial motion is unbounded for E >= 0")
+    if Q <= 0.0:
+        raise DomainError("need Q > 0 for a bounded well")
+    return Q * math.pi / (2.0 * (-E) ** 1.5)
 
 
-def validate_bounded(p: DCParams, E: float, A: float) -> tuple[float, float]:
-    """The one bounded-orbit gate: (D1, D2) if (E, A) pass every restriction.
+def validate_bounded(p: DCParams, E: float, A: float) -> Shell:
+    """The one bounded-orbit gate: the Shell of (E, A) if they pass every restriction.
 
     The rows are checked in a fixed order, and DomainError names every one
-    that fails.
+    that fails.  On a pass, b = A + k^2 (alpha - beta) / 4 > 0 by the
+    angular gap, so u1, u2 are the stable roots q / A and c / q of
+    A u^2 - b u + c = 0, c = alpha k^2 / 4, with q = (b + sqrt(D2)) / 2 > 0.
     """
-    D1, D2 = discriminants(p, E, A)
     k2 = p.k.value ** 2
+    D1 = _radial_discriminant(p.Q, E, A)
+    D2 = (A - k2 * (p.beta + p.alpha) / 4.0) ** 2 - p.alpha * p.beta * k2 * k2 / 4.0
     rows = {
         "D1_positive": D1 > 0.0,
         "Q_positive": p.Q > 0.0,
@@ -283,24 +293,27 @@ def validate_bounded(p: DCParams, E: float, A: float) -> tuple[float, float]:
     failed = [name for name, ok in rows.items() if not ok]
     if failed:
         raise DomainError(f"no bounded orbit: fails the rows {failed}")
-    return D1, D2
+    r1, r2 = radial_turning_points(p.Q, E, A)
+    q = 0.5 * (A + (p.alpha - p.beta) * k2 / 4.0 + math.sqrt(D2))
+    u1, u2 = sorted((p.alpha * k2 / 4.0 / q, q / A))
+    return Shell(D1=D1, D2=D2, r1=r1, r2=r2, u1=u1, u2=u2,
+                 T_r=radial_period_closed_form(p.Q, E))
 
 
 def bounded_dc_state(p: DCParams, E: float, A: float, r_frac: float,
                      u_frac: float) -> PhasePoint:
     """Construct a phase point on the (E, A) shell of a bounded orbit.
 
-    r_frac and u_frac place the point inside the radial annulus and the
-    angular band; both momenta are non-negative.  At a turning point a
+    r_frac and u_frac place the point inside the radial annulus [r1, r2]
+    and the angular band [u1, u2] of cos^2(k phi / 2), both read from the
+    gate's shell; both momenta are non-negative.  At a turning point a
     momentum square is a difference of terms of size A (angular) and Q/r
     (radial), so a negative part below 1e-10 of that size is rounding and
     reads as 0.
     """
-    validate_bounded(p, E, A)
-    r1, r2 = radial_turning_points(p.Q, E, A)
-    u1, u2 = angular_turning_points(p, A)
-    r = r1 + r_frac * (r2 - r1)
-    u = u1 + u_frac * (u2 - u1)
+    shell = validate_bounded(p, E, A)
+    r = shell.r1 + r_frac * (shell.r2 - shell.r1)
+    u = shell.u1 + u_frac * (shell.u2 - shell.u1)
     k = p.k.value
     phi = 2.0 * math.acos(math.sqrt(u)) / k
     pphi2 = A - _barrier(p, phi)[0]

@@ -105,6 +105,16 @@ class TestCommands:
         assert summary["data"]["E_0_0"] == pytest.approx(-1.0 / 9.0, rel=1e-14)
         assert (out / "spectrum.csv").exists()
 
+    def test_spectrum_reads_its_tol(self, tmp_path):
+        # the two energy forms differ by 4.8e-16 here: above --tol 0, below the default
+        argv = ["spectrum", "--k", "2/3", "--a", "1.1", "--b", "2.9", "--Q", "0.7",
+                "--n-max", "4", "--m-max", "4"]
+        code, out = run(tmp_path, *argv, "--tol", "0")
+        assert code == EXIT_CRITERION
+        criterion = read_summary(out, "spectrum")["criteria"][0]
+        assert criterion["threshold"] == 0.0 and 0.0 < criterion["value"] < 1e-14
+        assert run(tmp_path, *argv)[0] == EXIT_PASS
+
     def test_degeneracy_integer_index(self, tmp_path):
         code, out = run(tmp_path, "degeneracy", "--k", "2", "--N-max", "50")
         assert code == EXIT_PASS
@@ -121,6 +131,19 @@ class TestCommands:
         code, out = run(tmp_path, "wavefunction-residual", "--k", "1", "--Q", "1",
                         "--alpha", "0", "--beta", "0", "--n", "0", "--m", "0")
         assert code == EXIT_PASS
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n, m", [("0", "150"), ("400", "0")])
+    def test_criterion_measured_nan_is_a_numerical_failure(self, tmp_path, capsys, n, m):
+        # q1 ** sqrt(A) overflows at m = 150, the Laguerre recurrence at n = 400:
+        # the library returns a NaN residual, on which no verdict is written
+        code, out = run(tmp_path, "wavefunction-residual", "--k", "1", "--Q", "1",
+                        "--alpha", "0.2", "--beta", "0.3", "--n", n, "--m", m,
+                        "--grid-r", "50", "--grid-phi", "40")
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == ("numerical failure: criteria "
+                                           "['residual', 'h2_convergence_ratio'] measured NaN\n")
+        assert not any(out.iterdir())
 
     def test_orthogonality(self, tmp_path):
         code, out = run(tmp_path, "orthogonality", "--k", "1", "--Q", "1",
@@ -162,8 +185,9 @@ class TestContract:
                      ["trajectory", "--family", "dc", "--k", "1", "--Q", "1",
                       "--alpha", "0", "--beta", "0", "--q1", "1", "--q2", "1",
                       "--p1=-0.8", "--p2", "0", "--t-end", "10"]):
-            code, _ = run(tmp_path, *argv)
+            code, out = run(tmp_path, *argv)
             assert code == EXIT_NUMERICAL, argv
+            assert not any(out.glob("*_summary.json")), argv
 
     def test_criterion_failure_exit_code(self, tmp_path):
         # an impossibly tight closure tolerance must fail, not error
@@ -785,6 +809,18 @@ def test_constants_of_no_bounded_orbit_exit_usage(tmp_path, capsys, argv, flags,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flags[0]}") and all(flag in err for flag in flags)
     assert all(f"'{row}'" in err for row in rows)
+    assert not any(out.iterdir())
+
+
+def test_a_start_on_no_d1_exits_usage_at_the_gate(tmp_path, capsys):
+    # Q ** 2 rounds one ulp above Q * Q here, and D1 = Q * Q + 4AE = 0.0: the
+    # gate's D1_positive row decides, with no second D1 behind the turning points
+    code, out = run(tmp_path, "closure", "--k", "1", "--Q", "2.8556193209639056",
+                    "--alpha", "0.05", "--beta", "0.07", "--E=-2.6078395571769417",
+                    "--A", "0.7817353720841913")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(
+        ": no bounded orbit: fails the rows ['D1_positive']\n")
     assert not any(out.iterdir())
 
 

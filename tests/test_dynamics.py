@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,11 +29,9 @@ from superint.systems import (
     DCParams,
     PhasePoint,
     RationalIndex,
-    angular_turning_points,
     bounded_dc_state,
     hamilton_kernel,
     hamiltonian,
-    radial_turning_points,
     validate_bounded,
 )
 
@@ -893,22 +891,20 @@ class TestOrbitConstants:
     def test_turning_point_argument_is_unit(self):
         # X_r of the orbit equation and X_t of the time law
         params, E, A, pt = dc_setup("1")
-        r1, r2 = radial_turning_points(params.Q, E, A)
+        shell = validate_bounded(params, E, A)
         D1 = params.Q ** 2 + 4 * A * E
-        for r, expected in ((r1, 1.0), (r2, -1.0)):
+        for r, expected in ((shell.r1, 1.0), (shell.r2, -1.0)):
             X_r = (2 * A - params.Q * r) / (r * math.sqrt(D1))
             X_t = (-2 * E * r - params.Q) / math.sqrt(D1)
             assert X_r == pytest.approx(expected, abs=1e-12)
             assert X_t == pytest.approx(-expected, abs=1e-12)
 
     @pytest.mark.parametrize("k_text", ["1", "3/2", "2/3", "2"])
-    def test_carries_the_gate_discriminants_and_turning_points(self, k_text):
+    def test_carries_the_gate_shell(self, k_text):
         params, E, A, pt = dc_setup(k_text)
         consts = orbit_constants_from_point(params, pt)
-        D1, D2 = validate_bounded(params, consts.E, consts.A)
-        r1, r2 = radial_turning_points(params.Q, consts.E, consts.A)
-        assert np.array_equal(_bits([consts.D1, consts.D2, consts.r1, consts.r2]),
-                              _bits([D1, D2, r1, r2]))
+        assert np.array_equal(_bits(astuple(consts.shell)),
+                              _bits(astuple(validate_bounded(params, consts.E, consts.A))))
 
     @pytest.mark.parametrize("k_text", ["1", "3/2", "2/3", "2"])
     def test_orbit_residual_reads_the_carried_discriminant(self, k_text):
@@ -916,7 +912,8 @@ class TestOrbitConstants:
         params, E, A, pt = dc_setup(k_text)
         consts = orbit_constants_from_point(params, pt)
         assert abs(orbit_residual(params, consts, pt.q1, pt.q2)) < 1e-10
-        assert abs(orbit_residual(params, replace(consts, D1=4 * consts.D1), pt.q1, pt.q2)) > 1e-3
+        wrong = replace(consts, shell=replace(consts.shell, D1=4 * consts.shell.D1))
+        assert abs(orbit_residual(params, wrong, pt.q1, pt.q2)) > 1e-3
 
     @pytest.mark.parametrize("k_text, sign_r, sign_phi",
                              [_branch_case(*orbit) for orbit in PHASE_ORBITS])
@@ -1003,10 +1000,9 @@ class TestOrbitEquation:
         # and at least T_c(|X_r|) - 1, with no domain error
         params, E, A, pt = dc_setup(k_text, sign_r, sign_phi)
         consts = orbit_constants_from_point(params, pt)
-        r1, r2 = radial_turning_points(params.Q, E, A)
-        r = 0.9 * r1 if where == "inside_r1" else 1.1 * r2
+        r = 0.9 * consts.shell.r1 if where == "inside_r1" else 1.1 * consts.shell.r2
         residual = orbit_residual(params, consts, r, pt.q2)
-        X_r = dynamics._arcsin_arguments(params, consts.A, consts.D1, consts.D2, r, pt.q2)[0]
+        X_r = dynamics._arcsin_arguments(params, consts.A, consts.shell, r, pt.q2)[0]
         floor = math.cosh(params.k.c * math.acosh(abs(X_r))) - 1.0
         assert math.isfinite(residual) and floor > 1e-3
         assert abs(residual) >= floor * (1.0 - 1e-12)
@@ -1018,10 +1014,10 @@ class TestOrbitEquation:
         params, E, A, pt = dc_setup(k_text, sign_r, sign_phi)
         consts = orbit_constants_from_point(params, pt)
         k, c, d = params.k.value, params.k.c, params.k.d
-        for u in angular_turning_points(params, A):
+        for u in (consts.shell.u1, consts.shell.u2):
             turn = 2.0 * math.acos(math.sqrt(u)) / k
             phi = np.array([turn - 1e-9, turn + 1e-9])
-            X_r, X_phi = dynamics._arcsin_arguments(params, consts.A, consts.D1, consts.D2, pt.q1, phi)
+            X_r, X_phi = dynamics._arcsin_arguments(params, consts.A, consts.shell, pt.q1, phi)
             past = np.argmax(np.abs(X_phi))
             assert abs(X_phi[past]) > 1.0
             edge = math.copysign(1.0, X_phi[past])
@@ -1066,8 +1062,7 @@ class TestScalarPath:
         assert np.array_equal(_bits(floats), _bits(residual))
         # both recurrences at every degree the residual reads, on the unclamped
         # arguments
-        X = np.concatenate(dynamics._arcsin_arguments(params, consts.A, consts.D1, consts.D2,
-                                                     r, phi))
+        X = np.concatenate(dynamics._arcsin_arguments(params, consts.A, consts.shell, r, phi))
         for n, second_kind in ((c, False), (d, False), (d - 1, True), (0, False)):
             values = specfun.chebyshev_recurrence(n, X, second_kind)
             floats = [specfun.chebyshev_recurrence(n, x, second_kind) for x in X.tolist()]

@@ -1,6 +1,6 @@
 import cmath
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -18,13 +18,12 @@ from superint.systems import (
     TTWParams,
     _barrier_kernel,
     _radial_kernel,
-    angular_turning_points,
     bounded_dc_state,
-    discriminants,
     energy_and_invariant,
     hamilton_kernel,
     hamiltonian,
     params_to_text,
+    radial_period_closed_form,
     radial_turning_points,
     random_dc_state,
     random_ttw_state,
@@ -373,16 +372,12 @@ class TestTurningPoints:
         with pytest.raises(DomainError):
             radial_turning_points(1.0, -1.0, 5.0)
 
+    # the angular roots come from the gate's shell; E = -0.01 keeps D1 = 1 - 0.04 A > 0
     def test_angular_roots(self):
         p = DCParams(Q=1.0, alpha=1.0, beta=1.0, k=RationalIndex(2))
-        u1, u2 = angular_turning_points(p, 6.0)
-        assert u1 == pytest.approx(0.5 - math.sqrt(3) / 6, rel=1e-13)
-        assert u2 == pytest.approx(0.5 + math.sqrt(3) / 6, rel=1e-13)
-
-    def test_zero_alpha_pins_inner_root(self):
-        p = DCParams(Q=1.0, alpha=0.0, beta=0.4, k=RationalIndex(2))
-        u1, _ = angular_turning_points(p, 2.0)
-        assert u1 == 0.0
+        shell = validate_bounded(p, -0.01, 6.0)
+        assert shell.u1 == pytest.approx(0.5 - math.sqrt(3) / 6, rel=1e-13)
+        assert shell.u2 == pytest.approx(0.5 + math.sqrt(3) / 6, rel=1e-13)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.02, 0.8), st.floats(0.02, 0.8), st.floats(0.8, 4.0))
@@ -391,8 +386,8 @@ class TestTurningPoints:
         k2 = p.k.value ** 2
         if (A - k2 * (alpha + beta) / 4) ** 2 - alpha * beta * k2 * k2 / 4 <= 0:
             return
-        u1, u2 = angular_turning_points(p, A)
-        assert u1 * u2 == pytest.approx(alpha * k2 / (4 * A), rel=1e-10, abs=1e-13)
+        shell = validate_bounded(p, -0.01, A)
+        assert shell.u1 * shell.u2 == pytest.approx(alpha * k2 / (4 * A), rel=1e-10, abs=1e-13)
 
 
 def _bounded_shells(rng, draws):
@@ -414,12 +409,10 @@ def _bounded_shells(rng, draws):
 class TestValidateBounded:
     def test_all_rows_pass(self):
         p = DCParams(Q=1.0, alpha=0.1, beta=0.1, k=RationalIndex(1))
-        D1, _ = validate_bounded(p, -0.1, 1.0)
-        assert D1 == pytest.approx(0.6)
-        u1, u2 = angular_turning_points(p, 1.0)
-        r1, r2 = radial_turning_points(p.Q, -0.1, 1.0)
-        assert 0 < u1 < u2 < 1
-        assert 0 < r1 < r2
+        shell = validate_bounded(p, -0.1, 1.0)
+        assert shell.D1 == pytest.approx(0.6)
+        assert 0 < shell.u1 < shell.u2 < 1
+        assert 0 < shell.r1 < shell.r2
 
     def test_positive_energy_fails(self):
         p = DCParams(Q=1.0, alpha=0.1, beta=0.1, k=RationalIndex(1))
@@ -437,11 +430,32 @@ class TestValidateBounded:
                            match=r"fails the rows \['Q_positive', 'E_negative', 'alpha_positive'\]$"):
             validate_bounded(p, 1.0, 1.0)
 
-    def test_passing_shell_returns_the_discriminants(self, rng):
+    def test_passing_shell_fields_are_their_closed_forms(self, rng):
+        # bit for bit: D1 = Q Q + 4AE, D2, the radial roots, the stable angular
+        # roots q / A and (alpha k^2 / 4) / q, and T_r = Q pi / (2 (-E)^(3/2))
         shells = list(_bounded_shells(rng, 200))
         assert len(shells) > 50
         for p, E, A in shells:
-            assert validate_bounded(p, E, A) == discriminants(p, E, A)
+            k2 = p.k.value ** 2
+            D2 = (A - k2 * (p.beta + p.alpha) / 4.0) ** 2 - p.alpha * p.beta * k2 * k2 / 4.0
+            q = 0.5 * (A + (p.alpha - p.beta) * k2 / 4.0 + math.sqrt(D2))
+            expected = (p.Q * p.Q + 4.0 * A * E, D2, *radial_turning_points(p.Q, E, A),
+                        *sorted((p.alpha * k2 / 4.0 / q, q / A)),
+                        p.Q * math.pi / (2.0 * (-E) ** 1.5))
+            assert [x.hex() for x in astuple(validate_bounded(p, E, A))] == \
+                [x.hex() for x in expected]
+            assert radial_period_closed_form(p.Q, E) == expected[-1]
+
+    def test_one_written_d1_decides_the_radial_roots(self):
+        # Q ** 2 rounds one ulp above Q * Q here, so D1 = Q * Q + 4AE is 0.0 and
+        # the gate fails D1_positive: no second D1 can pass it and then find no roots
+        p = DCParams(Q=2.8556193209639056, alpha=0.05, beta=0.07, k=RationalIndex(1))
+        E, A = -2.6078395571769417, 0.7817353720841913
+        assert p.Q * p.Q + 4.0 * A * E == 0.0
+        with pytest.raises(DomainError, match=r"fails the rows \['D1_positive'\]$"):
+            validate_bounded(p, E, A)
+        with pytest.raises(DomainError, match="no real radial turning points"):
+            radial_turning_points(p.Q, E, A)
 
     def test_shell_state_reproduces_constants(self):
         p = DCParams(Q=1.0, alpha=0.2, beta=0.3, k=RationalIndex(3, 2))
