@@ -194,15 +194,37 @@ def _laguerre(spec: WavefunctionSpec, x):
     return specfun.laguerre(spec.n, nu, x)
 
 
+# The last angular row's (spec, (shape, bytes), read-only factor).  The
+# streamed residual calls psi on the same phi row for every row block, so
+# with this one entry a grid level evaluates its angular factor once.  The
+# row is keyed by a private copy of its bytes, so a caller that mutates its
+# array in place misses; only rows (every axis but the last of length 1)
+# are kept, so no grid-sized array outlives its call.  The entry is one
+# tuple, read once and replaced whole, so concurrent callers can only miss.
+_angular_memo = None
+
+
 def _angular_factor(spec: WavefunctionSpec, q2):
     """cos^a u sin^b u P_m^{(a-1/2, b-1/2)}(-cos 2u) inside the cell, u = k phi/2 or k theta."""
+    global _angular_memo
+    q2 = np.asarray(q2, dtype=float)
+    row = q2.ndim > 0 and q2.size == q2.shape[-1]
+    if row:
+        key = (q2.shape, q2.tobytes())
+        memo = _angular_memo
+        if memo is not None and memo[1] == key and memo[0] == spec:
+            return memo[2]
     k = spec.params.k.value
-    u = (0.5 * k if isinstance(spec.params, DCParams) else k) * np.asarray(q2, dtype=float)
+    u = (0.5 * k if isinstance(spec.params, DCParams) else k) * q2
     cosu = np.cos(u)
     sinu = np.sin(u)
     if np.any(cosu <= 0.0) or np.any(sinu <= 0.0):
         raise DomainError("wavefunction evaluated on or beyond a wall of the cell")
-    return cosu ** spec.a * sinu ** spec.b * _jacobi(spec, -np.cos(2.0 * u))
+    factor = cosu ** spec.a * sinu ** spec.b * _jacobi(spec, -np.cos(2.0 * u))
+    if row:
+        factor.flags.writeable = False
+        _angular_memo = (spec, key, factor)
+    return factor
 
 
 def _jacobi(spec: WavefunctionSpec, z):
@@ -217,7 +239,9 @@ def wavefunction(spec: WavefunctionSpec, q1, q2):
     0 < theta < pi/(2k), where both gauge factors are positive).  The
     state is the product of its radial and angular factors, so on an
     (n_1, 1) column and a (1, n_2) row it costs O(n_1 + n_2) kernel work
-    and one outer product.
+    and one outer product.  The last row's angular factor is kept, so a
+    call on the same row again (as in every block of the streamed residual)
+    costs only its radial column and the outer product.
     """
     out = _radial_factor(spec, q1) * _angular_factor(spec, q2)
     return out if np.ndim(out) else float(out)
@@ -246,12 +270,14 @@ class GridSpec:
 # Bytes in one psi block of the streamed residual, and in one row chunk of
 # its stencil arithmetic.  A chunk's psi rows and its residual and scratch
 # buffers stay in the L2 cache (2 MB per core on the 2-vCPU Xeon measured);
-# a psi block is larger, since each psi call pays a per-call cost on its
-# phi row.  On the nine-state ladder (best of 21 ladders, one pinned vCPU),
-# 256 KB chunks of 1 MB blocks took 0.56 s; one chunk per block was 22%
-# slower, and 64, 128 and 512 KB chunks 16%, 6% and 10% slower.  Blocks of
-# 2 and 4 MB were within the run-to-run spread but hold more memory, and
-# 0.5 and 0.25 MB blocks were 18% and 43% slower.
+# a psi block is larger, since each psi call still pays a fixed cost (its
+# radial column, the memo's row compare, the call itself).  On the
+# nine-state ladder (best of 21 ladders, one pinned vCPU), 256 KB chunks of
+# 1 MB blocks took 0.56 s; one chunk per block was 22% slower, and 64, 128
+# and 512 KB chunks 16%, 6% and 10% slower.  With the angular factor
+# evaluated once per level, 1 MB blocks took 0.48 s (median 0.51 s,
+# quartiles 0.50-0.54 s); 2 MB blocks were within that spread but hold
+# more memory, and 0.5 MB blocks were 5% slower.
 _BLOCK_BYTES = 2 ** 20
 _CHUNK_BYTES = 2 ** 18
 
@@ -280,9 +306,11 @@ def dc_operator_residual(params: DCParams, E: float, psi, grid: GridSpec) -> flo
     so no array grows past a block: ``psi`` is called on an ``(rows, 1)``
     column of r and a ``(1, n_phi)`` row of phi, and must broadcast over
     them.  A separable state then costs O(rows + n_phi) kernel work and one
-    outer product per block.  The stencil runs over row chunks of a block,
-    small enough that a chunk's psi rows and its residual and scratch
-    buffers (both allocated once) stay in cache.  Per chunk, the radial
+    outer product per block; ``wavefunction`` keeps the phi row's angular
+    factor, so after a level's first block a block costs only its radial
+    column and the outer product.  The stencil runs over row chunks of a
+    block, small enough that a chunk's psi rows and its residual and
+    scratch buffers (both allocated once) stay in cache.  Per chunk, the radial
     half is one batched matmul of each row's (-b_i, g_i, -a_i) with a
     read-only window of that row and its two neighbours (built once per
     block), then four array passes add beta_j psi and the angular
@@ -299,10 +327,11 @@ def dc_operator_residual(params: DCParams, E: float, psi, grid: GridSpec) -> flo
     hf = ff[1] - ff[0]
     phi = ff[None, :]
     ri = rr[1:-1]
-    # each potential kernel is built once and evaluated once per axis node
+    # each potential kernel is built once and evaluated once per axis node,
+    # on Python floats, which its math calls take faster than numpy scalars
     radial, barrier = _radial_kernel(params), _barrier_kernel(params)
-    V_r = np.array([radial(r)[0] for r in ri])
-    B = np.array([barrier(f)[0] for f in ff[1:-1]])
+    V_r = np.array([radial(r)[0] for r in ri.tolist()])
+    B = np.array([barrier(f)[0] for f in ff[1:-1].tolist()])
     inv_side = (ri * hf) ** 2
     g = (2.0 / hr ** 2 + V_r - E) * inv_side
     beta = hf ** 2 * B + 2.0

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -503,6 +504,102 @@ class TestStreamedResidual:
         # each placement reads NaN at the finest level, and a NaN residual
         # gives a NaN ratio, not the inf of a residual that dropped to zero
         assert math.isnan(ratio)
+
+
+def _uncached(spec, q1, q2):
+    """wavefunction with the angular memo emptied first: the factor is evaluated afresh."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantum, "_angular_memo", None)
+        return wavefunction(spec, q1, q2)
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestAngularMemo:
+    """wavefunction keeps the last row's angular factor; a kept factor is
+    never handed back for another row, another state or another shape."""
+
+    def setup_method(self):
+        self.params = DCParams(Q=1.0, alpha=0.2, beta=0.3, k=RationalIndex(3, 2))
+        self.spec = bound_state(self.params, 1, 1)
+        self.r = np.linspace(1.0, 9.0, 7)[:, None]
+        # inside the oscillator cell 0 < theta < pi/(2k) too, so both families take it
+        self.row = np.linspace(0.15, 0.85, 11)[None, :] * math.pi / 3.0
+
+    def _count_angular(self, monkeypatch):
+        """Empty the memo and count the angular factor's evaluations from here on."""
+        calls = []
+        jacobi = quantum._jacobi
+        monkeypatch.setattr(quantum, "_angular_memo", None)
+        monkeypatch.setattr(quantum, "_jacobi", lambda spec, z: calls.append(1) or jacobi(spec, z))
+        return calls
+
+    def test_mutated_row_is_evaluated_afresh(self, monkeypatch):
+        calls = self._count_angular(monkeypatch)
+        row = self.row.copy()
+        wavefunction(self.spec, self.r, row)
+        row[0, 4] += 0.01
+        got = wavefunction(self.spec, self.r, row)
+        assert len(calls) == 2
+        _assert_same_bits(got, _uncached(self.spec, self.r, row))
+
+    @pytest.mark.parametrize("other", ["m", "ttw"])
+    def test_equal_row_under_another_state(self, other):
+        if other == "m":
+            spec = bound_state(self.params, 1, 2)
+        else:
+            spec = bound_state(TTWParams(omega2=0.25, alpha=0.2, beta=0.3, k=RationalIndex(3, 2)),
+                               1, 1)
+        first = wavefunction(self.spec, self.r, self.row)
+        got = wavefunction(spec, self.r, self.row.copy())
+        _assert_same_bits(got, _uncached(spec, self.r, self.row))
+        assert not np.array_equal(got, first)
+        _assert_same_bits(wavefunction(self.spec, self.r, self.row), first)
+
+    def test_flat_row_after_a_two_dimensional_row(self):
+        wavefunction(self.spec, 2.0, self.row)
+        flat = self.row.ravel()
+        got = wavefunction(self.spec, 2.0, flat)
+        assert got.shape == flat.shape
+        _assert_same_bits(got, _uncached(self.spec, 2.0, flat))
+        _assert_same_bits(wavefunction(self.spec, 2.0, self.row), _uncached(self.spec, 2.0, self.row))
+
+    def test_writing_into_a_block_leaves_the_next_one_exact(self, monkeypatch):
+        calls = self._count_angular(monkeypatch)
+        block = wavefunction(self.spec, self.r, self.row)
+        block[...] = 7.0
+        again = wavefunction(self.spec, self.r, self.row)
+        assert len(calls) == 1
+        _assert_same_bits(again, _uncached(self.spec, self.r, self.row))
+        with pytest.raises(ValueError):
+            quantum._angular_factor(self.spec, self.row)[0, 0] = 7.0
+
+    def test_grid_is_not_kept(self, monkeypatch):
+        calls = self._count_angular(monkeypatch)
+        phi = np.broadcast_to(self.row, (self.r.size, self.row.size)).copy()
+        first = wavefunction(self.spec, self.r, phi)
+        _assert_same_bits(wavefunction(self.spec, self.r, phi), first)
+        assert len(calls) == 2 and quantum._angular_memo is None
+
+    # 500 x 340 refines three times: four levels, where every one of the
+    # 113 psi blocks used to evaluate its phi row's factor again
+    @pytest.mark.parametrize("mapped", [False, True], ids=["coulomb", "mapped_oscillator"])
+    def test_one_angular_evaluation_per_level(self, monkeypatch, mapped):
+        if mapped:
+            ttw = TTWParams(omega2=0.25, alpha=0.2, beta=0.3, k=RationalIndex(3, 2))
+            psi_ttw, E_ttw = ttw_bound_state(ttw, 1, 1)
+            params, E = ttw_to_dc(ttw, E_ttw)
+            psi = map_wavefunction(psi_ttw)
+        else:
+            params, E = self.params, self.spec.E
+            psi = partial(wavefunction, self.spec)
+        grid = default_grid(bound_state(params, 1, 1), n_r=500, n_phi=340)
+        calls = self._count_angular(monkeypatch)
+        _, _, finest = residual_with_refinement(params, E, psi, grid)
+        assert finest.spacing == tuple(h / 8.0 for h in grid.spacing)
+        assert len(calls) == 4
 
 
 ORTHO_STATES = [(0, 0), (1, 0), (0, 1), (1, 1)]
